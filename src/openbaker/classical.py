@@ -150,7 +150,7 @@ def markov_weight(t: float) -> float:
     frac = t - math.floor(t + 0.5)
     if abs(frac) < 1e-12:
         return 1.0
-    return (math.sin(3 * math.pi * t) / (3 * math.sin(math.pi * t))) ** 2
+    return (math.sin(3 * math.pi * frac) / (3 * math.sin(math.pi * frac))) ** 2
 
 
 @dataclass

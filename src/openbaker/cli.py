@@ -101,6 +101,18 @@ class JobRunner:
         self.write_manifest()
         return 2 if failed else 0
 
+    def record_post_step(self, name: str, outputs: list, dims=(), store=()):
+        """Add a step that ran on the finished jobs' results and rewrite
+        the manifest; it is partial when a dimension in `dims` has no
+        spectrum in `store` because its job failed."""
+        entry = {"name": name, "status": "ok", "outputs": outputs, "seconds": 0.0}
+        missing = [N for N in dims if N not in store]
+        if missing:
+            entry.update(status="partial", missing_N=missing)
+        self.jobs.append(entry)
+        self.jobs.sort(key=lambda j: j["name"])
+        self.write_manifest()
+
     def write_manifest(self):
         outputs = sorted({f for j in self.jobs for f in j["outputs"]})
         manifest = {
@@ -178,23 +190,11 @@ def cmd_count(cfg, args) -> int:
     _, spec, dims, _, _ = _spectrum_params(cfg)
     store: dict = {}
     runner = JobRunner(outdir, cfg, _workers(args))
-
-    jobs = _spectrum_jobs(cfg, outdir, store)
-
-    def counts_job():
-        if not radii:
-            return []
-        write_counts_csv(outdir / "counts.csv", _counts(cfg, store, dims, radii))
-        return ["counts.csv"]
-
-    code = runner.run(jobs)
+    code = runner.run(_spectrum_jobs(cfg, outdir, store))
     # counting runs after all spectra are available
-    result = counts_job()
-    if result:
-        runner.jobs.append({"name": "counts", "status": "ok",
-                            "outputs": result, "seconds": 0.0})
-        runner.jobs.sort(key=lambda j: j["name"])
-        runner.write_manifest()
+    if radii:
+        write_counts_csv(outdir / "counts.csv", _counts(cfg, store, dims, radii))
+        runner.record_post_step("counts", ["counts.csv"], dims, store)
     return code
 
 
@@ -213,10 +213,7 @@ def cmd_weyl(cfg, args) -> int:
         print(f"weyl fit failed: {exc}", file=sys.stderr)
         return 2
     write_json(outdir / "weyl_fit.json", fit.as_dict())
-    runner.jobs.append({"name": "weyl-fit", "status": "ok",
-                        "outputs": ["weyl_fit.json"], "seconds": 0.0})
-    runner.jobs.sort(key=lambda j: j["name"])
-    runner.write_manifest()
+    runner.record_post_step("weyl-fit", ["weyl_fit.json"], dims, store)
     return code
 
 
@@ -235,10 +232,7 @@ def cmd_profile(cfg, args) -> int:
     present = [N for N in dims if N in store]
     table = profile_curve([store[N] for N in present], mu, radii, spec.D)
     write_profile_csv(outdir / "profile.csv", radii, present, table)
-    runner.jobs.append({"name": "profile", "status": "ok",
-                        "outputs": ["profile.csv"], "seconds": 0.0})
-    runner.jobs.sort(key=lambda j: j["name"])
-    runner.write_manifest()
+    runner.record_post_step("profile", ["profile.csv"], dims, store)
     return code
 
 
@@ -300,11 +294,9 @@ def cmd_transport(cfg, args) -> int:
     jobs = [(f"transport-k{k}-theta{i}", make(k, t, i))
             for k in ks for i, t in enumerate(thetas)]
     code = runner.run(jobs)
-    done = [res for res in results.values()]
-    if done:
+    if results:
         rows = []
         for k in ks:
-            gs = [r.g for (kk, _), r in sorted(results.items()) if kk == k]
             for (kk, i), r in sorted(results.items()):
                 if kk != k:
                     continue
@@ -318,11 +310,8 @@ def cmd_transport(cfg, args) -> int:
                           "random_matrix_fano": 1.0 / 8.0},
         }
         write_json(outdir / "transport_asymptotics.json", report)
-        runner.jobs.append({"name": "transport-asymptotics", "status": "ok",
-                            "outputs": ["transport_asymptotics.json"],
-                            "seconds": 0.0})
-        runner.jobs.sort(key=lambda j: j["name"])
-        runner.write_manifest()
+        runner.record_post_step("transport-asymptotics",
+                                ["transport_asymptotics.json"])
     return code
 
 
@@ -380,6 +369,8 @@ def cmd_manifest(args) -> int:
           f"{len(manifest.get('outputs', []))} artifacts")
     for job in manifest.get("jobs", []):
         print(f"  {job['name']}: {job['status']} ({job['seconds']}s)")
+        if job.get("missing_N"):
+            print(f"    missing N: {job['missing_N']}")
     if missing:
         print(f"missing artifacts: {missing}", file=sys.stderr)
         return 2

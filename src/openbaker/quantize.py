@@ -16,22 +16,20 @@ from .classical import OpenBakerSpec
 from .transforms import build_walsh, check_finite, dft_centered, _seed
 
 
-def _block_stack(N: int, D: int, kept, block: np.ndarray) -> np.ndarray:
-    """Block-diagonal N x N matrix with `block` in the kept slots."""
-    M = np.zeros((N, N), dtype=complex)
-    n = N // D
+def _kept_block_product(T: np.ndarray, D: int, kept, inner: np.ndarray) -> np.ndarray:
+    """T^* . blockdiag(inner in the kept slots), one kept column block
+    T[b-block rows]^* . inner at a time: s N n^2 flops, not N^3."""
+    n = T.shape[0] // D
+    M = np.zeros_like(T, dtype=complex)
     for b in kept:
-        M[b * n:(b + 1) * n, b * n:(b + 1) * n] = block
+        M[:, b * n:(b + 1) * n] = T[b * n:(b + 1) * n].conj().T @ inner
     return M
 
 
 def quantize_closed(D: int, N: int) -> np.ndarray:
     """Unitary quantization of the closed D-baker (Balazs-Voros style):
     G_N^* . blockdiag(G_{N/D}, ..., G_{N/D})."""
-    if N % D != 0 or N < D:
-        raise ValueError(f"dimension {N} must be a positive multiple of {D}")
-    G = dft_centered(N)
-    return G.conj().T @ _block_stack(N, D, range(D), dft_centered(N // D))
+    return quantize_open(OpenBakerSpec(D, tuple(range(D))), N)
 
 
 def quantize_open(spec: OpenBakerSpec, N: int) -> np.ndarray:
@@ -40,8 +38,8 @@ def quantize_open(spec: OpenBakerSpec, N: int) -> np.ndarray:
     singular values 0 or 1."""
     if N % spec.D != 0 or N < spec.D:
         raise ValueError(f"dimension {N} must be a positive multiple of {spec.D}")
-    G = dft_centered(N)
-    return G.conj().T @ _block_stack(N, spec.D, spec.kept, dft_centered(N // spec.D))
+    return _kept_block_product(dft_centered(N), spec.D, spec.kept,
+                               dft_centered(N // spec.D))
 
 
 def parity_operator(N: int) -> np.ndarray:
@@ -49,6 +47,14 @@ def parity_operator(N: int) -> np.ndarray:
     if N < 1:
         raise ValueError(f"dimension must be >= 1, got {N}")
     return -np.eye(N)[::-1].astype(complex)
+
+
+def _sector_sign(N: int, sector: str) -> float:
+    if N % 2 != 0:
+        raise ValueError(f"parity reduction requires even N, got {N}")
+    if sector not in ("even", "odd"):
+        raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
+    return 1.0 if sector == "even" else -1.0
 
 
 def parity_isometry(N: int, sector: str) -> np.ndarray:
@@ -59,11 +65,7 @@ def parity_isometry(N: int, sector: str) -> np.ndarray:
     operator these are its -1 and +1 eigenspaces respectively.  Requires
     even N.
     """
-    if N % 2 != 0:
-        raise ValueError(f"parity reduction requires even N, got {N}")
-    if sector not in ("even", "odd"):
-        raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
-    sign = 1.0 if sector == "even" else -1.0
+    sign = _sector_sign(N, sector)
     S = np.zeros((N, N // 2), dtype=complex)
     rt = 1.0 / np.sqrt(2.0)
     for j in range(N // 2):
@@ -75,19 +77,25 @@ def parity_isometry(N: int, sector: str) -> np.ndarray:
 def parity_restrict(B: np.ndarray, sector: str, commutator_tol: float = 1e-10) -> np.ndarray:
     """Restrict a parity-commuting matrix to one parity sector.
 
-    Returns the (N/2) x (N/2) matrix in the isometry basis; its nonzero
-    spectrum equals the nonzero spectrum of B (1 +/- Pi)/2.
+    Returns S^* B S for S = parity_isometry(N, sector), as an index fold
+    of B and its reversal R; its nonzero spectrum equals the nonzero
+    spectrum of B (1 +/- Pi)/2.
     """
     B = check_finite(B)
     N = B.shape[0]
-    P = parity_operator(N)
-    comm = np.max(np.abs(B @ P - P @ B))
+    if B.shape[1] != N:
+        raise ValueError(f"expected a square matrix, got shape {B.shape}")
+    R = B[::-1, ::-1]
+    # B Pi - Pi B = J (B - R) with J the plain reversal: the same max entry
+    comm = np.max(np.abs(B - R))
     if comm > commutator_tol:
         raise ValueError(
             f"matrix does not commute with parity: max commutator entry {comm:.3e}"
         )
-    S = parity_isometry(N, sector)
-    return S.conj().T @ B @ S
+    sign = _sector_sign(N, sector)
+    h = N // 2
+    mirrored = B[:h, N - 1:h - 1:-1] + R[:h, N - 1:h - 1:-1]
+    return 0.5 * (B[:h, :h] + R[:h, :h] + sign * mirrored)
 
 
 def build_toy_diagonal(N: int) -> np.ndarray:
@@ -114,10 +122,8 @@ def walsh_quantize(spec: OpenBakerSpec, k: int, variant: str = "W") -> np.ndarra
     the half-integer variant."""
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
-    N = spec.D**k
-    Sk = build_walsh(spec.D, k, variant)
-    inner = build_walsh(spec.D, k - 1, variant)
-    return Sk.conj().T @ _block_stack(N, spec.D, spec.kept, inner)
+    return _kept_block_product(build_walsh(spec.D, k, variant), spec.D,
+                               spec.kept, build_walsh(spec.D, k - 1, variant))
 
 
 def tensor_open_apply(psi: np.ndarray, spec: OpenBakerSpec, variant: str = "W") -> np.ndarray:

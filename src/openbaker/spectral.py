@@ -81,10 +81,10 @@ def _best_residual(M: np.ndarray, lam: complex, v: np.ndarray,
         return math.inf
     v = v / nv
     res = np.linalg.norm(M @ v - lam * v)
-    shift = np.eye(M.shape[0], dtype=complex) * lam
     for _ in range(max_refine):
         if res <= target:
             break
+        shift = lam * np.eye(M.shape[0])  # only built when refinement runs
         try:
             w = np.linalg.solve(M - shift, v)
         except np.linalg.LinAlgError:

@@ -50,12 +50,14 @@ def dft_centered(N: int) -> np.ndarray:
     """Centered DFT: entries N^(-1/2) exp(-2 pi i (j+1/2)(j'+1/2) / N).
 
     This is the transform respecting the parity symmetry q -> 1 - q of the
-    half-integer grid.  Unitary.
+    half-integer grid.  Unitary.  Entry (j, j') is the 4N-th root of unity
+    number (2j+1)(2j'+1) mod 4N, so only 4N exponentials are evaluated.
     """
     if N < 1:
         raise ValueError(f"dimension must be >= 1, got {N}")
-    g = np.arange(N) + 0.5
-    return np.exp(-2j * np.pi * np.outer(g, g) / N) / np.sqrt(N)
+    odd = 2 * np.arange(N, dtype=np.int64) + 1
+    roots = np.exp(-2j * np.pi * np.arange(4 * N) / (4 * N)) / np.sqrt(N)
+    return roots[np.multiply.outer(odd, odd) % (4 * N)]
 
 
 def dft_plain(N: int) -> np.ndarray:

@@ -145,6 +145,14 @@ def test_markov_weight_has_period_one(t, n):
     assert markov_weight(t + n) == pytest.approx(markov_weight(t), abs=1e-6)
 
 
+def test_markov_weight_is_periodic_next_to_the_singularity():
+    # a shift by one period must not move the value even where the
+    # argument is a hair away from the removable singularity
+    assert markov_weight(1e-12 + 1) == pytest.approx(1.0, abs=1e-12)
+    assert markov_weight(1e-12 + 1) == pytest.approx(markov_weight(1e-12),
+                                                     abs=1e-12)
+
+
 @given(st.floats(min_value=0, max_value=1, exclude_max=True))
 def test_markov_weights_normalize(p):
     # [DERIVED] the three branch weights always sum to 1

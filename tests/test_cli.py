@@ -220,6 +220,27 @@ def test_cli_failing_job_exits_2(tmp_path):
     assert (out / "spectrum_N9_full.csv").exists()
 
 
+@pytest.mark.parametrize("verb,step", [("count", "counts"), ("weyl", "weyl-fit"),
+                                       ("profile", "profile")])
+def test_cli_post_step_over_failed_job_is_partial(tmp_path, capsys, verb, step):
+    # N = 21 is not a multiple of D = 5: its spectrum job fails, and the
+    # step built from the surviving spectra must say what it is missing
+    cfg = write_cfg(tmp_path, "map.family = dft\nmap.D = 5\nmap.kept = 1,3\n"
+                              "spectrum.N = 20,21,100\nspectrum.parity = even\n"
+                              "count.radii = 0.1\nweyl.r = 0.1\n"
+                              "profile.radii = 0.1\n")
+    out = tmp_path / "out"
+    assert main([verb, cfg, "-o", str(out)]) == 2
+    jobs = {j["name"]: j for j in
+            json.loads((out / "manifest.json").read_text())["jobs"]}
+    assert jobs["spectrum-N21"]["status"] == "failed"
+    assert jobs[step]["status"] == "partial"
+    assert jobs[step]["missing_N"] == [21]
+    capsys.readouterr()
+    assert main(["manifest", str(out)]) == 0
+    assert "missing N: [21]" in capsys.readouterr().out
+
+
 def test_cli_runs_are_deterministic(tmp_path):
     cfg = write_cfg(tmp_path, "map.family = dft\nmap.D = 5\nmap.kept = 1,3\n"
                               "spectrum.N = 20\nspectrum.parity = even\n")

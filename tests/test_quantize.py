@@ -9,11 +9,31 @@ from openbaker.quantize import (build_toy_diagonal, parity_isometry,
                                 parity_operator, parity_restrict,
                                 quantize_closed, quantize_open,
                                 tensor_open_apply, walsh_quantize)
-from openbaker.transforms import dft_centered, tensor_state
+from openbaker.transforms import build_walsh, dft_centered, tensor_state
 
 
 def unitarity_defect(M):
     return np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0])))
+
+
+def dense_quantization(T, D, kept, inner):
+    """Reference T^* . blockstack(inner): the full N x N block stack with
+    `inner` in the kept slots, multiplied densely."""
+    N, n = T.shape[0], inner.shape[0]
+    stack = np.zeros((N, N), dtype=complex)
+    for b in kept:
+        stack[b * n:(b + 1) * n, b * n:(b + 1) * n] = inner
+    return T.conj().T @ stack
+
+
+def exp_dft(N):
+    """Centered DFT straight from its exponential formula."""
+    g = np.arange(N) + 0.5
+    return np.exp(-2j * np.pi * np.outer(g, g) / N) / np.sqrt(N)
+
+
+def reversal(N):
+    return np.eye(N)[::-1]
 
 
 # --------------------------------------------------------- closed / open
@@ -45,6 +65,30 @@ def test_open_map_singular_values_are_zero_or_one(spec, N):
     assert np.all(np.minimum(np.abs(sv - 1.0), np.abs(sv)) < 1e-12)
     rank = int(np.count_nonzero(sv > 0.5))
     assert rank == spec.s * N // spec.D
+
+
+@pytest.mark.parametrize("spec,N", [(B3, 9), (B3, 27), (B5, 20), (B5, 100),
+                                    (OPEN_B4, 16), (OpenBakerSpec(4, (0, 3)), 32)])
+def test_quantize_open_matches_dense_block_stack(spec, N):
+    # [DERIVED] the kept-block product against the dense formula
+    ref = dense_quantization(dft_centered(N), spec.D, spec.kept,
+                             dft_centered(N // spec.D))
+    assert np.max(np.abs(quantize_open(spec, N) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("D,N", [(2, 2), (2, 16), (3, 27), (5, 50)])
+def test_quantize_closed_matches_dense_block_stack(D, N):
+    ref = dense_quantization(dft_centered(N), D, range(D), dft_centered(N // D))
+    assert np.max(np.abs(quantize_closed(D, N) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("spec,k,variant", [(B3, 1, "W"), (B3, 4, "W"),
+                                            (OPEN_B4, 3, "V"), (CLOSED_B4, 3, "V"),
+                                            (CLOSED_B4, 2, "W"), (B5, 2, "V")])
+def test_walsh_quantize_matches_dense_block_stack(spec, k, variant):
+    ref = dense_quantization(build_walsh(spec.D, k, variant), spec.D, spec.kept,
+                             build_walsh(spec.D, k - 1, variant))
+    assert np.max(np.abs(walsh_quantize(spec, k, variant) - ref)) < 1e-12
 
 
 # ---------------------------------------------------------------- parity
@@ -97,10 +141,55 @@ def test_parity_restrict_preserves_nonzero_spectrum():
         pool.pop(j)
 
 
+@pytest.mark.parametrize("N", [2, 10, 64])
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_parity_restrict_matches_isometry_conjugation(N, sector):
+    # [DERIVED] the index fold against S^* B S on a random matrix
+    # X + J X J, which commutes with the reversal J and hence with parity
+    rng = np.random.default_rng(N)
+    X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    J = reversal(N)
+    B = X + J @ X @ J
+    S = parity_isometry(N, sector)
+    assert np.max(np.abs(parity_restrict(B, sector) - S.conj().T @ B @ S)) < 1e-12
+
+
+def test_even_sector_spectrum_matches_dense_parity_path():
+    # [DERIVED] at N = 500 the eigenvalues of the folded even sector agree
+    # with those of S^* (G^* . blockstack) S, with G from the exponential
+    # formula, outside the pseudospectral scatter around the kernel
+    N = 500
+    dense = dense_quantization(exp_dft(N), 5, B5.kept, exp_dft(N // 5))
+    S = parity_isometry(N, "even")
+    ref = np.linalg.eigvals(S.conj().T @ dense @ S)
+    new = np.linalg.eigvals(parity_restrict(quantize_open(B5, N), "even"))
+    ref = ref[np.abs(ref) > 1e-2]
+    new = new[np.abs(new) > 1e-2]
+    assert len(new) == len(ref) > 0
+    pool = list(ref)
+    for z in new:
+        j = int(np.argmin(np.abs(np.array(pool) - z)))
+        assert abs(pool.pop(j) - z) < 1e-9
+
+
+def test_parity_restrict_rejects_odd_dimension_and_bad_sector():
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    J = reversal(7)
+    with pytest.raises(ValueError, match="even N"):
+        parity_restrict(X + J @ X @ J, "even")
+    Y = X[:6, :6]
+    J = reversal(6)
+    with pytest.raises(ValueError, match="sector"):
+        parity_restrict(Y + J @ Y @ J, "sideways")
+    with pytest.raises(ValueError, match="square"):
+        parity_restrict(np.ones((4, 6)), "even")
+
+
 def test_parity_restrict_rejects_noncommuting_matrix():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="commute"):
         parity_restrict(M, "even")
     with pytest.raises(ValueError):
         parity_isometry(7, "even")

@@ -84,6 +84,21 @@ def test_dft_centered_entries():
             assert abs(G[j, jp] - expected) < 1e-14
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 7, 20, 33, 64])
+def test_dft_centered_matches_exponential_formula(N):
+    # [DERIVED] the root-of-unity table against the direct exp formula
+    g = np.arange(N) + 0.5
+    direct = np.exp(-2j * np.pi * np.outer(g, g) / N) / np.sqrt(N)
+    assert np.max(np.abs(dft_centered(N) - direct)) < 1e-12
+
+
+def test_dft_centered_is_unitary_at_table_size():
+    # every phase argument stays below 2 pi, so unitarity holds near
+    # machine precision even at the dimension of the paper's table
+    G = dft_centered(2500)
+    assert np.max(np.abs(G @ G.conj().T - np.eye(2500))) < 1e-13
+
+
 def test_dft_centered_is_symmetric():
     # [DERIVED] the kernel is symmetric in (j, j')
     G = dft_centered(12)
