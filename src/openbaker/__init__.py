@@ -6,18 +6,16 @@ __version__ = "0.1.0"
 from .classical import (B3, B5, CLOSED_B4, OPEN_B4, EscapeGrid,
                         OpenBakerSpec, escape_grid, escape_time,
                         fractal_dimensions, map_step, markov_weight,
-                        multivalued_step, transfer_matrix)
+                        transfer_matrix)
 from .quantize import (build_toy_diagonal, parity_operator, parity_restrict,
-                       quantize_closed, quantize_open, tensor_open_apply,
-                       walsh_quantize)
+                       quantize_closed, quantize_open, walsh_quantize)
 from .spectral import (ClosedFormToySpectrum, SectorQuery, Spectrum, WeylFit,
                        compare_spectra, count_sector, eigen_spectrum,
                        invariant_nonzero_spectrum, kernel_dimension,
                        profile_curve, toy_closed_spectrum,
                        weyl_fit)
 from .transforms import (build_walsh, dft_centered, dft_plain, digit_decode,
-                         digit_encode, quantize_observable, tensor_state,
-                         walsh_apply)
+                         digit_encode, tensor_state)
 from .transport import (TransportResult, lead_projectors, transmission_matrix,
                         transport_asymptotics, transport_quantities,
                         transport_result)

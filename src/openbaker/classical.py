@@ -3,8 +3,9 @@
 A D-baker stretches position by D and compresses momentum by D on each
 of D vertical strips; an open baker keeps only a subset of the strips
 and lets the rest escape.  This module provides the escape-time
-analysis, the self-similar dimensions of the trapped set, and the
-multivalued variant of the open 3-baker with its Markov weights.
+analysis, the self-similar dimensions of the trapped set, the Markov
+weight of the multivalued open 3-baker, and the classical transfer
+matrix of a quantum toy map.
 """
 
 from __future__ import annotations
@@ -151,35 +152,6 @@ def markov_weight(t: float) -> float:
     if abs(frac) < 1e-12:
         return 1.0
     return (math.sin(3 * math.pi * frac) / (3 * math.sin(math.pi * frac))) ** 2
-
-
-@dataclass
-class WeightedImages:
-    """Three torus images of a point under the multivalued 3-baker and
-    their Markov weights (which sum to 1)."""
-
-    points: tuple
-    weights: tuple
-
-
-def multivalued_step(x) -> WeightedImages:
-    """One step of the multivalued open 3-baker.
-
-    The three images are B3(x) shifted by j/3 in momentum (j = -1, 0, 1),
-    reduced mod 1, weighted by f((p + j - 1/2) / 3).  Returns None when
-    the point sits on the removed middle strip.
-    """
-    q, p = x
-    base = map_step(B3, (q, p))
-    if base is None:
-        return None
-    q1, p1 = base
-    points = []
-    weights = []
-    for j in (-1, 0, 1):
-        points.append((q1, (p1 + j / 3.0) % 1.0))
-        weights.append(markov_weight((p + j - 0.5) / 3.0))
-    return WeightedImages(tuple(points), tuple(weights))
 
 
 def transfer_matrix(B: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ from . import __version__
 from .classical import OpenBakerSpec, escape_grid, fractal_dimensions, transfer_matrix
 from .config import (ConfigError, get_dimensions, get_float, get_float_list,
                      get_int, get_int_list, get_spec, get_str, load_config)
-from .quantize import build_toy_diagonal, parity_restrict, quantize_closed, \
-    quantize_open, walsh_quantize
+from .quantize import build_toy_diagonal, parity_restrict, quantize_open, \
+    walsh_quantize
 from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
                         write_profile_csv, write_spectrum_csv,
                         write_transmission_csv)
@@ -41,9 +41,7 @@ WORKERS_ENV = "OPENBAKER_WORKERS"
 def build_map(family: str, spec: OpenBakerSpec, N: int, variant: str = "W") -> np.ndarray:
     """Dense propagator for one (family, spec, N) combination."""
     if family == "dft":
-        if spec.is_open:
-            return quantize_open(spec, N)
-        return quantize_closed(spec.D, N)
+        return quantize_open(spec, N)
     if family == "toy":
         return build_toy_diagonal(N)
     if family == "walsh":
@@ -101,14 +99,15 @@ class JobRunner:
         self.write_manifest()
         return 2 if failed else 0
 
-    def record_post_step(self, name: str, outputs: list, dims=(), store=()):
+    def record_post_step(self, name: str, outputs: list, **missing):
         """Add a step that ran on the finished jobs' results and rewrite
-        the manifest; it is partial when a dimension in `dims` has no
-        spectrum in `store` because its job failed."""
+        the manifest.  Each keyword (`missing_N`, `missing_jobs`) lists
+        inputs the step lacks because their jobs failed; a nonempty list
+        is recorded under its keyword and makes the step partial."""
         entry = {"name": name, "status": "ok", "outputs": outputs, "seconds": 0.0}
-        missing = [N for N in dims if N not in store]
+        missing = {key: names for key, names in missing.items() if names}
         if missing:
-            entry.update(status="partial", missing_N=missing)
+            entry.update(status="partial", **missing)
         self.jobs.append(entry)
         self.jobs.sort(key=lambda j: j["name"])
         self.write_manifest()
@@ -149,8 +148,13 @@ def _spectrum_params(cfg: dict):
     return family, spec, dims, parity, variant
 
 
-def _spectrum_jobs(cfg: dict, outdir: Path, store: dict):
-    family, spec, dims, parity, variant = _spectrum_params(cfg)
+def _run_spectra(cfg: dict, args, params):
+    """Run one spectrum job per dimension of `params` (as returned by
+    `_spectrum_params`).  Returns the runner, its exit code, and the
+    spectra of the jobs that succeeded, by N."""
+    family, spec, dims, parity, variant = params
+    outdir = _outdir(cfg, args)
+    store: dict = {}
 
     def make(N):
         def job():
@@ -161,14 +165,14 @@ def _spectrum_jobs(cfg: dict, outdir: Path, store: dict):
             return [fname]
         return job
 
-    return [(f"spectrum-N{N}", make(N)) for N in dims]
+    runner = JobRunner(outdir, cfg, _workers(args))
+    code = runner.run([(f"spectrum-N{N}", make(N)) for N in dims])
+    return runner, code, store
 
 
 def cmd_spectrum(cfg, args) -> int:
-    outdir = _outdir(cfg, args)
-    store: dict = {}
-    runner = JobRunner(outdir, cfg, _workers(args))
-    return runner.run(_spectrum_jobs(cfg, outdir, store))
+    _, code, _ = _run_spectra(cfg, args, _spectrum_params(cfg))
+    return code
 
 
 def _counts(cfg, store, dims, radii):
@@ -185,26 +189,24 @@ def _counts(cfg, store, dims, radii):
 
 
 def cmd_count(cfg, args) -> int:
-    outdir = _outdir(cfg, args)
     radii = get_float_list(cfg, "count.radii", default=[])
-    _, spec, dims, _, _ = _spectrum_params(cfg)
-    store: dict = {}
-    runner = JobRunner(outdir, cfg, _workers(args))
-    code = runner.run(_spectrum_jobs(cfg, outdir, store))
+    params = _spectrum_params(cfg)
+    dims = params[2]
+    runner, code, store = _run_spectra(cfg, args, params)
     # counting runs after all spectra are available
     if radii:
-        write_counts_csv(outdir / "counts.csv", _counts(cfg, store, dims, radii))
-        runner.record_post_step("counts", ["counts.csv"], dims, store)
+        write_counts_csv(runner.outdir / "counts.csv",
+                         _counts(cfg, store, dims, radii))
+        runner.record_post_step("counts", ["counts.csv"],
+                                missing_N=[N for N in dims if N not in store])
     return code
 
 
 def cmd_weyl(cfg, args) -> int:
-    outdir = _outdir(cfg, args)
     r = get_float(cfg, "weyl.r")
-    _, spec, dims, _, _ = _spectrum_params(cfg)
-    store: dict = {}
-    runner = JobRunner(outdir, cfg, _workers(args))
-    code = runner.run(_spectrum_jobs(cfg, outdir, store))
+    params = _spectrum_params(cfg)
+    dims = params[2]
+    runner, code, store = _run_spectra(cfg, args, params)
     series = [(N, count_sector(store[N], SectorQuery(r))) for N in dims
               if N in store]
     try:
@@ -212,27 +214,27 @@ def cmd_weyl(cfg, args) -> int:
     except ValueError as exc:
         print(f"weyl fit failed: {exc}", file=sys.stderr)
         return 2
-    write_json(outdir / "weyl_fit.json", fit.as_dict())
-    runner.record_post_step("weyl-fit", ["weyl_fit.json"], dims, store)
+    write_json(runner.outdir / "weyl_fit.json", fit.as_dict())
+    runner.record_post_step("weyl-fit", ["weyl_fit.json"],
+                            missing_N=[N for N in dims if N not in store])
     return code
 
 
 def cmd_profile(cfg, args) -> int:
-    outdir = _outdir(cfg, args)
     radii = get_float_list(cfg, "profile.radii")
-    _, spec, dims, _, _ = _spectrum_params(cfg)
+    params = _spectrum_params(cfg)
+    _, spec, dims, _, _ = params
     if spec.is_open:
         default_mu = math.log(spec.s) / math.log(spec.D)
     else:
         default_mu = 1.0
     mu = get_float(cfg, "profile.mu", default=default_mu)
-    store: dict = {}
-    runner = JobRunner(outdir, cfg, _workers(args))
-    code = runner.run(_spectrum_jobs(cfg, outdir, store))
+    runner, code, store = _run_spectra(cfg, args, params)
     present = [N for N in dims if N in store]
     table = profile_curve([store[N] for N in present], mu, radii, spec.D)
-    write_profile_csv(outdir / "profile.csv", radii, present, table)
-    runner.record_post_step("profile", ["profile.csv"], dims, store)
+    write_profile_csv(runner.outdir / "profile.csv", radii, present, table)
+    runner.record_post_step("profile", ["profile.csv"],
+                            missing_N=[N for N in dims if N not in store])
     return code
 
 
@@ -291,27 +293,18 @@ def cmd_transport(cfg, args) -> int:
             return [f"{base}.json", f"{base}_T.csv"]
         return job
 
-    jobs = [(f"transport-k{k}-theta{i}", make(k, t, i))
-            for k in ks for i, t in enumerate(thetas)]
-    code = runner.run(jobs)
+    names = {(k, i): f"transport-k{k}-theta{i}"
+             for k in ks for i in range(len(thetas))}
+    code = runner.run([(name, make(k, thetas[i], i))
+                       for (k, i), name in names.items()])
     if results:
-        rows = []
-        for k in ks:
-            for (kk, i), r in sorted(results.items()):
-                if kk != k:
-                    continue
-                rows.append({"k": k, "theta": r.theta, "g": r.g,
-                             "g_normalized": r.g / (4 ** (k - 1) / 2.0),
-                             "P": r.P, "P_normalized": r.P / 2 ** (k - 1),
-                             "F": r.F})
-        report = {
-            "rows": rows,
-            "reference": {"shot_noise_constant": 11.0 / 80.0,
-                          "random_matrix_fano": 1.0 / 8.0},
-        }
+        report = transport_asymptotics([results[key] for key in names
+                                        if key in results])
         write_json(outdir / "transport_asymptotics.json", report)
-        runner.record_post_step("transport-asymptotics",
-                                ["transport_asymptotics.json"])
+        runner.record_post_step(
+            "transport-asymptotics", ["transport_asymptotics.json"],
+            missing_jobs=[name for key, name in names.items()
+                          if key not in results])
     return code
 
 
@@ -369,8 +362,9 @@ def cmd_manifest(args) -> int:
           f"{len(manifest.get('outputs', []))} artifacts")
     for job in manifest.get("jobs", []):
         print(f"  {job['name']}: {job['status']} ({job['seconds']}s)")
-        if job.get("missing_N"):
-            print(f"    missing N: {job['missing_N']}")
+        for key in ("missing_N", "missing_jobs"):
+            if job.get(key):
+                print(f"    {key.replace('_', ' ')}: {job[key]}")
     if missing:
         print(f"missing artifacts: {missing}", file=sys.stderr)
         return 2

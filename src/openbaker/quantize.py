@@ -126,19 +126,11 @@ def walsh_quantize(spec: OpenBakerSpec, k: int, variant: str = "W") -> np.ndarra
                                spec.kept, build_walsh(spec.D, k - 1, variant))
 
 
-def tensor_open_apply(psi: np.ndarray, spec: OpenBakerSpec, variant: str = "W") -> np.ndarray:
-    """Matrix-free application of the Walsh-quantized baker:
+def tensor_open_apply_block(X: np.ndarray, spec: OpenBakerSpec, variant: str = "W") -> np.ndarray:
+    """Matrix-free application of the Walsh-quantized baker to each column
+    of an (N, m) array:
     v_1 x ... x v_k  ->  v_2 x ... x v_k x (S pi_kept v_1),
     with seed S = G_D^* (variant W) or F_D^* (variant V)."""
-    psi = np.asarray(psi, dtype=complex)
-    flat = psi.ndim == 1
-    block = psi.reshape(psi.shape[0], -1)
-    out = tensor_open_apply_block(block, spec, variant)
-    return out.ravel() if flat else out
-
-
-def tensor_open_apply_block(X: np.ndarray, spec: OpenBakerSpec, variant: str = "W") -> np.ndarray:
-    """Apply the Walsh-quantized baker to each column of an (N, m) array."""
     X = np.asarray(X, dtype=complex)
     N, m = X.shape
     D = spec.D

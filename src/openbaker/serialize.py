@@ -1,5 +1,4 @@
-"""Deterministic on-disk formats: CSV tables, JSON reports, and a binary
-matrix container.
+"""Deterministic on-disk formats: CSV tables and JSON reports.
 
 Floats are written with Python's shortest round-trip representation
 (at most 17 significant digits), so identical inputs produce bit-identical
@@ -9,50 +8,14 @@ artifacts across runs.
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
-
-MATRIX_MAGIC = b"OBKM"
 
 
 def fmt(x: float) -> str:
     """Shortest round-trip decimal form of a float."""
     return repr(float(x))
-
-
-def write_matrix_bin(path, M: np.ndarray) -> None:
-    """Binary container: magic, uint64 rows/cols, little-endian complex
-    doubles in row-major order."""
-    M = np.ascontiguousarray(M, dtype=np.complex128)
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<QQ", M.shape[0], M.shape[1]))
-        fh.write(M.astype("<c16").tobytes())
-
-
-def read_matrix_bin(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MATRIX_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if len(data) != rows * cols:
-        raise ValueError(f"{path}: truncated payload")
-    return data.reshape(rows, cols).astype(np.complex128)
-
-
-def write_matrix_csv(path, M: np.ndarray) -> None:
-    """Sparse inspection dump: header row,col,re,im, nonzero entries only."""
-    M = np.asarray(M)
-    lines = ["row,col,re,im"]
-    rows, cols = np.nonzero(M)
-    for r, c in zip(rows, cols):
-        z = complex(M[r, c])
-        lines.append(f"{r},{c},{fmt(z.real)},{fmt(z.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_spectrum_csv(path, spectrum) -> None:

@@ -100,26 +100,6 @@ def build_walsh(D: int, k: int, variant: str = "V") -> np.ndarray:
     return M[digit_reversal_permutation(D, k)]
 
 
-def walsh_apply(psi: np.ndarray, D: int, variant: str = "V") -> np.ndarray:
-    """Matrix-free Walsh transform of a state of length D^k.
-
-    Applies the D-dimensional seed along every tensor axis and reverses
-    the axis order; cost O(D^k * k * D) instead of O(D^2k).
-    """
-    psi = np.asarray(psi, dtype=complex).ravel()
-    k = 0
-    n = len(psi)
-    while D**k < n:
-        k += 1
-    if D**k != n:
-        raise ValueError(f"state length {n} is not a power of {D}")
-    F = _seed(D, variant)
-    T = psi.reshape((D,) * k)
-    for ax in range(k):
-        T = np.moveaxis(np.tensordot(F, T, axes=(1, ax)), 0, ax)
-    return T.transpose(range(k - 1, -1, -1)).ravel()
-
-
 def tensor_state(factors) -> np.ndarray:
     """Product state v_1 x v_2 x ... x v_k as a flat vector (first factor
     most significant, matching the digit order of the position grid)."""
@@ -127,24 +107,6 @@ def tensor_state(factors) -> np.ndarray:
     for v in factors[1:]:
         out = np.kron(out, np.asarray(v, dtype=complex))
     return out
-
-
-def quantize_observable(samples, axis: str, N: int) -> np.ndarray:
-    """Quantize an observable from its values on the grid (j+1/2)/N.
-
-    Position observables multiply pointwise; momentum observables are the
-    same diagonal conjugated by the centered DFT.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (N,):
-        raise ValueError(f"expected {N} samples, got shape {samples.shape}")
-    diag = np.diag(samples.astype(complex))
-    if axis == "position":
-        return diag
-    if axis == "momentum":
-        G = dft_centered(N)
-        return G.conj().T @ diag @ G
-    raise ValueError(f"axis must be 'position' or 'momentum', got {axis!r}")
 
 
 def check_finite(M: np.ndarray) -> np.ndarray:

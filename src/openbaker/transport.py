@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import CLOSED_B4, OPEN_B4
+from .classical import CLOSED_B4
 from .quantize import tensor_open_apply_block, walsh_quantize
 
 # Dense resolvent solves are refused above 4^6 = 4096 (memory budget);
@@ -46,12 +46,6 @@ def lead_projectors(k: int):
 def cavity_propagator(k: int) -> np.ndarray:
     """Dense closed-cavity unitary: the V-variant Walsh 4-baker at 4^k."""
     return walsh_quantize(CLOSED_B4, k, "V")
-
-
-def _apply_U(X: np.ndarray) -> np.ndarray:
-    """Tensor-structured application of the closed cavity propagator to
-    the columns of X."""
-    return tensor_open_apply_block(X, CLOSED_B4, "V")
 
 
 def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
@@ -88,7 +82,7 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
         # C holds (Pi_I U)^(n-1) Pi_L1 applied to the lead-1 basis columns
         C = np.eye(N, n4, dtype=complex)
         for n in range(1, n_max + 1):
-            UC = _apply_U(C)
+            UC = tensor_open_apply_block(C, CLOSED_B4, "V")
             term = phase**n * UC[3 * n4:, :]
             t += term
             if np.linalg.norm(term) < tol:
@@ -142,27 +136,26 @@ def transport_result(k: int, theta: float = 0.0, method: str = "resolvent",
                                 k=k, theta=theta)
 
 
-def transport_asymptotics(k_range, theta_grid=(0.0,), method: str = "resolvent",
-                          tol: float = 1e-12) -> dict:
-    """Compare computed transport against the large-k asymptotics
-    g ~ 4^(k-1)/2 and P ~ (11/80) 2^(k-1), and report the spread over
-    quasi-energies (expected to be tiny)."""
+def transport_asymptotics(results) -> dict:
+    """Compare transport results against the large-k asymptotics
+    g ~ 4^(k-1)/2 and P ~ (11/80) 2^(k-1), and report the relative spread
+    of g over each k's quasi-energies (0.0 for a single one).  Rows keep
+    the order of `results`, and the spread lists each k once."""
     rows = []
+    g_by_k = {}
+    for res in results:
+        g_by_k.setdefault(res.k, []).append(res.g)
+        rows.append({
+            "k": res.k,
+            "theta": float(res.theta),
+            "g": res.g,
+            "g_normalized": res.g / (4 ** (res.k - 1) / 2.0),
+            "P": res.P,
+            "P_normalized": res.P / 2 ** (res.k - 1),
+            "F": res.F,
+        })
     spread = []
-    for k in k_range:
-        gs = []
-        for theta in theta_grid:
-            res = transport_result(k, theta, method, tol)
-            gs.append(res.g)
-            rows.append({
-                "k": k,
-                "theta": float(theta),
-                "g": res.g,
-                "g_normalized": res.g / (4 ** (k - 1) / 2.0),
-                "P": res.P,
-                "P_normalized": res.P / 2 ** (k - 1),
-                "F": res.F,
-            })
+    for k, gs in g_by_k.items():
         gs = np.asarray(gs)
         rel = float(gs.std() / gs.mean()) if len(gs) > 1 and gs.mean() > 0 else 0.0
         spread.append({"k": k, "g_relative_std": rel})
@@ -174,10 +167,3 @@ def transport_asymptotics(k_range, theta_grid=(0.0,), method: str = "resolvent",
             "random_matrix_fano": RANDOM_MATRIX_FANO,
         },
     }
-
-
-def open_cavity_propagator(k: int) -> np.ndarray:
-    """The subunitary inside propagator (closed propagator times the
-    interior projector); its spectrum obeys a fractal Weyl law with
-    exponent 1/2."""
-    return walsh_quantize(OPEN_B4, k, "V")

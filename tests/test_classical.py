@@ -1,5 +1,6 @@
 """Classical dynamics: open baker steps, escape times, trapped-set
-dimensions, and the multivalued 3-baker with its Markov weights."""
+dimensions, the Markov weights of the multivalued 3-baker, and the
+transfer matrix."""
 
 import math
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from openbaker.classical import (B3, B5, CLOSED_B4, OPEN_B4, OpenBakerSpec,
                                  escape_grid, escape_time,
                                  fractal_dimensions, map_step, markov_weight,
-                                 multivalued_step, transfer_matrix)
+                                 transfer_matrix)
 from openbaker.quantize import build_toy_diagonal
 
 
@@ -158,22 +159,6 @@ def test_markov_weights_normalize(p):
     # [DERIVED] the three branch weights always sum to 1
     total = sum(markov_weight((p + j - 0.5) / 3.0) for j in (-1, 0, 1))
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_multivalued_step_structure():
-    res = multivalued_step((0.1, 0.4))
-    assert res is not None
-    assert len(res.points) == 3 and len(res.weights) == 3
-    assert sum(res.weights) == pytest.approx(1.0, abs=1e-12)
-    for q, p in res.points:
-        assert 0 <= q < 1 and 0 <= p < 1
-    # the three images differ by 1/3 shifts in momentum
-    ps = sorted(p for _, p in res.points)
-    assert ps[1] - ps[0] == pytest.approx(1 / 3)
-
-
-def test_multivalued_step_escapes_on_middle_strip():
-    assert multivalued_step((0.5, 0.2)) is None
 
 
 # -------------------------------------------------------------- transfer

@@ -11,10 +11,9 @@ from openbaker.cli import main
 from openbaker.config import (ConfigError, get_dimensions, get_float,
                               get_float_list, get_int, get_spec, get_str,
                               parse_config)
-from openbaker.serialize import (fmt, read_matrix_bin, read_spectrum_csv,
-                                 write_matrix_bin, write_matrix_csv,
-                                 write_spectrum_csv)
+from openbaker.serialize import fmt, read_spectrum_csv, write_spectrum_csv
 from openbaker.spectral import Spectrum
+from openbaker.transport import transport_asymptotics, transport_result
 
 
 # ---------------------------------------------------------------- config
@@ -69,22 +68,6 @@ def test_fmt_is_shortest_roundtrip():
     assert float(fmt(1 / 3)) == 1 / 3
 
 
-def test_matrix_bin_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    M = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    path = tmp_path / "m.obk"
-    write_matrix_bin(path, M)
-    back = read_matrix_bin(path)
-    assert np.array_equal(back, M)
-
-
-def test_matrix_bin_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.obk"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        read_matrix_bin(path)
-
-
 def test_spectrum_csv_roundtrip(tmp_path):
     vals = np.array([1.0, 0.5j, -0.25 + 0.1j])
     s = Spectrum(vals, N=3)
@@ -94,15 +77,6 @@ def test_spectrum_csv_roundtrip(tmp_path):
     assert np.array_equal(back, s.values)
     header = path.read_text().splitlines()[0]
     assert header == "re,im,modulus,arg"
-
-
-def test_matrix_csv_lists_nonzero_entries(tmp_path):
-    M = np.diag([1.0, 0.0, 2.0])
-    path = tmp_path / "m.csv"
-    write_matrix_csv(path, M)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 3  # header + two nonzero entries
 
 
 # ------------------------------------------------------------------- CLI
@@ -170,7 +144,32 @@ def test_cli_transport(tmp_path):
     assert main(["transport", cfg, "-o", str(out)]) == 0
     rep = json.loads((out / "transport_asymptotics.json").read_text())
     assert len(rep["rows"]) == 4
+    assert [s["k"] for s in rep["theta_spread"]] == [1, 2]
+    # the artifact is the library summary of the same (k, theta) results
+    lib = transport_asymptotics([transport_result(k, t) for k in (1, 2)
+                                 for t in (0.0, 0.3)])
+    assert rep["rows"] == json.loads(json.dumps(lib["rows"]))
     assert (out / "transport_k2_theta1_T.csv").exists()
+
+
+def test_cli_transport_post_step_over_failed_job_is_partial(tmp_path, capsys):
+    # k = 7 exceeds the dense-resolvent cap: its job fails, and the
+    # asymptotics report built from k = 1 alone must name the missing job
+    cfg = write_cfg(tmp_path, "transport.k = 1,7\ntransport.theta = 0.0\n")
+    out = tmp_path / "out"
+    assert main(["transport", cfg, "-o", str(out)]) == 2
+    jobs = {j["name"]: j for j in
+            json.loads((out / "manifest.json").read_text())["jobs"]}
+    assert jobs["transport-k7-theta0"]["status"] == "failed"
+    step = jobs["transport-asymptotics"]
+    assert step["status"] == "partial"
+    assert step["missing_jobs"] == ["transport-k7-theta0"]
+    assert "missing_N" not in step
+    rep = json.loads((out / "transport_asymptotics.json").read_text())
+    assert [row["k"] for row in rep["rows"]] == [1]
+    capsys.readouterr()
+    assert main(["manifest", str(out)]) == 0
+    assert "missing jobs: ['transport-k7-theta0']" in capsys.readouterr().out
 
 
 def test_cli_classical(tmp_path):

@@ -8,7 +8,7 @@ from openbaker.classical import B3, B5, CLOSED_B4, OPEN_B4, OpenBakerSpec
 from openbaker.quantize import (build_toy_diagonal, parity_isometry,
                                 parity_operator, parity_restrict,
                                 quantize_closed, quantize_open,
-                                tensor_open_apply, walsh_quantize)
+                                tensor_open_apply_block, walsh_quantize)
 from openbaker.transforms import build_walsh, dft_centered, tensor_state
 
 
@@ -228,21 +228,27 @@ def test_walsh_quantized_closed_4baker_is_unitary(k, variant):
     assert unitarity_defect(U) < 1e-12
 
 
-def test_walsh_quantize_open_singular_values():
-    sv = np.linalg.svd(walsh_quantize(OPEN_B4, 3, "V"), compute_uv=False)
+@pytest.mark.parametrize("k,rank", [(2, 8), (3, 32)])
+def test_walsh_quantize_open_singular_values(k, rank):
+    # [DERIVED] the interior-projected cavity propagator: singular values
+    # in {0, 1}, rank N/2
+    sv = np.linalg.svd(walsh_quantize(OPEN_B4, k, "V"), compute_uv=False)
     assert np.all(np.minimum(np.abs(sv - 1.0), np.abs(sv)) < 1e-12)
+    assert int(np.count_nonzero(sv > 0.5)) == rank
 
 
 @pytest.mark.parametrize("spec,variant", [(B3, "W"), (OPEN_B4, "V"),
                                           (CLOSED_B4, "V")])
 def test_tensor_apply_matches_dense(spec, variant):
-    # [DERIVED] matrix-free apply against the dense Walsh quantization
+    # [DERIVED] matrix-free block apply against the dense Walsh quantization
     k = 3
     M = walsh_quantize(spec, k, variant)
     rng = np.random.default_rng(5)
-    for _ in range(4):
-        psi = rng.standard_normal(spec.D**k) + 1j * rng.standard_normal(spec.D**k)
-        assert np.max(np.abs(tensor_open_apply(psi, spec, variant) - M @ psi)) < 1e-12
+    shape = (spec.D**k, 4)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    Y = tensor_open_apply_block(X, spec, variant)
+    assert Y.shape == shape
+    assert np.max(np.abs(Y - M @ X)) < 1e-12
 
 
 def test_walsh_baker_shifts_digit_factors():
@@ -266,4 +272,4 @@ def test_walsh_quantize_rejects_bad_k():
 
 def test_tensor_apply_rejects_bad_length():
     with pytest.raises(ValueError):
-        tensor_open_apply(np.ones(10), B3)
+        tensor_open_apply_block(np.ones((10, 2)), B3)

@@ -1,5 +1,5 @@
-"""Transforms: digit codecs, centered/plain DFTs, Walsh family, and the
-matrix-free applies."""
+"""Transforms: digit codecs, centered/plain DFTs, the Walsh family, and
+tensor product states."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from openbaker.transforms import (MAX_DENSE_DIM, build_walsh, dft_centered,
                                   dft_plain, digit_decode, digit_encode,
-                                  digit_reversal_permutation,
-                                  quantize_observable, tensor_state,
-                                  walsh_apply)
+                                  digit_reversal_permutation, tensor_state)
 
 
 def unitarity_defect(M):
@@ -153,55 +151,16 @@ def test_walsh_tensor_action_reverses_factors(variant):
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
-@pytest.mark.parametrize("D,k,variant", [(2, 7, "V"), (3, 4, "W")])
-def test_walsh_apply_matches_dense(D, k, variant):
-    # [DERIVED] matrix-free apply against the dense matrix
-    rng = np.random.default_rng(3)
-    M = build_walsh(D, k, variant)
-    for _ in range(5):
-        psi = rng.standard_normal(D**k) + 1j * rng.standard_normal(D**k)
-        assert np.max(np.abs(walsh_apply(psi, D, variant) - M @ psi)) < 1e-12
-
-
-def test_walsh_apply_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        walsh_apply(np.ones(10), 3)
-
-
 def test_build_walsh_refuses_huge_dimensions():
     with pytest.raises(ValueError):
         build_walsh(2, 15, "V")
     assert 2**15 > MAX_DENSE_DIM
 
 
-# ----------------------------------------------------------- observables
+# --------------------------------------------------------- tensor states
 
 def test_tensor_state_orders_factors():
     # [TRIVIAL] first factor is the most significant digit
     e0, e1 = np.eye(2)
     psi = tensor_state([e1, e0, e0])  # digits (1,0,0) -> index 4
     assert psi[4] == 1.0 and np.count_nonzero(psi) == 1
-
-
-def test_quantize_observable_position_is_diagonal():
-    samples = np.arange(5, dtype=float)
-    M = quantize_observable(samples, "position", 5)
-    assert np.max(np.abs(M - np.diag(samples))) == 0.0
-
-
-def test_quantize_observable_momentum_is_conjugated_diagonal():
-    # [DERIVED] same diagonal in the momentum basis
-    N = 8
-    rng = np.random.default_rng(0)
-    samples = rng.standard_normal(N)
-    M = quantize_observable(samples, "momentum", N)
-    G = dft_centered(N)
-    back = G @ M @ G.conj().T
-    assert np.max(np.abs(back - np.diag(samples))) < 1e-12
-
-
-def test_quantize_observable_rejects_bad_input():
-    with pytest.raises(ValueError):
-        quantize_observable(np.ones(4), "position", 5)
-    with pytest.raises(ValueError):
-        quantize_observable(np.ones(5), "sideways", 5)

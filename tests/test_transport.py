@@ -6,9 +6,9 @@ import pytest
 
 from openbaker.transport import (MAX_RESOLVENT_K, RANDOM_MATRIX_FANO,
                                  SHOT_NOISE_CONSTANT, cavity_propagator,
-                                 lead_projectors, open_cavity_propagator,
-                                 transmission_matrix, transport_asymptotics,
-                                 transport_quantities, transport_result)
+                                 lead_projectors, transmission_matrix,
+                                 transport_asymptotics, transport_quantities,
+                                 transport_result)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -95,16 +95,22 @@ def test_transmission_eigenvalues_are_physical(k):
 
 
 def test_transport_asymptotics_report_structure():
-    rep = transport_asymptotics([2, 3], theta_grid=(0.0, 0.5))
-    assert len(rep["rows"]) == 4
+    results = [transport_result(3, 0.0), transport_result(2, 0.0),
+               transport_result(2, 0.5)]
+    rep = transport_asymptotics(results)
+    assert [(row["k"], row["theta"]) for row in rep["rows"]] == \
+        [(3, 0.0), (2, 0.0), (2, 0.5)]
+    for row, res in zip(rep["rows"], results):
+        assert row["g"] == res.g and row["P"] == res.P and row["F"] == res.F
+        assert row["g_normalized"] == res.g / (4 ** (res.k - 1) / 2.0)
+        assert row["P_normalized"] == res.P / 2 ** (res.k - 1)
+    # one entry per k in order of first appearance; a single theta has
+    # no spread
+    g2 = np.array([results[1].g, results[2].g])
+    assert rep["theta_spread"] == [
+        {"k": 3, "g_relative_std": 0.0},
+        {"k": 2, "g_relative_std": float(g2.std() / g2.mean())},
+    ]
+    assert rep["theta_spread"][1]["g_relative_std"] > 0.0
     assert rep["reference"]["shot_noise_constant"] == SHOT_NOISE_CONSTANT
     assert rep["reference"]["random_matrix_fano"] == RANDOM_MATRIX_FANO
-    assert {s["k"] for s in rep["theta_spread"]} == {2, 3}
-
-
-def test_open_cavity_propagator_is_subunitary():
-    # [DERIVED] interior-projected propagator has singular values in {0,1}
-    M = open_cavity_propagator(2)
-    sv = np.linalg.svd(M, compute_uv=False)
-    assert np.all(np.minimum(np.abs(sv - 1.0), np.abs(sv)) < 1e-12)
-    assert int(np.count_nonzero(sv > 0.5)) == 8  # rank N/2 at k = 2
