@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__
 from .classical import OpenBakerSpec, escape_grid, fractal_dimensions, transfer_matrix
-from .config import (ConfigError, get_dimensions, get_float, get_float_list,
-                     get_int, get_int_list, get_spec, get_str, load_config)
+from .config import (ConfigError, distinct, get_dimensions, get_float,
+                     get_float_list, get_int, get_int_list, get_spec, get_str,
+                     load_config)
 from .quantize import build_toy_diagonal, parity_restrict, quantize_open, \
     walsh_quantize
 from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
@@ -99,15 +100,17 @@ class JobRunner:
         self.write_manifest()
         return 2 if failed else 0
 
-    def record_post_step(self, name: str, outputs: list, **missing):
+    def record_post_step(self, name: str, outputs: list, **details):
         """Add a step that ran on the finished jobs' results and rewrite
-        the manifest.  Each keyword (`missing_N`, `missing_jobs`) lists
-        inputs the step lacks because their jobs failed; a nonempty list
-        is recorded under its keyword and makes the step partial."""
+        the manifest.  `missing_N` and `missing_jobs` list inputs the step
+        lacks because their jobs failed; a nonempty list is recorded under
+        its keyword and makes the step partial.  `error`, the text of the
+        exception that stopped the step, makes it failed."""
         entry = {"name": name, "status": "ok", "outputs": outputs, "seconds": 0.0}
-        missing = {key: names for key, names in missing.items() if names}
-        if missing:
-            entry.update(status="partial", **missing)
+        details = {key: value for key, value in details.items() if value}
+        if details:
+            status = "failed" if "error" in details else "partial"
+            entry.update(status=status, **details)
         self.jobs.append(entry)
         self.jobs.sort(key=lambda j: j["name"])
         self.write_manifest()
@@ -209,14 +212,15 @@ def cmd_weyl(cfg, args) -> int:
     runner, code, store = _run_spectra(cfg, args, params)
     series = [(N, count_sector(store[N], SectorQuery(r))) for N in dims
               if N in store]
+    missing = [N for N in dims if N not in store]
     try:
         fit = weyl_fit(series)
     except ValueError as exc:
         print(f"weyl fit failed: {exc}", file=sys.stderr)
+        runner.record_post_step("weyl-fit", [], error=str(exc), missing_N=missing)
         return 2
     write_json(runner.outdir / "weyl_fit.json", fit.as_dict())
-    runner.record_post_step("weyl-fit", ["weyl_fit.json"],
-                            missing_N=[N for N in dims if N not in store])
+    runner.record_post_step("weyl-fit", ["weyl_fit.json"], missing_N=missing)
     return code
 
 
@@ -239,9 +243,9 @@ def cmd_profile(cfg, args) -> int:
 
 
 def cmd_toy_check(cfg, args) -> int:
-    outdir = _outdir(cfg, args)
-    ks = get_int_list(cfg, "toy.k")
+    ks = distinct("toy.k", get_int_list(cfg, "toy.k"))
     tol = get_float(cfg, "toy.tol", default=1e-8)
+    outdir = _outdir(cfg, args)
     runner = JobRunner(outdir, cfg, _workers(args))
 
     def make(k):
@@ -272,14 +276,15 @@ def cmd_toy_check(cfg, args) -> int:
 
 
 def cmd_transport(cfg, args) -> int:
-    outdir = _outdir(cfg, args)
-    ks = get_int_list(cfg, "transport.k")
-    thetas = get_float_list(cfg, "transport.theta", default=[0.0])
+    ks = distinct("transport.k", get_int_list(cfg, "transport.k"))
+    thetas = distinct("transport.theta",
+                      get_float_list(cfg, "transport.theta", default=[0.0]))
     method = get_str(cfg, "transport.method", default="resolvent",
                      choices={"resolvent", "series"})
     tol = get_float(cfg, "transport.tol", default=1e-12)
     if any(k < 1 for k in ks):
         raise ConfigError("transport.k values must be >= 1")
+    outdir = _outdir(cfg, args)
     runner = JobRunner(outdir, cfg, _workers(args))
     results = {}
 
@@ -362,7 +367,7 @@ def cmd_manifest(args) -> int:
           f"{len(manifest.get('outputs', []))} artifacts")
     for job in manifest.get("jobs", []):
         print(f"  {job['name']}: {job['status']} ({job['seconds']}s)")
-        for key in ("missing_N", "missing_jobs"):
+        for key in ("missing_N", "missing_jobs", "error"):
             if job.get(key):
                 print(f"    {key.replace('_', ' ')}: {job[key]}")
     if missing:

@@ -99,6 +99,18 @@ def get_float_list(cfg: dict, key: str, default=None) -> list:
     return [_parse_float(tok, key) for tok in cfg[key].split(",") if tok.strip()]
 
 
+def distinct(key: str, values: list) -> list:
+    """`values` unchanged, for a list key whose values each name one job
+    (spectrum.N, toy.k, transport.k, transport.theta): a repeated value
+    would run the same job twice under one name, so it is rejected."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ConfigError(f"{key}: repeated value {v!r}")
+        seen.add(v)
+    return values
+
+
 def get_spec(cfg: dict) -> OpenBakerSpec:
     """Build the baker spec from map.D and map.kept."""
     D = get_int(cfg, "map.D")
@@ -113,7 +125,7 @@ def get_dimensions(cfg: dict, D: int) -> list:
     """Dimension list: either `spectrum.N = 20,100` or the geometric
     sequence `spectrum.N0 = 20` + `spectrum.kmax = 3` expanding to N0*D^k."""
     if "spectrum.N" in cfg:
-        dims = get_int_list(cfg, "spectrum.N")
+        dims = distinct("spectrum.N", get_int_list(cfg, "spectrum.N"))
     elif "spectrum.N0" in cfg:
         N0 = get_int(cfg, "spectrum.N0")
         kmax = get_int(cfg, "spectrum.kmax")

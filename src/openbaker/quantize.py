@@ -137,11 +137,8 @@ def tensor_open_apply_block(X: np.ndarray, spec: OpenBakerSpec, variant: str = "
     if N % D != 0:
         raise ValueError(f"state length {N} is not divisible by {D}")
     seed = _seed(D, variant).conj().T
-    # zero the removed first-digit slices, rotate the first digit to the end
-    T = X.reshape(D, N // D, m).copy()
-    removed = [b for b in range(D) if b not in spec.kept]
-    if removed:
-        T[removed] = 0.0
-    # out[rest, b, m] = sum_a seed[b, a] T[a, rest, m]
-    out = np.einsum("ba,arm->rbm", seed, T)
-    return out.reshape(N, m)
+    # zero the removed first digits through the seed's columns, then
+    # out[rest, b, m] = sum_a seed[b, a] X[a, rest, m] as one matrix product
+    seed[:, [b for b in range(D) if b not in spec.kept]] = 0.0
+    Y = seed @ X.reshape(D, -1)
+    return Y.reshape(D, N // D, m).transpose(1, 0, 2).reshape(N, m)

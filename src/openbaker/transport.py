@@ -10,6 +10,7 @@ P = tr(t t*(1 - t t*)), and the Fano factor F = P / g.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,14 +49,28 @@ def cavity_propagator(k: int) -> np.ndarray:
     return walsh_quantize(CLOSED_B4, k, "V")
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_propagator(k: int) -> np.ndarray:
+    """cavity_propagator(k), built once for all quasi-energies at one k and
+    returned read-only.  One entry: jobs run each k's quasi-energies back
+    to back, and no 4^k matrix outlives the next k."""
+    U = cavity_propagator(k)
+    U.flags.writeable = False
+    return U
+
+
 def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
                         tol: float = 1e-12) -> np.ndarray:
     """Transmission matrix t(theta) from lead 1 to lead 2, as the
     (N/4) x (N/4) block indexed by the remaining k-1 digits.
 
-    resolvent: e^{i theta} Pi_L2 U (I - e^{i theta} Pi_I U)^{-1} Pi_L1
-    via a dense solve.  series: the sum over bounce numbers n, truncated
-    when the Frobenius norm of the next term drops below tol.
+    resolvent: e^{i theta} Pi_L2 U (I - e^{i theta} Pi_I U)^{-1} Pi_L1.
+    The lead rows of I - e^{i theta} Pi_I U are rows of the identity, so
+    only the interior block is solved:
+    t = e^{i theta} (U_{L2,L1} + U_{L2,I} X_I) with
+    (I - e^{i theta} U_{I,I}) X_I = e^{i theta} U_{I,L1}.
+    series: the sum over bounce numbers n, truncated when the Frobenius
+    norm of the next term drops below tol.
     """
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
@@ -70,12 +85,12 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
                 f"dense resolvent capped at k = {MAX_RESOLVENT_K}; "
                 "use method='series'"
             )
-        U = cavity_propagator(k)
-        _, _, interior = lead_projectors(k)
-        A = -phase * (interior[:, None] * U)
-        A[np.diag_indices(N)] += 1.0
-        X = np.linalg.solve(A, np.eye(N, n4, dtype=complex))
-        return phase * (U[3 * n4:, :] @ X)
+        U = _shared_propagator(k)
+        lead1, interior, lead2 = slice(0, n4), slice(n4, 3 * n4), slice(3 * n4, N)
+        A = -phase * U[interior, interior]
+        A[np.diag_indices(2 * n4)] += 1.0
+        X = np.linalg.solve(A, phase * U[interior, lead1])
+        return phase * (U[lead2, lead1] + U[lead2, interior] @ X)
     if method == "series":
         n_max = 200 * k
         t = np.zeros((n4, n4), dtype=complex)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from openbaker.cli import main
-from openbaker.config import (ConfigError, get_dimensions, get_float,
+from openbaker.config import (ConfigError, distinct, get_dimensions, get_float,
                               get_float_list, get_int, get_spec, get_str,
                               parse_config)
 from openbaker.serialize import fmt, read_spectrum_csv, write_spectrum_csv
@@ -59,6 +59,14 @@ def test_get_spec_and_dimensions():
         get_dimensions(parse_config("x = 1\n"), 3)
     with pytest.raises(ConfigError):
         get_spec(parse_config("map.D = 3\nmap.kept = 5\n"))
+
+
+def test_distinct_rejects_a_repeated_value_by_key():
+    assert distinct("toy.k", [3, 1, 2]) == [3, 1, 2]
+    with pytest.raises(ConfigError, match="transport.theta"):
+        distinct("transport.theta", [0.0, 0.3, 0.3])
+    with pytest.raises(ConfigError, match="spectrum.N"):
+        get_dimensions(parse_config("spectrum.N = 9, 27, 9\n"), 3)
 
 
 # ------------------------------------------------------------- serialize
@@ -238,6 +246,45 @@ def test_cli_post_step_over_failed_job_is_partial(tmp_path, capsys, verb, step):
     capsys.readouterr()
     assert main(["manifest", str(out)]) == 0
     assert "missing N: [21]" in capsys.readouterr().out
+
+
+def test_cli_failed_weyl_fit_is_recorded(tmp_path, capsys):
+    # one dimension gives one point: the fit fails, and the manifest must
+    # say so instead of listing only the spectrum job
+    cfg = write_cfg(tmp_path, "map.family = dft\nmap.D = 5\nmap.kept = 1,3\n"
+                              "spectrum.N = 20\nspectrum.parity = even\n"
+                              "weyl.r = 0.1\n")
+    out = tmp_path / "out"
+    assert main(["weyl", cfg, "-o", str(out)]) == 2
+    jobs = {j["name"]: j for j in
+            json.loads((out / "manifest.json").read_text())["jobs"]}
+    assert jobs["spectrum-N20"]["status"] == "ok"
+    step = jobs["weyl-fit"]
+    assert step["status"] == "failed"
+    assert step["outputs"] == []
+    assert "at least 2 points" in step["error"]
+    assert "missing_N" not in step
+    assert not (out / "weyl_fit.json").exists()
+    capsys.readouterr()
+    assert main(["manifest", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "weyl-fit: failed" in printed
+    assert "error: need at least 2 points" in printed
+
+
+@pytest.mark.parametrize("verb,text,key", [
+    ("spectrum", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+                 "spectrum.N = 9,9\n", "spectrum.N"),
+    ("toy-check", "toy.k = 3,1,3\n", "toy.k"),
+    ("transport", "transport.k = 2,2\n", "transport.k"),
+    ("transport", "transport.k = 2\ntransport.theta = 0.3,0.30\n",
+     "transport.theta"),
+])
+def test_cli_rejects_repeated_job_values(tmp_path, capsys, verb, text, key):
+    out = tmp_path / "out"
+    assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
+    assert f"{key}: repeated value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_runs_are_deterministic(tmp_path):

@@ -238,7 +238,7 @@ def test_walsh_quantize_open_singular_values(k, rank):
 
 
 @pytest.mark.parametrize("spec,variant", [(B3, "W"), (OPEN_B4, "V"),
-                                          (CLOSED_B4, "V")])
+                                          (CLOSED_B4, "V"), (B5, "W")])
 def test_tensor_apply_matches_dense(spec, variant):
     # [DERIVED] matrix-free block apply against the dense Walsh quantization
     k = 3
@@ -249,6 +249,9 @@ def test_tensor_apply_matches_dense(spec, variant):
     Y = tensor_open_apply_block(X, spec, variant)
     assert Y.shape == shape
     assert np.max(np.abs(Y - M @ X)) < 1e-12
+    # a non-contiguous block gives the same result
+    assert np.array_equal(tensor_open_apply_block(np.asfortranarray(X), spec,
+                                                  variant), Y)
 
 
 def test_walsh_baker_shifts_digit_factors():

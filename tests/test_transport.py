@@ -4,6 +4,7 @@ transmission matrices, and Landauer quantities."""
 import numpy as np
 import pytest
 
+from openbaker import transport
 from openbaker.transport import (MAX_RESOLVENT_K, RANDOM_MATRIX_FANO,
                                  SHOT_NOISE_CONSTANT, cavity_propagator,
                                  lead_projectors, transmission_matrix,
@@ -42,21 +43,78 @@ def test_series_matches_resolvent(k, theta):
     assert np.max(np.abs(t_res - t_ser)) < 1e-10
 
 
+def full_resolvent(k, theta):
+    """Reference: U and X = (I - e^{i theta} Pi_I U)^{-1} Pi_L1 from the
+    full N x N solve against the lead-1 basis columns."""
+    N = 4**k
+    U = cavity_propagator(k)
+    _, _, interior = lead_projectors(k)
+    A = -np.exp(1j * theta) * (interior[:, None] * U)
+    A[np.diag_indices(N)] += 1.0
+    return U, np.linalg.solve(A, np.eye(N, N // 4, dtype=complex))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_flux_conservation(k):
     # [DERIVED] unitarity of the cavity forces |r psi|^2 + |t psi|^2 = 1
     # for every state entering through lead 1
-    N = 4**k
-    n4 = N // 4
-    U = cavity_propagator(k)
-    _, _, interior = lead_projectors(k)
-    A = -(interior[:, None] * U)
-    A[np.diag_indices(N)] += 1.0
-    X = np.linalg.solve(A, np.eye(N, n4, dtype=complex))
+    n4 = 4**k // 4
+    U, X = full_resolvent(k, 0.0)
     r = U[:n4, :] @ X      # back out through lead 1
     t = U[3 * n4:, :] @ X  # out through lead 2
     flux = np.linalg.norm(r, axis=0) ** 2 + np.linalg.norm(t, axis=0) ** 2
     assert np.max(np.abs(flux - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 2.1])
+def test_interior_block_resolvent_matches_full_solve(k, theta):
+    # [DERIVED] the lead rows of I - e^{i theta} Pi_I U are identity rows,
+    # so the interior-block (Schur complement) solve gives the same t
+    U, X = full_resolvent(k, theta)
+    t_full = np.exp(1j * theta) * (U[3 * 4**k // 4:, :] @ X)
+    t = transmission_matrix(k, theta, "resolvent")
+    assert t.shape == t_full.shape
+    assert np.max(np.abs(t - t_full)) < 1e-12
+
+
+def test_resolvent_propagator_memo_follows_k():
+    # each k's result equals a fresh computation whatever k came before,
+    # so a stale or wrong-k propagator fails
+    fresh = {}
+    for k in (3, 4, 5):
+        transport._shared_propagator.cache_clear()
+        fresh[k] = transmission_matrix(k, 0.3)
+    for k in (3, 4, 3, 5, 3):
+        t = transmission_matrix(k, 0.3)
+        assert t.shape == fresh[k].shape
+        assert np.max(np.abs(t - fresh[k])) < 1e-12
+
+
+def test_resolvent_builds_propagator_once_per_k(monkeypatch):
+    built = []
+    real = transport.cavity_propagator
+    monkeypatch.setattr(transport, "cavity_propagator",
+                        lambda k: built.append(k) or real(k))
+    transport._shared_propagator.cache_clear()
+    for k in (2, 3):
+        for theta in (0.0, 0.3, 2.1):
+            transmission_matrix(k, theta)
+    assert built == [2, 3]
+    transport._shared_propagator.cache_clear()
+
+
+def test_resolvent_results_do_not_share_state():
+    # the memoized propagator is read-only; the public one and every
+    # returned t are the caller's own arrays
+    t = transmission_matrix(3, 0.3)
+    expected = t.copy()
+    assert not transport._shared_propagator(3).flags.writeable
+    U = cavity_propagator(3)
+    assert U.flags.writeable
+    U[:] = 0.0
+    t[:] = 0.0
+    assert np.max(np.abs(transmission_matrix(3, 0.3) - expected)) < 1e-14
 
 
 def test_transmission_matrix_validation():
