@@ -5,7 +5,8 @@ One verb per pipeline: `spectrum`, `count`, `weyl`, `profile`,
 finished run.  Each verb reads a flat key-value config file and writes
 deterministic CSV/JSON artifacts plus a run manifest into the output
 directory.  Exit codes: 0 all jobs succeeded, 1 invalid config, 2 some
-jobs failed.
+jobs failed.  `manifest` exits 2 when the inspected run has a failed or
+partial job or step, or a missing artifact.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class JobRunner:
         self.cfg = cfg
         self.workers = max(1, workers)
         self.jobs = []
+        self.step_start = time.monotonic()
 
     def run(self, named_jobs) -> int:
         def call(item):
@@ -98,6 +100,7 @@ class JobRunner:
         for j in failed:
             print(f"job {j['name']} failed: {j['error']}", file=sys.stderr)
         self.write_manifest()
+        self.step_start = time.monotonic()
         return 2 if failed else 0
 
     def record_post_step(self, name: str, outputs: list, **details):
@@ -105,8 +108,12 @@ class JobRunner:
         the manifest.  `missing_N` and `missing_jobs` list inputs the step
         lacks because their jobs failed; a nonempty list is recorded under
         its keyword and makes the step partial.  `error`, the text of the
-        exception that stopped the step, makes it failed."""
-        entry = {"name": name, "status": "ok", "outputs": outputs, "seconds": 0.0}
+        exception that stopped the step, makes it failed.  The step's
+        seconds run from the end of `run` or of the previous step."""
+        now = time.monotonic()
+        entry = {"name": name, "status": "ok", "outputs": outputs,
+                 "seconds": round(now - self.step_start, 3)}
+        self.step_start = now
         details = {key: value for key, value in details.items() if value}
         if details:
             status = "failed" if "error" in details else "partial"
@@ -370,10 +377,13 @@ def cmd_manifest(args) -> int:
         for key in ("missing_N", "missing_jobs", "error"):
             if job.get(key):
                 print(f"    {key.replace('_', ' ')}: {job[key]}")
+    unfinished = [job["name"] for job in manifest.get("jobs", [])
+                  if job["status"] in ("failed", "partial")]
+    if unfinished:
+        print(f"failed or partial: {unfinished}", file=sys.stderr)
     if missing:
         print(f"missing artifacts: {missing}", file=sys.stderr)
-        return 2
-    return 0
+    return 2 if unfinished or missing else 0
 
 
 def make_parser() -> argparse.ArgumentParser:

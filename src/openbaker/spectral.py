@@ -316,6 +316,12 @@ def invariant_nonzero_spectrum(M: np.ndarray, k: int,
     the nonzero spectrum.  This sidesteps the eigensolver scatter that a
     direct dense diagonalization produces around a large defective kernel.
 
+    Indices whose row or column is exactly zero are deflated first, until
+    none is left.  With such an index i last, M is block-triangular with
+    a zero diagonal block, so deleting row and column i keeps every
+    nonzero eigenvalue with its Jordan structure, and the factorization
+    runs on the remaining core (the 2^k of 3^k indices of the Walsh toy).
+
     Returns (nonzero eigenvalues in canonical order, kernel dimension).
     The numerical rank cut uses rank_rtol relative to the largest
     singular value of M^k and requires a clean gap (factor 10^3) between
@@ -326,10 +332,17 @@ def invariant_nonzero_spectrum(M: np.ndarray, k: int,
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
+    n = M.shape[0]
+    keep = M.any(axis=0) & M.any(axis=1)
+    while not keep.all():
+        M = M[np.ix_(keep, keep)]
+        keep = M.any(axis=0) & M.any(axis=1)
+    if M.shape[0] == 0:
+        return np.zeros(0, dtype=complex), n
     P = np.linalg.matrix_power(M, k)
     U, s, _ = np.linalg.svd(P)
     if s[0] == 0.0:
-        return np.zeros(0, dtype=complex), M.shape[0]
+        return np.zeros(0, dtype=complex), n
     rank = int(np.count_nonzero(s > rank_rtol * s[0]))
     if rank < len(s) and s[rank] > 1e-3 * s[rank - 1]:
         raise RuntimeError(
@@ -338,7 +351,7 @@ def invariant_nonzero_spectrum(M: np.ndarray, k: int,
         )
     Q = U[:, :rank]
     vals = scipy.linalg.eigvals(Q.conj().T @ M @ Q)
-    return canonical_order(vals), M.shape[0] - rank
+    return canonical_order(vals), n - rank
 
 
 @dataclass

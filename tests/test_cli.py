@@ -3,10 +3,12 @@
 import json
 import shutil
 import subprocess
+import time
 
 import numpy as np
 import pytest
 
+from openbaker import cli
 from openbaker.cli import main
 from openbaker.config import (ConfigError, distinct, get_dimensions, get_float,
                               get_float_list, get_int, get_spec, get_str,
@@ -176,8 +178,10 @@ def test_cli_transport_post_step_over_failed_job_is_partial(tmp_path, capsys):
     rep = json.loads((out / "transport_asymptotics.json").read_text())
     assert [row["k"] for row in rep["rows"]] == [1]
     capsys.readouterr()
-    assert main(["manifest", str(out)]) == 0
-    assert "missing jobs: ['transport-k7-theta0']" in capsys.readouterr().out
+    assert main(["manifest", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert "missing jobs: ['transport-k7-theta0']" in printed.out
+    assert "'transport-asymptotics'" in printed.err
 
 
 def test_cli_classical(tmp_path):
@@ -192,6 +196,25 @@ def test_cli_classical(tmp_path):
     grid = (out / "escape_forward.csv").read_text().splitlines()
     assert grid[0] == "i,j,escape_time"
     assert len(grid) == 1 + 27 * 27
+
+
+def test_cli_post_step_seconds_cover_the_step(tmp_path, monkeypatch):
+    # the counts step runs after the spectrum jobs; its manifest entry
+    # must time it instead of reporting zero
+    real_counts = cli._counts
+
+    def slow_counts(*args):
+        time.sleep(0.05)
+        return real_counts(*args)
+
+    monkeypatch.setattr(cli, "_counts", slow_counts)
+    cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+                              "spectrum.N = 9,27\ncount.radii = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["count", cfg, "-o", str(out)]) == 0
+    jobs = {j["name"]: j for j in
+            json.loads((out / "manifest.json").read_text())["jobs"]}
+    assert jobs["counts"]["seconds"] >= 0.05
 
 
 def test_cli_manifest_inspection(tmp_path, capsys):
@@ -244,7 +267,7 @@ def test_cli_post_step_over_failed_job_is_partial(tmp_path, capsys, verb, step):
     assert jobs[step]["status"] == "partial"
     assert jobs[step]["missing_N"] == [21]
     capsys.readouterr()
-    assert main(["manifest", str(out)]) == 0
+    assert main(["manifest", str(out)]) == 2
     assert "missing N: [21]" in capsys.readouterr().out
 
 
@@ -266,10 +289,12 @@ def test_cli_failed_weyl_fit_is_recorded(tmp_path, capsys):
     assert "missing_N" not in step
     assert not (out / "weyl_fit.json").exists()
     capsys.readouterr()
-    assert main(["manifest", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "weyl-fit: failed" in printed
-    assert "error: need at least 2 points" in printed
+    assert main(["manifest", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert "spectrum-N20: ok" in printed.out
+    assert "weyl-fit: failed" in printed.out
+    assert "error: need at least 2 points" in printed.out
+    assert "failed or partial: ['weyl-fit']" in printed.err
 
 
 @pytest.mark.parametrize("verb,text,key", [

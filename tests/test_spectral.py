@@ -6,10 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from openbaker.classical import B3
+from openbaker.classical import B3, transfer_matrix
 from openbaker.quantize import build_toy_diagonal, walsh_quantize
 from openbaker.spectral import (SectorQuery, Spectrum, canonical_order,
                                 compare_spectra, count_sector, eigen_spectrum,
@@ -193,6 +194,111 @@ def test_invariant_spectrum_validates_input():
         invariant_nonzero_spectrum(np.ones((2, 3)), 1)
     with pytest.raises(ValueError):
         invariant_nonzero_spectrum(np.eye(3), 0)
+
+
+# ------------------------------------------- zero-index deflation
+
+def dense_invariant_nonzero_spectrum(M, k, rank_rtol=1e-8):
+    """Reference: the k-th power factorization on the whole matrix, with
+    no deflation of zero rows and columns."""
+    U, s, _ = np.linalg.svd(np.linalg.matrix_power(M, k))
+    if s[0] == 0.0:
+        return np.zeros(0, dtype=complex), M.shape[0]
+    rank = int(np.count_nonzero(s > rank_rtol * s[0]))
+    assert rank == len(s) or s[rank] <= 1e-3 * s[rank - 1]
+    Q = U[:, :rank]
+    vals = scipy.linalg.eigvals(Q.conj().T @ M @ Q)
+    return canonical_order(vals), M.shape[0] - rank
+
+
+def max_matched_distance(a, b):
+    """Worst distance of a greedy nearest-point matching between two
+    multisets of equal size."""
+    assert len(a) == len(b)
+    alive = np.ones(len(b), dtype=bool)
+    worst = 0.0
+    for z in a:
+        idx = np.flatnonzero(alive)
+        j = idx[np.argmin(np.abs(b[idx] - z))]
+        worst = max(worst, abs(b[j] - z))
+        alive[j] = False
+    return worst
+
+
+@pytest.mark.parametrize("kind", ["toy", "transfer"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_deflated_invariant_spectrum_matches_dense_reference(k, kind):
+    # [DERIVED] deleting zero rows and columns keeps the nonzero spectrum
+    # and the kernel dimension of the whole matrix
+    M = build_toy_diagonal(3**k)
+    if kind == "transfer":
+        M = transfer_matrix(M).astype(complex)
+    vals, kdim = invariant_nonzero_spectrum(M, k)
+    ref, ref_kdim = dense_invariant_nonzero_spectrum(M, k)
+    assert kdim == ref_kdim
+    assert max_matched_distance(vals, ref) < 1e-12
+
+
+def embedded_core(core, tail, rng):
+    """core (m x m) in an n x n matrix whose rest R is deflated through
+    zero rows: M[K, R] is a random coupling and M[R, R] the nilpotent
+    `tail`, so row by row the rest empties out in one round when `tail`
+    is zero and in len(tail) rounds when it is a shift.  Indices are
+    randomly permuted."""
+    m, r = len(core), len(tail)
+    M = np.zeros((m + r, m + r), dtype=complex)
+    M[:m, :m] = core
+    M[:m, m:] = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+    M[m:, m:] = tail
+    perm = rng.permutation(m + r)
+    return M[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("zeros", ["rows", "columns"])
+@pytest.mark.parametrize("tail", ["zero", "shift"])
+def test_deflated_invariant_spectrum_of_embedded_core(zeros, tail):
+    # [DERIVED] a generic core coupled to a rest with zero rows (or, by
+    # transposition, zero columns); with the shift tail the rest takes
+    # five deflation rounds, and k = 2 is too small for the undeflated
+    # power to exhaust the tail's kernel
+    rng = np.random.default_rng(7)
+    m, r = 8, 5
+    core = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    S = np.eye(r, k=1) if tail == "shift" else np.zeros((r, r))
+    M = embedded_core(core, S, rng)
+    if zeros == "columns":
+        M, core = M.T, core.T
+    vals, kdim = invariant_nonzero_spectrum(M, 2)
+    assert kdim == len(M) - m
+    assert len(vals) == m
+    assert max_matched_distance(vals, scipy.linalg.eigvals(core)) < 1e-10
+
+
+def test_invariant_spectrum_of_zero_matrix_is_empty():
+    vals, kdim = invariant_nonzero_spectrum(np.zeros((5, 5)), 3)
+    assert len(vals) == 0 and kdim == 5
+
+
+def test_invariant_spectrum_of_short_power_of_nilpotent_shift_is_empty():
+    # [DERIVED] the shift deflates to nothing, so a power k < n no longer
+    # leaves a rank n - k whose eigenvalues pass for nonzero ones
+    for S in (np.eye(6, k=1), np.eye(6, k=-1)):
+        vals, kdim = invariant_nonzero_spectrum(S, 2)
+        assert len(vals) == 0 and kdim == 6
+
+
+def test_invariant_spectrum_toy_k8():
+    # [PAPER] beyond the acceptance range: N = 6561 deflates to its
+    # 2^8-dimensional core; 256 nonzero eigenvalues on the lattice, kernel
+    # 3^8 - 2^8, ring totals binomial(8, p)
+    k = 8
+    vals, kdim = invariant_nonzero_spectrum(build_toy_diagonal(3**k), k)
+    assert len(vals) == 2**k
+    assert kdim == 3**k - 2**k
+    full = Spectrum(np.concatenate([vals, np.zeros(kdim, dtype=complex)]), N=3**k)
+    report = compare_spectra(full, toy_closed_spectrum(k), tol=1e-10)
+    assert report.all_matched
+    assert report.ring_totals == {p: math.comb(k, p) for p in range(k + 1)}
 
 
 # --------------------------------------------------------------- matching
