@@ -11,9 +11,8 @@ from .quantize import (build_toy_diagonal, parity_operator, parity_restrict,
                        quantize_closed, quantize_open, walsh_quantize)
 from .spectral import (ClosedFormToySpectrum, SectorQuery, Spectrum, WeylFit,
                        compare_spectra, count_sector, eigen_spectrum,
-                       invariant_nonzero_spectrum, kernel_dimension,
-                       profile_curve, toy_closed_spectrum,
-                       weyl_fit)
+                       invariant_nonzero_spectrum, profile_curve,
+                       toy_closed_spectrum, weyl_fit)
 from .transforms import (build_walsh, dft_centered, dft_plain, digit_decode,
                          digit_encode, tensor_state)
 from .transport import (TransportResult, lead_projectors, transmission_matrix,

@@ -33,8 +33,7 @@ from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
                         write_transmission_csv)
 from .spectral import (SectorQuery, Spectrum, compare_spectra, count_sector,
                        eigen_spectrum, invariant_nonzero_spectrum,
-                       kernel_dimension, profile_curve, toy_closed_spectrum,
-                       weyl_fit)
+                       profile_curve, toy_closed_spectrum, weyl_fit)
 from .transport import transport_asymptotics, transport_result
 
 WORKERS_ENV = "OPENBAKER_WORKERS"
@@ -66,7 +65,9 @@ def map_spectrum(family: str, spec: OpenBakerSpec, N: int, parity: str,
 
 class JobRunner:
     """Runs independent jobs, isolating per-job failures, and assembles
-    the run manifest."""
+    the run manifest.  A job returns the names of its artifacts, or a
+    pair (artifacts, diagnostics dict) whose dict the job's manifest
+    entry records under `diagnostics`."""
 
     def __init__(self, outdir: Path, cfg: dict, workers: int = 1):
         self.outdir = outdir
@@ -80,10 +81,15 @@ class JobRunner:
             name, fn = item
             start = time.monotonic()
             try:
-                outputs = fn()
-                return {"name": name, "status": "ok",
-                        "outputs": sorted(outputs),
-                        "seconds": round(time.monotonic() - start, 3)}
+                outputs, diagnostics = fn(), None
+                if isinstance(outputs, tuple):
+                    outputs, diagnostics = outputs
+                entry = {"name": name, "status": "ok",
+                         "outputs": sorted(outputs),
+                         "seconds": round(time.monotonic() - start, 3)}
+                if diagnostics:
+                    entry["diagnostics"] = diagnostics
+                return entry
             except Exception as exc:  # isolate sibling jobs
                 return {"name": name, "status": "failed", "error": str(exc),
                         "outputs": [],
@@ -172,7 +178,8 @@ def _run_spectra(cfg: dict, args, params):
             store[N] = s
             fname = f"spectrum_N{N}_{parity}.csv"
             write_spectrum_csv(outdir / fname, s)
-            return [fname]
+            return [fname], {"eig_dim": s.eig_dim,
+                             "max_residual_rel": s.max_residual_rel}
         return job
 
     runner = JobRunner(outdir, cfg, _workers(args))
@@ -345,13 +352,14 @@ def cmd_classical(cfg, args) -> int:
         k = get_int(cfg, "classical.toy_k")
 
         def transfer_job():
+            # as for the toy spectrum, the k-th-power factorization keeps
+            # the defective kernel's scatter out of the nonzero eigenvalues
             T = transfer_matrix(build_toy_diagonal(3**k))
-            s = eigen_spectrum(T.astype(complex), label=f"transfer-k{k}")
-            nontrivial = [complex(z) for z in s.values if abs(z) > 1e-10]
+            vals, kdim = invariant_nonzero_spectrum(T.astype(complex), k)
             payload = {
                 "k": k,
-                "nontrivial_eigenvalues": [[z.real, z.imag] for z in nontrivial],
-                "kernel_dimension": kernel_dimension(s, 1e-10),
+                "nontrivial_eigenvalues": [[z.real, z.imag] for z in vals],
+                "kernel_dimension": kdim,
             }
             write_json(outdir / "transfer_report.json", payload)
             return ["transfer_report.json"]
@@ -377,6 +385,8 @@ def cmd_manifest(args) -> int:
         for key in ("missing_N", "missing_jobs", "error"):
             if job.get(key):
                 print(f"    {key.replace('_', ' ')}: {job[key]}")
+        for key, value in job.get("diagnostics", {}).items():
+            print(f"    {key}: {value}")
     unfinished = [job["name"] for job in manifest.get("jobs", [])
                   if job["status"] in ("failed", "partial")]
     if unfinished:

@@ -41,6 +41,10 @@ class Spectrum:
     values: np.ndarray = field(repr=False)
     N: int
     label: str = ""
+    # set by eigen_spectrum: the dimension it eigensolved and the worst
+    # sampled residual relative to ||M|| (None when not checked)
+    eig_dim: int | None = None
+    max_residual_rel: float | None = None
 
     def __post_init__(self):
         self.values = canonical_order(self.values)
@@ -99,13 +103,47 @@ def _best_residual(M: np.ndarray, lam: complex, v: np.ndarray,
     return float(res)
 
 
+def _deflate_zero_indices(M: np.ndarray) -> np.ndarray:
+    """The core of M left after deleting, round by round, every index
+    whose row or column is exactly zero, until none is left.
+
+    With such an index i last, M is block-triangular with a zero diagonal
+    block, so deleting row and column i keeps every nonzero eigenvalue
+    with its algebraic multiplicity and Jordan structure; the deleted
+    indices carry exactly n - m zero eigenvalues.  The core is a quotient
+    (zero column) or a restriction (zero row) of M, so (M_core)^j is the
+    matching block of M^j and no norm grows.
+
+    The rounds run on the boolean support of M, and M is copied once, to
+    the core; M itself is returned when nothing is deleted.
+    """
+    support = M != 0
+    idx = np.arange(M.shape[0])
+    keep = support.any(axis=0) & support.any(axis=1)
+    while not keep.all():
+        idx, support = idx[keep], support[np.ix_(keep, keep)]
+        keep = support.any(axis=0) & support.any(axis=1)
+    return M if len(idx) == M.shape[0] else M[np.ix_(idx, idx)]
+
+
 def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "",
                    check_residuals: bool = True, residual_tol: float = 1e-8,
                    n_samples: int = 10) -> Spectrum:
     """All eigenvalues of a dense square matrix, canonically sorted.
 
+    Zero rows and columns are deflated first (`_deflate_zero_indices`),
+    and only the m-dimensional core is eigensolved; the n - m deleted
+    indices contribute exactly n - m eigenvalues 0.0.  So a kernel made
+    of exact zero rows or columns (the escaping strips of the open maps,
+    the whole kernel of the Walsh toy) is returned as exact zeros, free
+    of eigensolver scatter.  The dimension cap applies to the input
+    dimension n.
+
     The accuracy contract ||M v - lambda v|| <= residual_tol * ||M|| is
-    verified on a sample of returned eigenpairs.
+    verified on a sample of the core's eigenpairs (deleting zero rows and
+    columns leaves ||M|| unchanged).  The spectrum records the core
+    dimension as `eig_dim` and the worst sampled residual relative to
+    ||M|| as `max_residual_rel`.
     """
     M = check_finite(M)
     if M.shape[0] != M.shape[1]:
@@ -116,19 +154,27 @@ def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "",
             f"dense eigensolve capped at {MAX_EIG_DIM}; dimension {dim} too "
             "large - reduce by parity sector first"
         )
-    vals, vecs = scipy.linalg.eig(M)
-    if check_residuals and dim > 0:
-        norm = max(_opnorm_estimate(M), 1e-300)
+    core = _deflate_zero_indices(M)
+    m = core.shape[0]
+    vals = np.zeros(0, dtype=complex)
+    worst = 0.0 if check_residuals else None
+    if m > 0:
+        vals, vecs = scipy.linalg.eig(core)
+    if check_residuals and m > 0:
+        norm = max(_opnorm_estimate(core), 1e-300)
         rng = np.random.default_rng(1)
-        sample = rng.choice(dim, size=min(n_samples, dim), replace=False)
+        sample = rng.choice(m, size=min(n_samples, m), replace=False)
         for i in sample:
-            res = _best_residual(M, vals[i], vecs[:, i], residual_tol * norm)
+            res = _best_residual(core, vals[i], vecs[:, i], residual_tol * norm)
             if res > residual_tol * norm:
                 raise RuntimeError(
                     f"eigensolver residual {res:.3e} exceeds "
                     f"{residual_tol:.1e} * ||M|| = {residual_tol * norm:.3e}"
                 )
-    return Spectrum(vals, N=dim if N is None else N, label=label)
+            worst = max(worst, res / norm)
+    return Spectrum(np.concatenate([vals, np.zeros(dim - m, dtype=complex)]),
+                    N=dim if N is None else N, label=label, eig_dim=m,
+                    max_residual_rel=worst)
 
 
 @dataclass(frozen=True)
@@ -316,11 +362,9 @@ def invariant_nonzero_spectrum(M: np.ndarray, k: int,
     the nonzero spectrum.  This sidesteps the eigensolver scatter that a
     direct dense diagonalization produces around a large defective kernel.
 
-    Indices whose row or column is exactly zero are deflated first, until
-    none is left.  With such an index i last, M is block-triangular with
-    a zero diagonal block, so deleting row and column i keeps every
-    nonzero eigenvalue with its Jordan structure, and the factorization
-    runs on the remaining core (the 2^k of 3^k indices of the Walsh toy).
+    Zero rows and columns are deflated first (`_deflate_zero_indices`),
+    and the factorization runs on the remaining core (the 2^k of 3^k
+    indices of the Walsh toy); the kernel dimension is that of M.
 
     Returns (nonzero eigenvalues in canonical order, kernel dimension).
     The numerical rank cut uses rank_rtol relative to the largest
@@ -333,10 +377,7 @@ def invariant_nonzero_spectrum(M: np.ndarray, k: int,
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
     n = M.shape[0]
-    keep = M.any(axis=0) & M.any(axis=1)
-    while not keep.all():
-        M = M[np.ix_(keep, keep)]
-        keep = M.any(axis=0) & M.any(axis=1)
+    M = _deflate_zero_indices(M)
     if M.shape[0] == 0:
         return np.zeros(0, dtype=complex), n
     P = np.linalg.matrix_power(M, k)
@@ -396,10 +437,3 @@ def compare_spectra(spectrum: Spectrum, reference: ClosedFormToySpectrum,
             ring_totals[p] = ring_totals.get(p, 0) + 1
     unmatched = int(np.count_nonzero(distances > tol))
     return MatchReport(float(distances.max()), unmatched, ring_totals, distances)
-
-
-def kernel_dimension(spectrum: Spectrum, threshold: float = 1e-6) -> int:
-    """Number of eigenvalues with |lambda| <= threshold."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    return int(np.count_nonzero(spectrum.moduli() <= threshold))

@@ -198,6 +198,45 @@ def test_cli_classical(tmp_path):
     assert len(grid) == 1 + 27 * 27
 
 
+@pytest.mark.parametrize("k", [3, 5])
+def test_cli_classical_transfer_spectrum_is_exact(tmp_path, k):
+    # [PAPER] the toy transfer matrix has the single nonzero eigenvalue
+    # 2/3 and a kernel of dimension 3^k - 1, with no kernel scatter listed
+    cfg = write_cfg(tmp_path, "map.D = 3\nmap.kept = 0,2\nclassical.M = 9\n"
+                              f"classical.tmax = 4\nclassical.toy_k = {k}\n")
+    out = tmp_path / "out"
+    assert main(["classical", cfg, "-o", str(out)]) == 0
+    transfer = json.loads((out / "transfer_report.json").read_text())
+    assert len(transfer["nontrivial_eigenvalues"]) == 1
+    re, im = transfer["nontrivial_eigenvalues"][0]
+    assert abs(complex(re, im) - 2 / 3) < 1e-10
+    assert transfer["kernel_dimension"] == 3**k - 1
+
+
+def test_cli_spectrum_jobs_record_eigensolve_diagnostics(tmp_path, capsys):
+    # the benchmark's weyl-count config: the N=2500 even sector is
+    # eigensolved on its 500-dimensional core, and the manifest says so
+    cfg = write_cfg(tmp_path, "map.family = dft\nmap.D = 5\nmap.kept = 1,3\n"
+                              "spectrum.N = 20,100,500,2500\n"
+                              "spectrum.parity = even\n"
+                              "count.radii = 0.5,0.1,0.05,0.01,0.005,0.001\n")
+    out = tmp_path / "out"
+    assert main(["count", cfg, "-o", str(out)]) == 0
+    jobs = {j["name"]: j for j in
+            json.loads((out / "manifest.json").read_text())["jobs"]}
+    for N in (20, 100, 500, 2500):
+        diag = jobs[f"spectrum-N{N}"]["diagnostics"]
+        assert diag["eig_dim"] == N // 5
+        assert 0.0 < diag["max_residual_rel"] < 1e-8
+    assert "diagnostics" not in jobs["counts"]
+    assert len(read_spectrum_csv(out / "spectrum_N2500_even.csv")) == 1250
+    capsys.readouterr()
+    assert main(["manifest", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "    eig_dim: 500\n" in printed
+    assert printed.count("max_residual_rel: ") == 4
+
+
 def test_cli_post_step_seconds_cover_the_step(tmp_path, monkeypatch):
     # the counts step runs after the spectrum jobs; its manifest entry
     # must time it instead of reporting zero

@@ -10,12 +10,13 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from openbaker.classical import B3, transfer_matrix
-from openbaker.quantize import build_toy_diagonal, walsh_quantize
+from openbaker.classical import B3, B5, transfer_matrix
+from openbaker.cli import build_map, map_spectrum
+from openbaker.quantize import build_toy_diagonal, parity_restrict, walsh_quantize
 from openbaker.spectral import (SectorQuery, Spectrum, canonical_order,
                                 compare_spectra, count_sector, eigen_spectrum,
-                                invariant_nonzero_spectrum, kernel_dimension,
-                                profile_curve, toy_closed_spectrum, weyl_fit)
+                                invariant_nonzero_spectrum, profile_curve,
+                                toy_closed_spectrum, weyl_fit)
 
 
 # -------------------------------------------------------------- ordering
@@ -301,6 +302,79 @@ def test_invariant_spectrum_toy_k8():
     assert report.ring_totals == {p: math.comb(k, p) for p in range(k + 1)}
 
 
+# ---------------------------------------- deflated dense eigensolve
+
+WEYL_COUNT_RADII = (0.5, 0.1, 0.05, 0.01, 0.005, 0.001)
+
+
+def dense_eigenvalues(M):
+    """Reference: plain dense eigenvalues of the whole matrix, with no
+    deflation of zero rows and columns."""
+    return scipy.linalg.eig(M, right=False)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd", "full"])
+@pytest.mark.parametrize("N", [20, 100, 500])
+def test_deflated_eigen_spectrum_matches_dense_reference(N, parity):
+    # [DERIVED] the open 5-baker's escaping strips give exact zero
+    # columns; eigensolving only the core keeps every count of the
+    # paper's table radii and the eigenvalues with |lambda| > 0.01
+    M = build_map("dft", B5, N)
+    if parity != "full":
+        M = parity_restrict(M, parity)
+    s = map_spectrum("dft", B5, N, parity)
+    ref = dense_eigenvalues(M)
+    assert len(s) == len(ref)
+    for r in WEYL_COUNT_RADII:
+        assert np.count_nonzero(s.moduli() > r) == np.count_nonzero(np.abs(ref) > r)
+    big = s.values[s.moduli() > 0.01]
+    assert max_matched_distance(big, ref[np.abs(ref) > 0.01]) < 1e-9
+    # the kept strips are the core: s of D columns, halved by parity
+    assert s.eig_dim == (2 * N // 5 if parity == "full" else N // 5)
+
+
+@pytest.mark.parametrize("zeros", ["rows", "columns"])
+@pytest.mark.parametrize("tail", ["zero", "shift"])
+def test_deflated_eigen_spectrum_of_embedded_core(zeros, tail):
+    # [DERIVED] the core's eigenvalues plus exactly n - m zeros
+    rng = np.random.default_rng(11)
+    m, r = 8, 5
+    core = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    S = np.eye(r, k=1) if tail == "shift" else np.zeros((r, r))
+    M = embedded_core(core, S, rng)
+    if zeros == "columns":
+        M, core = M.T, core.T
+    s = eigen_spectrum(M)
+    assert len(s) == s.N == m + r
+    assert s.eig_dim == m
+    assert np.count_nonzero(s.values == 0) == r
+    assert max_matched_distance(s.values[:m], scipy.linalg.eigvals(core)) < 1e-10
+    assert 0.0 < s.max_residual_rel < 1e-8
+
+
+def test_eigen_spectrum_of_zero_matrix_skips_the_eigensolve(monkeypatch):
+    def no_eig(*args, **kwargs):
+        raise AssertionError("eig called on an empty core")
+
+    monkeypatch.setattr(scipy.linalg, "eig", no_eig)
+    s = eigen_spectrum(np.zeros((7, 7)))
+    assert len(s) == s.N == 7
+    assert np.all(s.values == 0)
+    assert s.eig_dim == 0
+    assert eigen_spectrum(np.zeros((7, 7)), N=14).N == 14
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_toy_spectrum_through_the_dense_verb_path(k):
+    # [PAPER] supplementary: the spectrum verbs' dense route, on the
+    # toy's 2^k core, reproduces the closed-form lattice and its kernel
+    s = map_spectrum("toy", B3, 3**k, "full")
+    assert s.eig_dim == 2**k
+    report = compare_spectra(s, toy_closed_spectrum(k), tol=1e-8)
+    assert report.unmatched == 0
+    assert report.ring_totals == {p: math.comb(k, p) for p in range(k + 1)}
+
+
 # --------------------------------------------------------------- matching
 
 def test_compare_spectra_detects_perturbation():
@@ -315,10 +389,3 @@ def test_compare_spectra_detects_perturbation():
 def test_compare_spectra_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         compare_spectra(Spectrum(np.ones(3), N=3), toy_closed_spectrum(2))
-
-
-def test_kernel_dimension():
-    s = Spectrum(np.array([1.0, 1e-9, 0.0]), N=3)
-    assert kernel_dimension(s) == 2
-    with pytest.raises(ValueError):
-        kernel_dimension(s, threshold=0.0)
