@@ -12,14 +12,17 @@ partial job or step, or a missing artifact.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .classical import OpenBakerSpec, escape_grid, fractal_dimensions, transfer_matrix
@@ -63,6 +66,47 @@ def map_spectrum(family: str, spec: OpenBakerSpec, N: int, parity: str,
     return eigen_spectrum(parity_restrict(M, parity), N=N, label=label)
 
 
+def _blas_threads() -> dict:
+    """Live thread count of every OpenBLAS library loaded in this process,
+    by library file name; empty where /proc/self/maps is not readable."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return {}
+    threads = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                threads[os.path.basename(path)] = fn()
+                break
+    return threads
+
+
+def _run_environment(workers: int) -> dict:
+    """What a run's timings and last digits depend on besides its config:
+    library versions, BLAS threads, the thread variables set, the CPUs
+    this process may use, and the number of parallel jobs."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": _blas_threads(),
+        "thread_env": {key: value for key, value in sorted(os.environ.items())
+                       if key.endswith("_NUM_THREADS")},
+        "nproc": os.cpu_count(),
+        "affinity": (len(os.sched_getaffinity(0))
+                     if hasattr(os, "sched_getaffinity") else None),
+        "workers": workers,
+    }
+
+
 class JobRunner:
     """Runs independent jobs, isolating per-job failures, and assembles
     the run manifest.  A job returns the names of its artifacts, or a
@@ -73,6 +117,7 @@ class JobRunner:
         self.outdir = outdir
         self.cfg = cfg
         self.workers = max(1, workers)
+        self.environment = _run_environment(self.workers)
         self.jobs = []
         self.step_start = time.monotonic()
 
@@ -134,6 +179,7 @@ class JobRunner:
             "tool": "openbaker",
             "version": __version__,
             "config": self.cfg,
+            "environment": self.environment,
             "jobs": self.jobs,
             "outputs": outputs,
         }
@@ -192,40 +238,48 @@ def cmd_spectrum(cfg, args) -> int:
     return code
 
 
-def _counts(cfg, store, dims, radii):
-    theta = get_float(cfg, "sector.theta", default=0.0)
-    rho = get_float(cfg, "sector.rho", default=math.pi)
+def _sector_query(r: float, theta: float = 0.0, rho: float = math.pi) -> SectorQuery:
+    """The counting sector of config values, made before any job runs, so
+    that a value out of range is a config error and not a failed step."""
+    try:
+        return SectorQuery(r, theta, rho)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _counts(store, dims, queries):
     counts = []
     for N in dims:
         if N not in store:
             continue
-        for r in radii:
-            c = count_sector(store[N], SectorQuery(r, theta, rho))
-            counts.append((N, r, c))
+        for q in queries:
+            counts.append((N, q.r, count_sector(store[N], q)))
     return counts
 
 
 def cmd_count(cfg, args) -> int:
     radii = get_float_list(cfg, "count.radii", default=[])
+    theta = get_float(cfg, "sector.theta", default=0.0)
+    rho = get_float(cfg, "sector.rho", default=math.pi)
+    queries = [_sector_query(r, theta, rho) for r in radii]
     params = _spectrum_params(cfg)
     dims = params[2]
     runner, code, store = _run_spectra(cfg, args, params)
     # counting runs after all spectra are available
-    if radii:
+    if queries:
         write_counts_csv(runner.outdir / "counts.csv",
-                         _counts(cfg, store, dims, radii))
+                         _counts(store, dims, queries))
         runner.record_post_step("counts", ["counts.csv"],
                                 missing_N=[N for N in dims if N not in store])
     return code
 
 
 def cmd_weyl(cfg, args) -> int:
-    r = get_float(cfg, "weyl.r")
+    query = _sector_query(get_float(cfg, "weyl.r"))
     params = _spectrum_params(cfg)
     dims = params[2]
     runner, code, store = _run_spectra(cfg, args, params)
-    series = [(N, count_sector(store[N], SectorQuery(r))) for N in dims
-              if N in store]
+    series = [(N, count_sector(store[N], query)) for N in dims if N in store]
     missing = [N for N in dims if N not in store]
     try:
         fit = weyl_fit(series)
@@ -380,6 +434,10 @@ def cmd_manifest(args) -> int:
     print(f"run of openbaker {manifest.get('version', '?')}: "
           f"{len(manifest.get('jobs', []))} jobs, "
           f"{len(manifest.get('outputs', []))} artifacts")
+    if "environment" in manifest:
+        print("  environment:")
+        for key, value in manifest["environment"].items():
+            print(f"    {key}: {value}")
     for job in manifest.get("jobs", []):
         print(f"  {job['name']}: {job['status']} ({job['seconds']}s)")
         for key in ("missing_N", "missing_jobs", "error"):

@@ -75,9 +75,14 @@ def _parse_float(token: str, key: str) -> float:
     if token == "pi":
         return math.pi
     try:
-        return float(token)
+        value = float(token)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {token!r}") from exc
+    # nan and inf parse as floats but no key means them: an infinite
+    # tolerance stops the transport series after one term
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {token!r}")
+    return value
 
 
 def get_int_list(cfg: dict, key: str, default=None) -> list:

@@ -126,19 +126,35 @@ def walsh_quantize(spec: OpenBakerSpec, k: int, variant: str = "W") -> np.ndarra
                                spec.kept, build_walsh(spec.D, k - 1, variant))
 
 
-def tensor_open_apply_block(X: np.ndarray, spec: OpenBakerSpec, variant: str = "W") -> np.ndarray:
+def tensor_open_apply_block(X: np.ndarray, spec: OpenBakerSpec, variant: str = "W",
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Matrix-free application of the Walsh-quantized baker to each column
     of an (N, m) array:
     v_1 x ... x v_k  ->  v_2 x ... x v_k x (S pi_kept v_1),
-    with seed S = G_D^* (variant W) or F_D^* (variant V)."""
+    with seed S = G_D^* (variant W) or F_D^* (variant V).
+
+    One batched product out[r, b, :] = sum_a S[b, a] X[a, r, :] over the
+    first digits a from the smallest to the largest kept one, written
+    straight into natural (N, m) order.  Only those digit blocks of X are
+    read; removed digits inside that range enter through zeroed seed
+    columns.  When `out` is given, a C-contiguous complex (N, m) array
+    that shares no memory with X, the result is written into it and it
+    is returned; otherwise a new array is allocated."""
     X = np.asarray(X, dtype=complex)
     N, m = X.shape
     D = spec.D
     if N % D != 0:
         raise ValueError(f"state length {N} is not divisible by {D}")
-    seed = _seed(D, variant).conj().T
-    # zero the removed first digits through the seed's columns, then
-    # out[rest, b, m] = sum_a seed[b, a] X[a, rest, m] as one matrix product
-    seed[:, [b for b in range(D) if b not in spec.kept]] = 0.0
-    Y = seed @ X.reshape(D, -1)
-    return Y.reshape(D, N // D, m).transpose(1, 0, 2).reshape(N, m)
+    if out is None:
+        out = np.empty((N, m), dtype=complex)
+    elif (out.shape != (N, m) or out.dtype != np.complex128
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous complex ({N}, {m}) array")
+    elif np.shares_memory(out, X):
+        raise ValueError("out must not share memory with X")
+    lo, hi = spec.kept[0], spec.kept[-1] + 1
+    seed = _seed(D, variant).conj().T[:, lo:hi]
+    seed[:, [a - lo for a in range(lo, hi) if a not in spec.kept]] = 0.0
+    np.matmul(seed, X.reshape(D, N // D, m)[lo:hi].transpose(1, 0, 2),
+              out=out.reshape(N // D, D, m))
+    return out

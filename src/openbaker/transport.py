@@ -11,11 +11,12 @@ P = tr(t t*(1 - t t*)), and the Fano factor F = P / g.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import CLOSED_B4
+from .classical import CLOSED_B4, OPEN_B4
 from .quantize import tensor_open_apply_block, walsh_quantize
 
 # Dense resolvent solves are refused above 4^6 = 4096 (memory budget);
@@ -69,13 +70,17 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     only the interior block is solved:
     t = e^{i theta} (U_{L2,L1} + U_{L2,I} X_I) with
     (I - e^{i theta} U_{I,I}) X_I = e^{i theta} U_{I,L1}.
-    series: the sum over bounce numbers n, truncated when the Frobenius
-    norm of the next term drops below tol.
+    series: the sum over bounce numbers n of
+    e^{i n theta} Pi_L2 U (Pi_I U)^(n-1) Pi_L1, truncated when the
+    Frobenius norm of the next term drops below tol (finite and > 0).
+    Pi_I keeps the interior first digits {1, 2}, so U Pi_I is the
+    matrix-free OPEN_B4 tensor apply; each term is one such apply of an
+    N x N/4 block, written into one of two blocks reused for every term.
     """
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     N = 4**k
     n4 = N // 4
     phase = np.exp(1j * theta)
@@ -94,17 +99,20 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     if method == "series":
         n_max = 200 * k
         t = np.zeros((n4, n4), dtype=complex)
-        # C holds (Pi_I U)^(n-1) Pi_L1 applied to the lead-1 basis columns
-        C = np.eye(N, n4, dtype=complex)
+        # C holds U (Pi_I U)^(n-1) Pi_L1 applied to the lead-1 basis
+        # columns.  U Pi_I is the OPEN_B4 apply, which reads only the
+        # interior rows of C, so its lead rows need no zeroing and the
+        # lead-2 rows can be phased in place.
+        C = tensor_open_apply_block(np.eye(N, n4, dtype=complex), CLOSED_B4, "V")
+        UC = np.empty_like(C)
         for n in range(1, n_max + 1):
-            UC = tensor_open_apply_block(C, CLOSED_B4, "V")
-            term = phase**n * UC[3 * n4:, :]
+            term = C[3 * n4:]
+            term *= phase**n
             t += term
             if np.linalg.norm(term) < tol:
                 return t
-            C = UC
-            C[:n4] = 0.0
-            C[3 * n4:] = 0.0
+            tensor_open_apply_block(C, OPEN_B4, "V", out=UC)
+            C, UC = UC, C
         raise RuntimeError(
             f"transmission series did not converge within {n_max} terms"
         )

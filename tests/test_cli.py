@@ -50,6 +50,15 @@ def test_typed_getters():
         get_float(cfg, "missing")
 
 
+def test_float_getters_reject_non_finite():
+    cfg = parse_config("a = nan\nb = inf\nc = -inf\nlist = 0.5, NaN\n")
+    for key in ("a", "b", "c"):
+        with pytest.raises(ConfigError, match=f"{key}: expected a finite"):
+            get_float(cfg, key)
+    with pytest.raises(ConfigError, match="list: expected a finite"):
+        get_float_list(cfg, "list")
+
+
 def test_get_spec_and_dimensions():
     cfg = parse_config("map.D = 5\nmap.kept = 1,3\nspectrum.N0 = 20\nspectrum.kmax = 2\n")
     spec = get_spec(cfg)
@@ -349,6 +358,67 @@ def test_cli_rejects_repeated_job_values(tmp_path, capsys, verb, text, key):
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
     assert f"{key}: repeated value" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,text,key", [
+    ("transport", "transport.k = 3\ntransport.method = series\n"
+                  "transport.theta = 0.3\ntransport.tol = inf\n", "transport.tol"),
+    ("transport", "transport.k = 3\ntransport.method = series\n"
+                  "transport.tol = nan\n", "transport.tol"),
+    ("transport", "transport.k = 2\ntransport.theta = 0.0, nan\n",
+     "transport.theta"),
+    ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+              "spectrum.N = 9\ncount.radii = 0.5, nan\n", "count.radii"),
+    ("toy-check", "toy.k = 3\ntoy.tol = inf\n", "toy.tol"),
+    ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+              "spectrum.N = 9\ncount.radii = 0.5\nsector.rho = nan\n",
+     "sector.rho"),
+], ids=["tol-inf", "tol-nan", "theta-nan", "radii-nan", "toy-tol-inf",
+        "rho-nan"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, verb, text, key):
+    # an infinite tolerance would stop the series after one term (g = 4.0
+    # instead of 8.01 at k = 3) or pass any toy spectrum
+    out = tmp_path / "out"
+    assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
+    assert f"{key}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,text,message", [
+    ("count", "count.radii = 0.5, 1.5\n", "inner radius must be in [0, 1)"),
+    ("count", "count.radii = 0.5\nsector.rho = 4\n", "half-width must be in"),
+    ("weyl", "weyl.r = -0.1\n", "inner radius must be in [0, 1)"),
+], ids=["radius", "rho", "weyl-radius"])
+def test_cli_rejects_bad_sector_before_running(tmp_path, capsys, verb, text,
+                                              message):
+    # the counting sector is checked with the config, not after the
+    # spectra: no job runs and no output directory is made
+    cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+                              "spectrum.N = 9,27\n" + text)
+    out = tmp_path / "out"
+    assert main([verb, cfg, "-o", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_manifest_records_the_environment(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "transport.k = 1\n")
+    out = tmp_path / "out"
+    assert main(["transport", cfg, "-o", str(out), "--workers", "2"]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads",
+                        "thread_env", "nproc", "affinity", "workers"}
+    assert env["numpy"] == np.__version__
+    assert env["workers"] == 2
+    assert env["nproc"] >= 1
+    assert all(key.endswith("_NUM_THREADS") for key in env["thread_env"])
+    assert all(n >= 1 for n in env["blas_threads"].values())
+    capsys.readouterr()
+    assert main(["manifest", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "  environment:\n" in printed
+    assert f"    numpy: {np.__version__}\n" in printed
+    assert "    workers: 2\n" in printed
 
 
 def test_cli_runs_are_deterministic(tmp_path):

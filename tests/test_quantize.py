@@ -237,21 +237,67 @@ def test_walsh_quantize_open_singular_values(k, rank):
     assert int(np.count_nonzero(sv > 0.5)) == rank
 
 
+def random_block(shape, seed=5):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 @pytest.mark.parametrize("spec,variant", [(B3, "W"), (OPEN_B4, "V"),
-                                          (CLOSED_B4, "V"), (B5, "W")])
+                                          (CLOSED_B4, "V"), (B5, "W"),
+                                          (OpenBakerSpec(4, (0,)), "V")])
 def test_tensor_apply_matches_dense(spec, variant):
-    # [DERIVED] matrix-free block apply against the dense Walsh quantization
+    # [DERIVED] matrix-free block apply against the dense Walsh quantization;
+    # the kept digits span the whole range (CLOSED_B4), an inner range (B5,
+    # OPEN_B4), a range with a removed digit inside (B3, B5) or one digit
+    for k in (2, 3):
+        M = walsh_quantize(spec, k, variant)
+        for m in (1, 4):
+            X = random_block((spec.D**k, m))
+            Y = tensor_open_apply_block(X, spec, variant)
+            assert Y.shape == X.shape
+            assert np.max(np.abs(Y - M @ X)) < 1e-12
+            # a non-contiguous block gives the same result
+            assert np.array_equal(
+                tensor_open_apply_block(np.asfortranarray(X), spec, variant), Y)
+
+
+@pytest.mark.parametrize("spec,variant", [(B3, "W"), (OPEN_B4, "V"),
+                                          (CLOSED_B4, "V")])
+def test_tensor_apply_into_out(spec, variant):
+    # the result overwrites every entry of `out`, which is returned itself
+    X = random_block((spec.D**3, 4))
+    out = np.full(X.shape, np.nan, dtype=complex)
+    Y = tensor_open_apply_block(X, spec, variant, out=out)
+    assert Y is out
+    assert np.array_equal(Y, tensor_open_apply_block(X, spec, variant))
+
+
+def test_tensor_apply_rejects_bad_out():
+    X = random_block((27, 2))
+    buf = np.zeros((28, 2), dtype=complex)
+    for out in (np.empty((27, 3), dtype=complex),      # shape
+                np.empty((27, 2), dtype=np.complex64),  # dtype
+                np.empty((27, 2)),                      # real dtype
+                np.empty((27, 2), dtype=complex, order="F"),
+                X):                                     # X itself
+        with pytest.raises(ValueError):
+            tensor_open_apply_block(X, B3, out=out)
+    # a block overlapping X by all but one row
+    with pytest.raises(ValueError):
+        tensor_open_apply_block(buf[:27], B3, out=buf[1:])
+
+
+def test_tensor_apply_ignores_removed_digits():
+    # [DERIVED] apply(X) = apply(Pi_I X): the blocks of X outside the kept
+    # digits 1, 2 are not read, so even NaN there leaves the result finite
     k = 3
-    M = walsh_quantize(spec, k, variant)
-    rng = np.random.default_rng(5)
-    shape = (spec.D**k, 4)
-    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    Y = tensor_open_apply_block(X, spec, variant)
-    assert Y.shape == shape
-    assert np.max(np.abs(Y - M @ X)) < 1e-12
-    # a non-contiguous block gives the same result
-    assert np.array_equal(tensor_open_apply_block(np.asfortranarray(X), spec,
-                                                  variant), Y)
+    X = random_block((4**k, 4))
+    lead = ~np.isin(np.arange(4**k) // 4 ** (k - 1), OPEN_B4.kept)
+    interior = np.where(lead[:, None], 0.0, X)
+    X[lead] = np.nan
+    Y = tensor_open_apply_block(X, OPEN_B4, "V")
+    assert np.array_equal(Y, tensor_open_apply_block(interior, OPEN_B4, "V"))
+    assert np.all(np.isfinite(Y))
 
 
 def test_walsh_baker_shifts_digit_factors():

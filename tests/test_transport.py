@@ -43,6 +43,56 @@ def test_series_matches_resolvent(k, theta):
     assert np.max(np.abs(t_res - t_ser)) < 1e-10
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_series_matches_resolvent_at_k5(theta):
+    t_res = transmission_matrix(5, theta, "resolvent")
+    t_ser = transmission_matrix(5, theta, "series")
+    assert np.max(np.abs(t_res - t_ser)) < 1e-10
+
+
+def reference_series(k, theta, tol=1e-12):
+    """Reference: the bounce series with the dense propagator, zeroing the
+    lead rows of each bounced block by hand.  Returns t and the number of
+    terms summed."""
+    N = 4**k
+    n4 = N // 4
+    U = cavity_propagator(k)
+    phase = np.exp(1j * theta)
+    t = np.zeros((n4, n4), dtype=complex)
+    C = np.eye(N, n4, dtype=complex)
+    for n in range(1, 200 * k + 1):
+        UC = U @ C
+        term = phase**n * UC[3 * n4:]
+        t += term
+        if np.linalg.norm(term) < tol:
+            return t, n
+        C = UC
+        C[:n4] = 0.0
+        C[3 * n4:] = 0.0
+    raise RuntimeError("reference series did not converge")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_series_matches_dense_reference_loop(k, monkeypatch):
+    # one tensor apply per term, the same number of terms as the dense
+    # loop, and the same sum up to rounding
+    calls = []
+    real = transport.tensor_open_apply_block
+    monkeypatch.setattr(transport, "tensor_open_apply_block",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    t_ref, n_ref = reference_series(k, 0.3)
+    t = transmission_matrix(k, 0.3, "series")
+    assert len(calls) == n_ref
+    assert np.max(np.abs(t - t_ref)) < 1e-13
+
+
+def test_series_calls_do_not_share_state():
+    # the series reuses two block buffers within a call; nothing carries
+    # over to the next call
+    first = transmission_matrix(3, 0.3, "series")
+    assert np.array_equal(transmission_matrix(3, 0.3, "series"), first)
+
+
 def full_resolvent(k, theta):
     """Reference: U and X = (I - e^{i theta} Pi_I U)^{-1} Pi_L1 from the
     full N x N solve against the lead-1 basis columns."""
@@ -124,6 +174,9 @@ def test_transmission_matrix_validation():
         transmission_matrix(2, method="montecarlo")
     with pytest.raises(ValueError):
         transmission_matrix(2, tol=0.0)
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            transmission_matrix(2, 0.0, "series", tol=tol)
     with pytest.raises(ValueError):
         transmission_matrix(MAX_RESOLVENT_K + 1, method="resolvent")
 
