@@ -19,6 +19,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -108,18 +109,27 @@ def _run_environment(workers: int) -> dict:
 
 
 class JobRunner:
-    """Runs independent jobs, isolating per-job failures, and assembles
-    the run manifest.  A job returns the names of its artifacts, or a
+    """One verb's run after its config is parsed: resolves the output
+    directory and worker count, runs independent jobs isolating per-job
+    failures, then post-steps on their results, and rewrites the run
+    manifest after each.  A job returns the names of its artifacts, or a
     pair (artifacts, diagnostics dict) whose dict the job's manifest
     entry records under `diagnostics`."""
 
-    def __init__(self, outdir: Path, cfg: dict, workers: int = 1):
-        self.outdir = outdir
+    def __init__(self, cfg: dict, args):
+        self.outdir = Path(args.output or cfg.get("output.dir", "."))
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        workers = (args.workers if args.workers is not None
+                   else int(os.environ.get(WORKERS_ENV, "1")))
         self.cfg = cfg
         self.workers = max(1, workers)
         self.environment = _run_environment(self.workers)
         self.jobs = []
-        self.step_start = time.monotonic()
+
+    @property
+    def exit_code(self) -> int:
+        """2 when a job or step so far failed or is partial, else 0."""
+        return 2 if any(j["status"] != "ok" for j in self.jobs) else 0
 
     def run(self, named_jobs) -> int:
         def call(item):
@@ -147,31 +157,36 @@ class JobRunner:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
                 results = list(pool.map(call, named_jobs))
         self.jobs = sorted(results, key=lambda j: j["name"])
-        failed = [j for j in self.jobs if j["status"] != "ok"]
-        for j in failed:
-            print(f"job {j['name']} failed: {j['error']}", file=sys.stderr)
+        for j in self.jobs:
+            if j["status"] != "ok":
+                print(f"job {j['name']} failed: {j['error']}", file=sys.stderr)
         self.write_manifest()
-        self.step_start = time.monotonic()
-        return 2 if failed else 0
+        return self.exit_code
 
-    def record_post_step(self, name: str, outputs: list, **details):
-        """Add a step that ran on the finished jobs' results and rewrite
-        the manifest.  `missing_N` and `missing_jobs` list inputs the step
-        lacks because their jobs failed; a nonempty list is recorded under
-        its keyword and makes the step partial.  `error`, the text of the
-        exception that stopped the step, makes it failed.  The step's
-        seconds run from the end of `run` or of the previous step."""
-        now = time.monotonic()
+    def step(self, name: str, fn, **missing) -> int:
+        """Run and time `fn`, a step on the finished jobs' results that
+        returns the names of its artifacts, record it, and rewrite the
+        manifest.  `missing_N` or `missing_jobs` lists inputs the step
+        lacks because their jobs failed; a nonempty list is recorded
+        under its keyword and makes the step partial.  An exception from
+        `fn` makes the step failed, with its text as `error`."""
+        start = time.monotonic()
+        try:
+            outputs, error = fn(), None
+        except Exception as exc:  # record the step, keep the jobs' results
+            outputs, error = [], str(exc)
+            print(f"step {name} failed: {error}", file=sys.stderr)
         entry = {"name": name, "status": "ok", "outputs": outputs,
-                 "seconds": round(now - self.step_start, 3)}
-        self.step_start = now
-        details = {key: value for key, value in details.items() if value}
-        if details:
-            status = "failed" if "error" in details else "partial"
-            entry.update(status=status, **details)
+                 "seconds": round(time.monotonic() - start, 3)}
+        missing = {key: value for key, value in missing.items() if value}
+        if error:
+            entry.update(status="failed", error=error, **missing)
+        elif missing:
+            entry.update(status="partial", **missing)
         self.jobs.append(entry)
         self.jobs.sort(key=lambda j: j["name"])
         self.write_manifest()
+        return self.exit_code
 
     def write_manifest(self):
         outputs = sorted({f for j in self.jobs for f in j["outputs"]})
@@ -184,18 +199,6 @@ class JobRunner:
             "outputs": outputs,
         }
         write_json(self.outdir / "manifest.json", manifest)
-
-
-def _outdir(cfg: dict, args) -> Path:
-    out = Path(args.output or cfg.get("output.dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    return int(os.environ.get(WORKERS_ENV, "1"))
 
 
 def _spectrum_params(cfg: dict):
@@ -212,30 +215,28 @@ def _spectrum_params(cfg: dict):
 
 def _run_spectra(cfg: dict, args, params):
     """Run one spectrum job per dimension of `params` (as returned by
-    `_spectrum_params`).  Returns the runner, its exit code, and the
-    spectra of the jobs that succeeded, by N."""
+    `_spectrum_params`).  Returns the runner, the spectra of the jobs
+    that succeeded in dimension order, and the dimensions whose jobs
+    failed."""
     family, spec, dims, parity, variant = params
-    outdir = _outdir(cfg, args)
+    runner = JobRunner(cfg, args)
     store: dict = {}
 
-    def make(N):
-        def job():
-            s = map_spectrum(family, spec, N, parity, variant)
-            store[N] = s
-            fname = f"spectrum_N{N}_{parity}.csv"
-            write_spectrum_csv(outdir / fname, s)
-            return [fname], {"eig_dim": s.eig_dim,
-                             "max_residual_rel": s.max_residual_rel}
-        return job
+    def job(N):
+        s = map_spectrum(family, spec, N, parity, variant)
+        store[N] = s
+        fname = f"spectrum_N{N}_{parity}.csv"
+        write_spectrum_csv(runner.outdir / fname, s)
+        return [fname], {"eig_dim": s.eig_dim,
+                         "max_residual_rel": s.max_residual_rel}
 
-    runner = JobRunner(outdir, cfg, _workers(args))
-    code = runner.run([(f"spectrum-N{N}", make(N)) for N in dims])
-    return runner, code, store
+    runner.run([(f"spectrum-N{N}", partial(job, N)) for N in dims])
+    return (runner, [store[N] for N in dims if N in store],
+            [N for N in dims if N not in store])
 
 
 def cmd_spectrum(cfg, args) -> int:
-    _, code, _ = _run_spectra(cfg, args, _spectrum_params(cfg))
-    return code
+    return _run_spectra(cfg, args, _spectrum_params(cfg))[0].exit_code
 
 
 def _sector_query(r: float, theta: float = 0.0, rho: float = math.pi) -> SectorQuery:
@@ -247,14 +248,8 @@ def _sector_query(r: float, theta: float = 0.0, rho: float = math.pi) -> SectorQ
         raise ConfigError(str(exc)) from exc
 
 
-def _counts(store, dims, queries):
-    counts = []
-    for N in dims:
-        if N not in store:
-            continue
-        for q in queries:
-            counts.append((N, q.r, count_sector(store[N], q)))
-    return counts
+def _counts(spectra, queries):
+    return [(s.N, q.r, count_sector(s, q)) for s in spectra for q in queries]
 
 
 def cmd_count(cfg, args) -> int:
@@ -262,85 +257,80 @@ def cmd_count(cfg, args) -> int:
     theta = get_float(cfg, "sector.theta", default=0.0)
     rho = get_float(cfg, "sector.rho", default=math.pi)
     queries = [_sector_query(r, theta, rho) for r in radii]
-    params = _spectrum_params(cfg)
-    dims = params[2]
-    runner, code, store = _run_spectra(cfg, args, params)
-    # counting runs after all spectra are available
-    if queries:
-        write_counts_csv(runner.outdir / "counts.csv",
-                         _counts(store, dims, queries))
-        runner.record_post_step("counts", ["counts.csv"],
-                                missing_N=[N for N in dims if N not in store])
-    return code
+    runner, spectra, missing = _run_spectra(cfg, args, _spectrum_params(cfg))
+    if not queries:
+        return runner.exit_code
+
+    def counts():
+        write_counts_csv(runner.outdir / "counts.csv", _counts(spectra, queries))
+        return ["counts.csv"]
+
+    return runner.step("counts", counts, missing_N=missing)
 
 
 def cmd_weyl(cfg, args) -> int:
     query = _sector_query(get_float(cfg, "weyl.r"))
-    params = _spectrum_params(cfg)
-    dims = params[2]
-    runner, code, store = _run_spectra(cfg, args, params)
-    series = [(N, count_sector(store[N], query)) for N in dims if N in store]
-    missing = [N for N in dims if N not in store]
-    try:
-        fit = weyl_fit(series)
-    except ValueError as exc:
-        print(f"weyl fit failed: {exc}", file=sys.stderr)
-        runner.record_post_step("weyl-fit", [], error=str(exc), missing_N=missing)
-        return 2
-    write_json(runner.outdir / "weyl_fit.json", fit.as_dict())
-    runner.record_post_step("weyl-fit", ["weyl_fit.json"], missing_N=missing)
-    return code
+    runner, spectra, missing = _run_spectra(cfg, args, _spectrum_params(cfg))
+
+    def fit():
+        series = [(s.N, count_sector(s, query)) for s in spectra]
+        write_json(runner.outdir / "weyl_fit.json", weyl_fit(series).as_dict())
+        return ["weyl_fit.json"]
+
+    return runner.step("weyl-fit", fit, missing_N=missing)
 
 
 def cmd_profile(cfg, args) -> int:
     radii = get_float_list(cfg, "profile.radii")
+    if (any(not 0.0 <= r < 1.0 for r in radii)
+            or any(b <= a for a, b in zip(radii, radii[1:]))):
+        raise ConfigError("profile.radii must be strictly increasing and "
+                          "lie in [0, 1)")
     params = _spectrum_params(cfg)
-    _, spec, dims, _, _ = params
+    spec = params[1]
     if spec.is_open:
         default_mu = math.log(spec.s) / math.log(spec.D)
     else:
         default_mu = 1.0
     mu = get_float(cfg, "profile.mu", default=default_mu)
-    runner, code, store = _run_spectra(cfg, args, params)
-    present = [N for N in dims if N in store]
-    table = profile_curve([store[N] for N in present], mu, radii, spec.D)
-    write_profile_csv(runner.outdir / "profile.csv", radii, present, table)
-    runner.record_post_step("profile", ["profile.csv"],
-                            missing_N=[N for N in dims if N not in store])
-    return code
+    runner, spectra, missing = _run_spectra(cfg, args, params)
+
+    def profile():
+        table = profile_curve(spectra, mu, radii, spec.D)
+        write_profile_csv(runner.outdir / "profile.csv", radii,
+                          [s.N for s in spectra], table)
+        return ["profile.csv"]
+
+    return runner.step("profile", profile, missing_N=missing)
 
 
 def cmd_toy_check(cfg, args) -> int:
     ks = distinct("toy.k", get_int_list(cfg, "toy.k"))
     tol = get_float(cfg, "toy.tol", default=1e-8)
-    outdir = _outdir(cfg, args)
-    runner = JobRunner(outdir, cfg, _workers(args))
+    runner = JobRunner(cfg, args)
 
-    def make(k):
-        def job():
-            # the k-th-power factorization isolates the nonzero spectrum
-            # from the defective kernel, which a direct dense eigensolve
-            # would scatter across |lambda| up to ~1e-3
-            vals, kdim = invariant_nonzero_spectrum(build_toy_diagonal(3**k), k)
-            s = Spectrum(np.concatenate([vals, np.zeros(kdim, dtype=complex)]),
-                         N=3**k, label=f"toy-k{k}")
-            ref = toy_closed_spectrum(k)
-            report = compare_spectra(s, ref, tol)
-            payload = {
-                "k": k,
-                "max_distance": report.max_distance,
-                "unmatched": report.unmatched,
-                "ring_totals": {str(p): c for p, c in
-                                sorted(report.ring_totals.items())},
-                "kernel_dimension": kdim,
-                "expected_kernel_dimension": 3**k - 2**k,
-            }
-            fname = f"toy_check_k{k}.json"
-            write_json(outdir / fname, payload)
-            return [fname]
-        return job
+    def job(k):
+        # the toy's kernel is all exact zero rows and columns: the k-th-power
+        # factorization runs on the 2^k-dimensional core and returns the
+        # kernel dimension exactly
+        vals, kdim = invariant_nonzero_spectrum(build_toy_diagonal(3**k), k)
+        s = Spectrum(np.concatenate([vals, np.zeros(kdim, dtype=complex)]),
+                     N=3**k, label=f"toy-k{k}")
+        report = compare_spectra(s, toy_closed_spectrum(k), tol)
+        payload = {
+            "k": k,
+            "max_distance": report.max_distance,
+            "unmatched": report.unmatched,
+            "ring_totals": {str(p): c for p, c in
+                            sorted(report.ring_totals.items())},
+            "kernel_dimension": kdim,
+            "expected_kernel_dimension": 3**k - 2**k,
+        }
+        fname = f"toy_check_k{k}.json"
+        write_json(runner.outdir / fname, payload)
+        return [fname]
 
-    return runner.run([(f"toy-check-k{k}", make(k)) for k in ks])
+    return runner.run([(f"toy-check-k{k}", partial(job, k)) for k in ks])
 
 
 def cmd_transport(cfg, args) -> int:
@@ -352,72 +342,69 @@ def cmd_transport(cfg, args) -> int:
     tol = get_float(cfg, "transport.tol", default=1e-12)
     if any(k < 1 for k in ks):
         raise ConfigError("transport.k values must be >= 1")
-    outdir = _outdir(cfg, args)
-    runner = JobRunner(outdir, cfg, _workers(args))
+    runner = JobRunner(cfg, args)
     results = {}
 
-    def make(k, theta, i):
-        def job():
-            res = transport_result(k, theta, method, tol)
-            results[(k, i)] = res
-            base = f"transport_k{k}_theta{i}"
-            write_json(outdir / f"{base}.json", res.as_dict())
-            write_transmission_csv(outdir / f"{base}_T.csv", res.T)
-            return [f"{base}.json", f"{base}_T.csv"]
-        return job
+    def job(k, i):
+        res = transport_result(k, thetas[i], method, tol)
+        results[(k, i)] = res
+        base = f"transport_k{k}_theta{i}"
+        write_json(runner.outdir / f"{base}.json", res.as_dict())
+        write_transmission_csv(runner.outdir / f"{base}_T.csv", res.T)
+        return [f"{base}.json", f"{base}_T.csv"]
 
     names = {(k, i): f"transport-k{k}-theta{i}"
              for k in ks for i in range(len(thetas))}
-    code = runner.run([(name, make(k, thetas[i], i))
-                       for (k, i), name in names.items()])
-    if results:
+    code = runner.run([(name, partial(job, *key)) for key, name in names.items()])
+    if not results:
+        return code
+
+    def summary():
         report = transport_asymptotics([results[key] for key in names
                                         if key in results])
-        write_json(outdir / "transport_asymptotics.json", report)
-        runner.record_post_step(
-            "transport-asymptotics", ["transport_asymptotics.json"],
-            missing_jobs=[name for key, name in names.items()
-                          if key not in results])
-    return code
+        write_json(runner.outdir / "transport_asymptotics.json", report)
+        return ["transport_asymptotics.json"]
+
+    return runner.step("transport-asymptotics", summary,
+                       missing_jobs=[name for key, name in names.items()
+                                     if key not in results])
 
 
 def cmd_classical(cfg, args) -> int:
-    outdir = _outdir(cfg, args)
     spec = get_spec(cfg)
     M = get_int(cfg, "classical.M", default=81)
     t_max = get_int(cfg, "classical.tmax", default=20)
-    runner = JobRunner(outdir, cfg, _workers(args))
+    k = get_int(cfg, "classical.toy_k") if "classical.toy_k" in cfg else None
+    runner = JobRunner(cfg, args)
 
     def grids_job():
         files = []
         for direction in ("forward", "backward"):
             g = escape_grid(spec, M, direction, t_max)
             fname = f"escape_{direction}.csv"
-            write_escape_grid_csv(outdir / fname, g)
+            write_escape_grid_csv(runner.outdir / fname, g)
             files.append(fname)
         return files
 
     def dims_job():
-        write_json(outdir / "dimensions.json", fractal_dimensions(spec))
+        write_json(runner.outdir / "dimensions.json", fractal_dimensions(spec))
         return ["dimensions.json"]
 
+    def transfer_job():
+        # the k-th-power factorization keeps the defective kernel's
+        # scatter out of the nonzero eigenvalues
+        T = transfer_matrix(build_toy_diagonal(3**k))
+        vals, kdim = invariant_nonzero_spectrum(T.astype(complex), k)
+        payload = {
+            "k": k,
+            "nontrivial_eigenvalues": [[z.real, z.imag] for z in vals],
+            "kernel_dimension": kdim,
+        }
+        write_json(runner.outdir / "transfer_report.json", payload)
+        return ["transfer_report.json"]
+
     jobs = [("escape-grids", grids_job), ("dimensions", dims_job)]
-    if "classical.toy_k" in cfg:
-        k = get_int(cfg, "classical.toy_k")
-
-        def transfer_job():
-            # as for the toy spectrum, the k-th-power factorization keeps
-            # the defective kernel's scatter out of the nonzero eigenvalues
-            T = transfer_matrix(build_toy_diagonal(3**k))
-            vals, kdim = invariant_nonzero_spectrum(T.astype(complex), k)
-            payload = {
-                "k": k,
-                "nontrivial_eigenvalues": [[z.real, z.imag] for z in vals],
-                "kernel_dimension": kdim,
-            }
-            write_json(outdir / "transfer_report.json", payload)
-            return ["transfer_report.json"]
-
+    if k is not None:
         jobs.append(("transfer-spectrum", transfer_job))
     return runner.run(jobs)
 

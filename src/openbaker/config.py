@@ -40,34 +40,35 @@ def load_config(path) -> dict:
     return parse_config(Path(path).read_text())
 
 
-def get_str(cfg: dict, key: str, default=None, choices=None) -> str:
+def _lookup(cfg: dict, key: str, default, parse):
+    """`parse(cfg[key])`, or `default` for a missing key; a missing key
+    without a default is a config error."""
     if key not in cfg:
         if default is not None:
             return default
         raise ConfigError(f"missing required key {key!r}")
-    val = cfg[key]
-    if choices and val not in choices:
-        raise ConfigError(f"{key}: expected one of {sorted(choices)}, got {val!r}")
-    return val
+    return parse(cfg[key])
+
+
+def get_str(cfg: dict, key: str, default=None, choices=None) -> str:
+    def parse(val):
+        if choices and val not in choices:
+            raise ConfigError(f"{key}: expected one of {sorted(choices)}, got {val!r}")
+        return val
+    return _lookup(cfg, key, default, parse)
 
 
 def get_int(cfg: dict, key: str, default=None) -> int:
-    if key not in cfg:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key {key!r}")
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {cfg[key]!r}") from exc
+    def parse(val):
+        try:
+            return int(val)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: expected an integer, got {val!r}") from exc
+    return _lookup(cfg, key, default, parse)
 
 
 def get_float(cfg: dict, key: str, default=None) -> float:
-    if key not in cfg:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key {key!r}")
-    return _parse_float(cfg[key], key)
+    return _lookup(cfg, key, default, lambda val: _parse_float(val, key))
 
 
 def _parse_float(token: str, key: str) -> float:
@@ -86,22 +87,17 @@ def _parse_float(token: str, key: str) -> float:
 
 
 def get_int_list(cfg: dict, key: str, default=None) -> list:
-    if key not in cfg:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key {key!r}")
-    try:
-        return [int(tok) for tok in cfg[key].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected comma-separated integers") from exc
+    def parse(val):
+        try:
+            return [int(tok) for tok in val.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"{key}: expected comma-separated integers") from exc
+    return _lookup(cfg, key, default, parse)
 
 
 def get_float_list(cfg: dict, key: str, default=None) -> list:
-    if key not in cfg:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key {key!r}")
-    return [_parse_float(tok, key) for tok in cfg[key].split(",") if tok.strip()]
+    return _lookup(cfg, key, default, lambda val: [
+        _parse_float(tok, key) for tok in val.split(",") if tok.strip()])
 
 
 def distinct(key: str, values: list) -> list:

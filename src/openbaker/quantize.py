@@ -15,6 +15,10 @@ import numpy as np
 from .classical import OpenBakerSpec
 from .transforms import build_walsh, check_finite, dft_centered, _seed
 
+# parity_restrict refuses a matrix whose parity commutator has a larger
+# entry
+COMMUTATOR_TOL = 1e-10
+
 
 def _kept_block_product(T: np.ndarray, D: int, kept, inner: np.ndarray) -> np.ndarray:
     """T^* . blockdiag(inner in the kept slots), one kept column block
@@ -74,7 +78,7 @@ def parity_isometry(N: int, sector: str) -> np.ndarray:
     return S
 
 
-def parity_restrict(B: np.ndarray, sector: str, commutator_tol: float = 1e-10) -> np.ndarray:
+def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
     """Restrict a parity-commuting matrix to one parity sector.
 
     Returns S^* B S for S = parity_isometry(N, sector), as an index fold
@@ -88,7 +92,7 @@ def parity_restrict(B: np.ndarray, sector: str, commutator_tol: float = 1e-10) -
     R = B[::-1, ::-1]
     # B Pi - Pi B = J (B - R) with J the plain reversal: the same max entry
     comm = np.max(np.abs(B - R))
-    if comm > commutator_tol:
+    if comm > COMMUTATOR_TOL:
         raise ValueError(
             f"matrix does not commute with parity: max commutator entry {comm:.3e}"
         )

@@ -21,6 +21,18 @@ from .transforms import check_finite
 # reduction (or the closed-form toy spectrum) instead.
 MAX_EIG_DIM = 6000
 
+# eigen_spectrum checks ||M v - lambda v|| <= RESIDUAL_TOL * ||M|| on
+# RESIDUAL_SAMPLES eigenpairs, refining each by up to MAX_REFINE inverse
+# iterations; ||M|| is estimated by OPNORM_ITERS power iterations.
+RESIDUAL_TOL = 1e-8
+RESIDUAL_SAMPLES = 10
+MAX_REFINE = 3
+OPNORM_ITERS = 20
+# count_sector warns about eigenvalues this close to a counting radius
+BOUNDARY_WARN = 1e-9
+# invariant_nonzero_spectrum's rank cut, relative to sigma_max of M^k
+RANK_RTOL = 1e-8
+
 LAMBDA_PLUS = 1.0 + 0.0j
 LAMBDA_MINUS = 1j / np.sqrt(3.0)
 
@@ -42,7 +54,7 @@ class Spectrum:
     N: int
     label: str = ""
     # set by eigen_spectrum: the dimension it eigensolved and the worst
-    # sampled residual relative to ||M|| (None when not checked)
+    # sampled residual relative to ||M|| (None for other spectra)
     eig_dim: int | None = None
     max_residual_rel: float | None = None
 
@@ -56,13 +68,13 @@ class Spectrum:
         return np.abs(self.values)
 
 
-def _opnorm_estimate(M: np.ndarray, iters: int = 20) -> float:
+def _opnorm_estimate(M: np.ndarray) -> float:
     """Power iteration on M^H M; cheap lower bound on the 2-norm."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(M.shape[1]) + 1j * rng.standard_normal(M.shape[1])
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(OPNORM_ITERS):
         w = M.conj().T @ (M @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -73,7 +85,7 @@ def _opnorm_estimate(M: np.ndarray, iters: int = 20) -> float:
 
 
 def _best_residual(M: np.ndarray, lam: complex, v: np.ndarray,
-                   target: float, max_refine: int = 3) -> float:
+                   target: float) -> float:
     """Residual ||M v - lam v|| for the best unit vector reachable from v.
 
     The raw eigenvector is polished by inverse iteration on (M - lam I);
@@ -85,7 +97,7 @@ def _best_residual(M: np.ndarray, lam: complex, v: np.ndarray,
         return math.inf
     v = v / nv
     res = np.linalg.norm(M @ v - lam * v)
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         if res <= target:
             break
         shift = lam * np.eye(M.shape[0])  # only built when refinement runs
@@ -126,9 +138,7 @@ def _deflate_zero_indices(M: np.ndarray) -> np.ndarray:
     return M if len(idx) == M.shape[0] else M[np.ix_(idx, idx)]
 
 
-def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "",
-                   check_residuals: bool = True, residual_tol: float = 1e-8,
-                   n_samples: int = 10) -> Spectrum:
+def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "") -> Spectrum:
     """All eigenvalues of a dense square matrix, canonically sorted.
 
     Zero rows and columns are deflated first (`_deflate_zero_indices`),
@@ -139,7 +149,7 @@ def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "",
     of eigensolver scatter.  The dimension cap applies to the input
     dimension n.
 
-    The accuracy contract ||M v - lambda v|| <= residual_tol * ||M|| is
+    The accuracy contract ||M v - lambda v|| <= RESIDUAL_TOL * ||M|| is
     verified on a sample of the core's eigenpairs (deleting zero rows and
     columns leaves ||M|| unchanged).  The spectrum records the core
     dimension as `eig_dim` and the worst sampled residual relative to
@@ -157,19 +167,18 @@ def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "",
     core = _deflate_zero_indices(M)
     m = core.shape[0]
     vals = np.zeros(0, dtype=complex)
-    worst = 0.0 if check_residuals else None
+    worst = 0.0
     if m > 0:
         vals, vecs = scipy.linalg.eig(core)
-    if check_residuals and m > 0:
         norm = max(_opnorm_estimate(core), 1e-300)
         rng = np.random.default_rng(1)
-        sample = rng.choice(m, size=min(n_samples, m), replace=False)
+        sample = rng.choice(m, size=min(RESIDUAL_SAMPLES, m), replace=False)
         for i in sample:
-            res = _best_residual(core, vals[i], vecs[:, i], residual_tol * norm)
-            if res > residual_tol * norm:
+            res = _best_residual(core, vals[i], vecs[:, i], RESIDUAL_TOL * norm)
+            if res > RESIDUAL_TOL * norm:
                 raise RuntimeError(
                     f"eigensolver residual {res:.3e} exceeds "
-                    f"{residual_tol:.1e} * ||M|| = {residual_tol * norm:.3e}"
+                    f"{RESIDUAL_TOL:.1e} * ||M|| = {RESIDUAL_TOL * norm:.3e}"
                 )
             worst = max(worst, res / norm)
     return Spectrum(np.concatenate([vals, np.zeros(dim - m, dtype=complex)]),
@@ -193,18 +202,17 @@ class SectorQuery:
             raise ValueError(f"half-width must be in (0, pi], got {self.rho}")
 
 
-def count_sector(spectrum: Spectrum, query: SectorQuery,
-                 boundary_warn: float = 1e-9) -> int:
+def count_sector(spectrum: Spectrum, query: SectorQuery) -> int:
     """Number of eigenvalues in the sector, counted with multiplicity.
 
     The radial cut is strict (|lambda| > r); a warning is emitted when an
-    eigenvalue sits within boundary_warn of the radius.
+    eigenvalue sits within BOUNDARY_WARN of the radius.
     """
     mods = spectrum.moduli()
-    near = np.abs(mods - query.r) <= boundary_warn
+    near = np.abs(mods - query.r) <= BOUNDARY_WARN
     if query.r > 0 and np.any(near):
         warnings.warn(
-            f"{int(near.sum())} eigenvalue(s) within {boundary_warn:g} of the "
+            f"{int(near.sum())} eigenvalue(s) within {BOUNDARY_WARN:g} of the "
             f"counting radius r={query.r}; count may be ambiguous",
             stacklevel=2,
         )
@@ -352,8 +360,7 @@ def toy_closed_spectrum(k: int) -> ClosedFormToySpectrum:
     return ClosedFormToySpectrum(k, entries)
 
 
-def invariant_nonzero_spectrum(M: np.ndarray, k: int,
-                               rank_rtol: float = 1e-8) -> tuple:
+def invariant_nonzero_spectrum(M: np.ndarray, k: int) -> tuple:
     """Nonzero eigenvalues of M via the k-th power factorization.
 
     After k steps the generalized kernel is exhausted: range(M^k) is the
@@ -367,7 +374,7 @@ def invariant_nonzero_spectrum(M: np.ndarray, k: int,
     indices of the Walsh toy); the kernel dimension is that of M.
 
     Returns (nonzero eigenvalues in canonical order, kernel dimension).
-    The numerical rank cut uses rank_rtol relative to the largest
+    The numerical rank cut uses RANK_RTOL relative to the largest
     singular value of M^k and requires a clean gap (factor 10^3) between
     kept and discarded singular values.
     """
@@ -384,7 +391,7 @@ def invariant_nonzero_spectrum(M: np.ndarray, k: int,
     U, s, _ = np.linalg.svd(P)
     if s[0] == 0.0:
         return np.zeros(0, dtype=complex), n
-    rank = int(np.count_nonzero(s > rank_rtol * s[0]))
+    rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
     if rank < len(s) and s[rank] > 1e-3 * s[rank - 1]:
         raise RuntimeError(
             f"no clean rank gap in M^{k}: sigma_{rank - 1} = {s[rank - 1]:.3e} "
@@ -402,7 +409,6 @@ class MatchReport:
     max_distance: float
     unmatched: int
     ring_totals: dict
-    distances: np.ndarray = field(repr=False)
 
     @property
     def all_matched(self) -> bool:
@@ -415,7 +421,9 @@ def compare_spectra(spectrum: Spectrum, reference: ClosedFormToySpectrum,
     closed-form lattice, largest moduli first.
 
     Reports the worst matched distance, how many pairs exceed tol, and
-    the per-ring tallies of the matched reference points.
+    the reference lattice's per-ring totals: the matching uses every
+    reference point exactly once, so these are also the per-ring tallies
+    of the matched points.
     """
     computed = spectrum.values
     ref = reference.expand()
@@ -423,17 +431,12 @@ def compare_spectra(spectrum: Spectrum, reference: ClosedFormToySpectrum,
         raise ValueError(
             f"dimension mismatch: {len(computed)} computed vs {len(ref)} reference"
         )
-    remaining = ref.copy()
     alive = np.ones(len(ref), dtype=bool)
     distances = np.empty(len(computed))
-    ring_totals: dict[int, int] = {}
     for i, z in enumerate(computed):
         idx = np.where(alive)[0]
-        j = idx[np.argmin(np.abs(remaining[idx] - z))]
-        distances[i] = abs(remaining[j] - z)
+        j = idx[np.argmin(np.abs(ref[idx] - z))]
+        distances[i] = abs(ref[j] - z)
         alive[j] = False
-        if remaining[j] != 0:
-            p = reference.ring_of(remaining[j])
-            ring_totals[p] = ring_totals.get(p, 0) + 1
     unmatched = int(np.count_nonzero(distances > tol))
-    return MatchReport(float(distances.max()), unmatched, ring_totals, distances)
+    return MatchReport(float(distances.max()), unmatched, reference.ring_totals())

@@ -81,6 +81,8 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
         raise ValueError(f"length must be >= 1, got {k}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
+    if not math.isfinite(theta):
+        raise ValueError(f"quasi-energy must be finite, got {theta}")
     N = 4**k
     n4 = N // 4
     phase = np.exp(1j * theta)

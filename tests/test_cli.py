@@ -336,13 +336,53 @@ def test_cli_failed_weyl_fit_is_recorded(tmp_path, capsys):
     assert "at least 2 points" in step["error"]
     assert "missing_N" not in step
     assert not (out / "weyl_fit.json").exists()
-    capsys.readouterr()
+    assert ("step weyl-fit failed: need at least 2 points"
+            in capsys.readouterr().err)
     assert main(["manifest", str(out)]) == 2
     printed = capsys.readouterr()
     assert "spectrum-N20: ok" in printed.out
     assert "weyl-fit: failed" in printed.out
     assert "error: need at least 2 points" in printed.out
     assert "failed or partial: ['weyl-fit']" in printed.err
+
+
+def _raise(*args):
+    raise ValueError("step broke")
+
+
+@pytest.mark.parametrize("verb,step,target,text", [
+    ("count", "counts", "_counts", "map.family = toy\nmap.D = 3\n"
+     "map.kept = 0,2\nspectrum.N = 9,27\ncount.radii = 0.5\n"),
+    ("profile", "profile", "profile_curve", "map.family = toy\nmap.D = 3\n"
+     "map.kept = 0,2\nspectrum.N = 9,27\nprofile.radii = 0.5\n"),
+    ("transport", "transport-asymptotics", "transport_asymptotics",
+     "transport.k = 1,2\n"),
+], ids=["counts", "profile", "transport-asymptotics"])
+def test_cli_failing_post_step_is_recorded(tmp_path, capsys, monkeypatch,
+                                           verb, step, target, text):
+    # a step that raises after its jobs succeeded is a failed step in the
+    # manifest, not a traceback, and the run exits 2
+    monkeypatch.setattr(cli, target, _raise)
+    out = tmp_path / "out"
+    assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 2
+    assert f"step {step} failed: step broke" in capsys.readouterr().err
+    jobs = {j["name"]: j for j in
+            json.loads((out / "manifest.json").read_text())["jobs"]}
+    assert jobs[step]["status"] == "failed"
+    assert jobs[step]["error"] == "step broke"
+    assert jobs[step]["outputs"] == []
+    assert all(j["status"] == "ok" for name, j in jobs.items() if name != step)
+    assert main(["manifest", str(out)]) == 2
+    assert f"failed or partial: ['{step}']" in capsys.readouterr().err
+
+
+def test_cli_classical_rejects_bad_map_before_running(tmp_path, capsys):
+    # the map keys are parsed before the output directory is made
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "map.D = 1\nmap.kept = 0\n")
+    assert main(["classical", cfg, "-o", str(out)]) == 1
+    assert "branch count must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb,text,key", [
@@ -388,11 +428,16 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, verb, text, key):
     ("count", "count.radii = 0.5, 1.5\n", "inner radius must be in [0, 1)"),
     ("count", "count.radii = 0.5\nsector.rho = 4\n", "half-width must be in"),
     ("weyl", "weyl.r = -0.1\n", "inner radius must be in [0, 1)"),
-], ids=["radius", "rho", "weyl-radius"])
+    ("profile", "profile.radii = 0.1, 1.5\n",
+     "profile.radii must be strictly increasing and lie in [0, 1)"),
+    ("profile", "profile.radii = 0.5, 0.1\n",
+     "profile.radii must be strictly increasing and lie in [0, 1)"),
+], ids=["radius", "rho", "weyl-radius", "profile-radius", "profile-order"])
 def test_cli_rejects_bad_sector_before_running(tmp_path, capsys, verb, text,
                                               message):
-    # the counting sector is checked with the config, not after the
-    # spectra: no job runs and no output directory is made
+    # the counting sector and the profile radii are checked with the
+    # config, not after the spectra: no job runs and no output directory
+    # is made
     cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9,27\n" + text)
     out = tmp_path / "out"

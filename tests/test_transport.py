@@ -177,6 +177,12 @@ def test_transmission_matrix_validation():
     for tol in (np.inf, np.nan):
         with pytest.raises(ValueError):
             transmission_matrix(2, 0.0, "series", tol=tol)
+    # a non-finite quasi-energy would give an all-NaN t (resolvent) or a
+    # series that never converges
+    for theta in (np.nan, np.inf):
+        for method in ("resolvent", "series"):
+            with pytest.raises(ValueError, match="quasi-energy must be finite"):
+                transmission_matrix(2, theta, method)
     with pytest.raises(ValueError):
         transmission_matrix(MAX_RESOLVENT_K + 1, method="resolvent")
 
