@@ -18,7 +18,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -35,12 +34,10 @@ from .quantize import build_toy_diagonal, parity_restrict, quantize_open, \
 from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
                         write_profile_csv, write_spectrum_csv,
                         write_transmission_csv)
-from .spectral import (SectorQuery, Spectrum, compare_spectra, count_sector,
-                       eigen_spectrum, invariant_nonzero_spectrum,
+from .spectral import (SectorQuery, Spectrum, check_eig_dim, compare_spectra,
+                       count_sector, eigen_spectrum, invariant_nonzero_spectrum,
                        profile_curve, toy_closed_spectrum, weyl_fit)
 from .transport import transport_asymptotics, transport_result
-
-WORKERS_ENV = "OPENBAKER_WORKERS"
 
 
 def build_map(family: str, spec: OpenBakerSpec, N: int, variant: str = "W") -> np.ndarray:
@@ -60,6 +57,7 @@ def build_map(family: str, spec: OpenBakerSpec, N: int, variant: str = "W") -> n
 def map_spectrum(family: str, spec: OpenBakerSpec, N: int, parity: str,
                  variant: str = "W") -> Spectrum:
     """Spectrum of one map, parity-reduced when requested."""
+    check_eig_dim(N if parity == "full" else N // 2)
     M = build_map(family, spec, N, variant)
     label = f"{family}-D{spec.D}-kept{''.join(map(str, spec.kept))}-N{N}-{parity}"
     if parity == "full":
@@ -88,10 +86,10 @@ def _blas_threads() -> dict:
     return threads
 
 
-def _run_environment(workers: int) -> dict:
+def _run_environment() -> dict:
     """What a run's timings and last digits depend on besides its config:
-    library versions, BLAS threads, the thread variables set, the CPUs
-    this process may use, and the number of parallel jobs."""
+    library versions, BLAS threads, the thread variables set and the CPUs
+    this process may use."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
@@ -104,26 +102,22 @@ def _run_environment(workers: int) -> dict:
         "nproc": os.cpu_count(),
         "affinity": (len(os.sched_getaffinity(0))
                      if hasattr(os, "sched_getaffinity") else None),
-        "workers": workers,
     }
 
 
 class JobRunner:
     """One verb's run after its config is parsed: resolves the output
-    directory and worker count, runs independent jobs isolating per-job
-    failures, then post-steps on their results, and rewrites the run
-    manifest after each.  A job returns the names of its artifacts, or a
-    pair (artifacts, diagnostics dict) whose dict the job's manifest
-    entry records under `diagnostics`."""
+    directory, runs independent jobs in order (BLAS parallelizes within
+    each), isolating per-job failures, then post-steps on their results,
+    and rewrites the run manifest after each.  A job returns the names of
+    its artifacts, or a pair (artifacts, diagnostics dict) whose dict the
+    job's manifest entry records under `diagnostics`."""
 
     def __init__(self, cfg: dict, args):
         self.outdir = Path(args.output or cfg.get("output.dir", "."))
         self.outdir.mkdir(parents=True, exist_ok=True)
-        workers = (args.workers if args.workers is not None
-                   else int(os.environ.get(WORKERS_ENV, "1")))
         self.cfg = cfg
-        self.workers = max(1, workers)
-        self.environment = _run_environment(self.workers)
+        self.environment = _run_environment()
         self.jobs = []
 
     @property
@@ -132,8 +126,7 @@ class JobRunner:
         return 2 if any(j["status"] != "ok" for j in self.jobs) else 0
 
     def run(self, named_jobs) -> int:
-        def call(item):
-            name, fn = item
+        for name, fn in named_jobs:
             start = time.monotonic()
             try:
                 outputs, diagnostics = fn(), None
@@ -144,22 +137,13 @@ class JobRunner:
                          "seconds": round(time.monotonic() - start, 3)}
                 if diagnostics:
                     entry["diagnostics"] = diagnostics
-                return entry
             except Exception as exc:  # isolate sibling jobs
-                return {"name": name, "status": "failed", "error": str(exc),
-                        "outputs": [],
-                        "seconds": round(time.monotonic() - start, 3)}
-
-        named_jobs = list(named_jobs)
-        if self.workers == 1 or len(named_jobs) <= 1:
-            results = [call(j) for j in named_jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(call, named_jobs))
-        self.jobs = sorted(results, key=lambda j: j["name"])
-        for j in self.jobs:
-            if j["status"] != "ok":
-                print(f"job {j['name']} failed: {j['error']}", file=sys.stderr)
+                entry = {"name": name, "status": "failed", "error": str(exc),
+                         "outputs": [],
+                         "seconds": round(time.monotonic() - start, 3)}
+                print(f"job {name} failed: {exc}", file=sys.stderr)
+            self.jobs.append(entry)
+        self.jobs.sort(key=lambda j: j["name"])
         self.write_manifest()
         return self.exit_code
 
@@ -288,11 +272,7 @@ def cmd_profile(cfg, args) -> int:
                           "lie in [0, 1)")
     params = _spectrum_params(cfg)
     spec = params[1]
-    if spec.is_open:
-        default_mu = math.log(spec.s) / math.log(spec.D)
-    else:
-        default_mu = 1.0
-    mu = get_float(cfg, "profile.mu", default=default_mu)
+    mu = math.log(spec.s) / math.log(spec.D)
     runner, spectra, missing = _run_spectra(cfg, args, params)
 
     def profile():
@@ -306,7 +286,8 @@ def cmd_profile(cfg, args) -> int:
 
 def cmd_toy_check(cfg, args) -> int:
     ks = distinct("toy.k", get_int_list(cfg, "toy.k"))
-    tol = get_float(cfg, "toy.tol", default=1e-8)
+    if any(k < 1 for k in ks):
+        raise ConfigError("toy.k values must be >= 1")
     runner = JobRunner(cfg, args)
 
     def job(k):
@@ -316,7 +297,7 @@ def cmd_toy_check(cfg, args) -> int:
         vals, kdim = invariant_nonzero_spectrum(build_toy_diagonal(3**k), k)
         s = Spectrum(np.concatenate([vals, np.zeros(kdim, dtype=complex)]),
                      N=3**k, label=f"toy-k{k}")
-        report = compare_spectra(s, toy_closed_spectrum(k), tol)
+        report = compare_spectra(s, toy_closed_spectrum(k))
         payload = {
             "k": k,
             "max_distance": report.max_distance,
@@ -339,14 +320,13 @@ def cmd_transport(cfg, args) -> int:
                       get_float_list(cfg, "transport.theta", default=[0.0]))
     method = get_str(cfg, "transport.method", default="resolvent",
                      choices={"resolvent", "series"})
-    tol = get_float(cfg, "transport.tol", default=1e-12)
     if any(k < 1 for k in ks):
         raise ConfigError("transport.k values must be >= 1")
     runner = JobRunner(cfg, args)
     results = {}
 
     def job(k, i):
-        res = transport_result(k, thetas[i], method, tol)
+        res = transport_result(k, thetas[i], method)
         results[(k, i)] = res
         base = f"transport_k{k}_theta{i}"
         write_json(runner.outdir / f"{base}.json", res.as_dict())
@@ -375,6 +355,8 @@ def cmd_classical(cfg, args) -> int:
     M = get_int(cfg, "classical.M", default=81)
     t_max = get_int(cfg, "classical.tmax", default=20)
     k = get_int(cfg, "classical.toy_k") if "classical.toy_k" in cfg else None
+    if k is not None and k < 1:
+        raise ConfigError("classical.toy_k must be >= 1")
     runner = JobRunner(cfg, args)
 
     def grids_job():
@@ -455,8 +437,6 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", help="run configuration file")
         p.add_argument("-o", "--output", help="output directory (overrides output.dir)")
-        p.add_argument("--workers", type=int, default=None,
-                       help=f"parallel jobs (default: ${WORKERS_ENV} or 1)")
         p.set_defaults(fn=fn)
     m = sub.add_parser("manifest")
     m.add_argument("rundir", help="directory of a previous run")

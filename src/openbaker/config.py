@@ -79,8 +79,8 @@ def _parse_float(token: str, key: str) -> float:
         value = float(token)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {token!r}") from exc
-    # nan and inf parse as floats but no key means them: an infinite
-    # tolerance stops the transport series after one term
+    # nan and inf parse as floats but no key means them: a non-finite
+    # quasi-energy gives an all-NaN transmission matrix
     if not math.isfinite(value):
         raise ConfigError(f"{key}: expected a finite number, got {token!r}")
     return value

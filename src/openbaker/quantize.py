@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classical import OpenBakerSpec
-from .transforms import build_walsh, check_finite, dft_centered, _seed
+from .transforms import MAX_DENSE_DIM, build_walsh, check_finite, dft_centered, _seed
 
 # parity_restrict refuses a matrix whose parity commutator has a larger
 # entry
@@ -108,6 +108,8 @@ def build_toy_diagonal(N: int) -> np.ndarray:
     fixed to 1/sqrt(3) and phases exp((2 pi i/3)(eps+1/2)(ell+1/2))."""
     if N % 3 != 0 or N < 3:
         raise ValueError(f"dimension {N} must be a positive multiple of 3")
+    if N > MAX_DENSE_DIM:
+        raise ValueError(f"dense dimension {N} exceeds cap {MAX_DENSE_DIM}")
     B = np.zeros((N, N), dtype=complex)
     for l in range(N // 3):
         for ell in (0, 2):

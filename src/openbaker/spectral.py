@@ -138,6 +138,15 @@ def _deflate_zero_indices(M: np.ndarray) -> np.ndarray:
     return M if len(idx) == M.shape[0] else M[np.ix_(idx, idx)]
 
 
+def check_eig_dim(dim: int) -> None:
+    """Refuse a dense eigensolve of dimension above MAX_EIG_DIM."""
+    if dim > MAX_EIG_DIM:
+        raise ValueError(
+            f"dense eigensolve capped at {MAX_EIG_DIM}; dimension {dim} too "
+            "large - reduce by parity sector first"
+        )
+
+
 def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "") -> Spectrum:
     """All eigenvalues of a dense square matrix, canonically sorted.
 
@@ -159,11 +168,7 @@ def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "") -> Spec
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     dim = M.shape[0]
-    if dim > MAX_EIG_DIM:
-        raise ValueError(
-            f"dense eigensolve capped at {MAX_EIG_DIM}; dimension {dim} too "
-            "large - reduce by parity sector first"
-        )
+    check_eig_dim(dim)
     core = _deflate_zero_indices(M)
     m = core.shape[0]
     vals = np.zeros(0, dtype=complex)

@@ -18,10 +18,14 @@ import numpy as np
 
 from .classical import CLOSED_B4, OPEN_B4
 from .quantize import tensor_open_apply_block, walsh_quantize
+from .transforms import MAX_DENSE_DIM
 
 # Dense resolvent solves are refused above 4^6 = 4096 (memory budget);
 # the truncated series with the tensor-structured apply remains available.
 MAX_RESOLVENT_K = 6
+
+# The bounce series stops once a term's Frobenius norm is below this.
+SERIES_TOL = 1e-12
 
 SHOT_NOISE_CONSTANT = 11.0 / 80.0
 RANDOM_MATRIX_FANO = 1.0 / 8.0
@@ -53,15 +57,15 @@ def cavity_propagator(k: int) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _shared_propagator(k: int) -> np.ndarray:
     """cavity_propagator(k), built once for all quasi-energies at one k and
-    returned read-only.  One entry: jobs run each k's quasi-energies back
-    to back, and no 4^k matrix outlives the next k."""
+    returned read-only.  One entry: the CLI runs its jobs in order, each
+    k's quasi-energies back to back, and no 4^k matrix outlives the next k."""
     U = cavity_propagator(k)
     U.flags.writeable = False
     return U
 
 
-def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
-                        tol: float = 1e-12) -> np.ndarray:
+def transmission_matrix(k: int, theta: float = 0.0,
+                        method: str = "resolvent") -> np.ndarray:
     """Transmission matrix t(theta) from lead 1 to lead 2, as the
     (N/4) x (N/4) block indexed by the remaining k-1 digits.
 
@@ -72,15 +76,14 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     (I - e^{i theta} U_{I,I}) X_I = e^{i theta} U_{I,L1}.
     series: the sum over bounce numbers n of
     e^{i n theta} Pi_L2 U (Pi_I U)^(n-1) Pi_L1, truncated when the
-    Frobenius norm of the next term drops below tol (finite and > 0).
+    Frobenius norm of the next term drops below SERIES_TOL.
     Pi_I keeps the interior first digits {1, 2}, so U Pi_I is the
-    matrix-free OPEN_B4 tensor apply; each term is one such apply of an
-    N x N/4 block, written into one of two blocks reused for every term.
+    matrix-free OPEN_B4 tensor apply; each term is one such apply of a
+    dense N x N/4 block (so k <= 7, by MAX_DENSE_DIM), written into one
+    of two blocks reused for every term.
     """
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     if not math.isfinite(theta):
         raise ValueError(f"quasi-energy must be finite, got {theta}")
     N = 4**k
@@ -99,6 +102,8 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
         X = np.linalg.solve(A, phase * U[interior, lead1])
         return phase * (U[lead2, lead1] + U[lead2, interior] @ X)
     if method == "series":
+        if N > MAX_DENSE_DIM:
+            raise ValueError(f"dense dimension 4**{k} exceeds cap {MAX_DENSE_DIM}")
         n_max = 200 * k
         t = np.zeros((n4, n4), dtype=complex)
         # C holds U (Pi_I U)^(n-1) Pi_L1 applied to the lead-1 basis
@@ -111,7 +116,7 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
             term = C[3 * n4:]
             term *= phase**n
             t += term
-            if np.linalg.norm(term) < tol:
+            if np.linalg.norm(term) < SERIES_TOL:
                 return t
             tensor_open_apply_block(C, OPEN_B4, "V", out=UC)
             C, UC = UC, C
@@ -155,9 +160,9 @@ def transport_quantities(t: np.ndarray, k: int = 0, theta: float = 0.0) -> Trans
     return TransportResult(k, theta, T, g, P, F)
 
 
-def transport_result(k: int, theta: float = 0.0, method: str = "resolvent",
-                     tol: float = 1e-12) -> TransportResult:
-    return transport_quantities(transmission_matrix(k, theta, method, tol),
+def transport_result(k: int, theta: float = 0.0,
+                     method: str = "resolvent") -> TransportResult:
+    return transport_quantities(transmission_matrix(k, theta, method),
                                 k=k, theta=theta)
 
 

@@ -4,17 +4,19 @@ import json
 import shutil
 import subprocess
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from openbaker import cli
+from openbaker import cli, quantize
 from openbaker.cli import main
 from openbaker.config import (ConfigError, distinct, get_dimensions, get_float,
                               get_float_list, get_int, get_spec, get_str,
                               parse_config)
 from openbaker.serialize import fmt, read_spectrum_csv, write_spectrum_csv
 from openbaker.spectral import Spectrum
+from openbaker.transforms import MAX_DENSE_DIM
 from openbaker.transport import transport_asymptotics, transport_result
 
 
@@ -400,24 +402,52 @@ def test_cli_rejects_repeated_job_values(tmp_path, capsys, verb, text, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb,text,message", [
+    ("toy-check", "toy.k = 2,0\n", "toy.k values must be >= 1"),
+    ("classical", "map.D = 3\nmap.kept = 0,2\nclassical.toy_k = 0\n",
+     "classical.toy_k must be >= 1"),
+    ("transport", "transport.k = 0\n", "transport.k values must be >= 1"),
+], ids=["toy-k", "classical-toy-k", "transport-k"])
+def test_cli_rejects_lengths_below_one(tmp_path, capsys, verb, text, message):
+    out = tmp_path / "out"
+    assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,text,job", [
+    ("toy-check", "toy.k = 9\n", "toy-check-k9"),
+    ("classical", "map.D = 3\nmap.kept = 0,2\nclassical.M = 9\n"
+                  "classical.tmax = 4\nclassical.toy_k = 9\n",
+     "transfer-spectrum"),
+], ids=["toy-check", "classical"])
+def test_cli_refuses_oversized_toy_before_allocating(tmp_path, monkeypatch,
+                                                     verb, text, job):
+    # 3^9 exceeds MAX_DENSE_DIM: the job fails on the size check, never on
+    # the 3^9 x 3^9 allocation
+    def zeros(*args, **kwargs):
+        raise RuntimeError("dense toy matrix allocated")
+
+    monkeypatch.setattr(quantize, "np", SimpleNamespace(zeros=zeros))
+    out = tmp_path / "out"
+    assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 2
+    jobs = {j["name"]: j for j in
+            json.loads((out / "manifest.json").read_text())["jobs"]}
+    assert jobs[job]["status"] == "failed"
+    assert f"exceeds cap {MAX_DENSE_DIM}" in jobs[job]["error"]
+
+
 @pytest.mark.parametrize("verb,text,key", [
-    ("transport", "transport.k = 3\ntransport.method = series\n"
-                  "transport.theta = 0.3\ntransport.tol = inf\n", "transport.tol"),
-    ("transport", "transport.k = 3\ntransport.method = series\n"
-                  "transport.tol = nan\n", "transport.tol"),
     ("transport", "transport.k = 2\ntransport.theta = 0.0, nan\n",
      "transport.theta"),
     ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
               "spectrum.N = 9\ncount.radii = 0.5, nan\n", "count.radii"),
-    ("toy-check", "toy.k = 3\ntoy.tol = inf\n", "toy.tol"),
     ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
               "spectrum.N = 9\ncount.radii = 0.5\nsector.rho = nan\n",
      "sector.rho"),
-], ids=["tol-inf", "tol-nan", "theta-nan", "radii-nan", "toy-tol-inf",
-        "rho-nan"])
+], ids=["theta-nan", "radii-nan", "rho-nan"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, verb, text, key):
-    # an infinite tolerance would stop the series after one term (g = 4.0
-    # instead of 8.01 at k = 3) or pass any toy spectrum
+    # a non-finite quasi-energy would give an all-NaN transmission matrix
     out = tmp_path / "out"
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
     assert f"{key}: expected a finite number" in capsys.readouterr().err
@@ -449,12 +479,11 @@ def test_cli_rejects_bad_sector_before_running(tmp_path, capsys, verb, text,
 def test_cli_manifest_records_the_environment(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "transport.k = 1\n")
     out = tmp_path / "out"
-    assert main(["transport", cfg, "-o", str(out), "--workers", "2"]) == 0
+    assert main(["transport", cfg, "-o", str(out)]) == 0
     env = json.loads((out / "manifest.json").read_text())["environment"]
     assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads",
-                        "thread_env", "nproc", "affinity", "workers"}
+                        "thread_env", "nproc", "affinity"}
     assert env["numpy"] == np.__version__
-    assert env["workers"] == 2
     assert env["nproc"] >= 1
     assert all(key.endswith("_NUM_THREADS") for key in env["thread_env"])
     assert all(n >= 1 for n in env["blas_threads"].values())
@@ -463,7 +492,6 @@ def test_cli_manifest_records_the_environment(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "  environment:\n" in printed
     assert f"    numpy: {np.__version__}\n" in printed
-    assert "    workers: 2\n" in printed
 
 
 def test_cli_runs_are_deterministic(tmp_path):
@@ -477,15 +505,24 @@ def test_cli_runs_are_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_parallel_workers_agree_with_serial(tmp_path):
-    cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
-                              "spectrum.N = 9,27,81\n")
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    assert main(["spectrum", cfg, "-o", str(serial)]) == 0
-    assert main(["spectrum", cfg, "-o", str(parallel), "--workers", "3"]) == 0
-    for f in ("spectrum_N9_full.csv", "spectrum_N27_full.csv",
-              "spectrum_N81_full.csv"):
-        assert (serial / f).read_bytes() == (parallel / f).read_bytes()
+def test_cli_has_no_workers_option(tmp_path, capsys):
+    # jobs run one at a time; the parallelism is BLAS's
+    cfg = write_cfg(tmp_path, "toy.k = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["toy-check", cfg, "-o", str(tmp_path / "out"), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_ignores_workers_environment_variable(tmp_path, monkeypatch):
+    # OPENBAKER_WORKERS is not read: a value that is no number changes nothing
+    cfg = write_cfg(tmp_path, "toy.k = 2\n")
+    assert main(["toy-check", cfg, "-o", str(tmp_path / "plain")]) == 0
+    monkeypatch.setenv("OPENBAKER_WORKERS", "two")
+    assert main(["toy-check", cfg, "-o", str(tmp_path / "env")]) == 0
+    assert ((tmp_path / "plain" / "toy_check_k2.json").read_bytes()
+            == (tmp_path / "env" / "toy_check_k2.json").read_bytes())
 
 
 @pytest.mark.skipif(shutil.which("openbaker") is None,

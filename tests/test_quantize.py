@@ -9,7 +9,8 @@ from openbaker.quantize import (build_toy_diagonal, parity_isometry,
                                 parity_operator, parity_restrict,
                                 quantize_closed, quantize_open,
                                 tensor_open_apply_block, walsh_quantize)
-from openbaker.transforms import build_walsh, dft_centered, tensor_state
+from openbaker.transforms import (MAX_DENSE_DIM, build_walsh, dft_centered,
+                                  tensor_state)
 
 
 def unitarity_defect(M):
@@ -211,6 +212,19 @@ def test_toy_diagonal_structure():
 def test_toy_diagonal_rejects_bad_dimension():
     with pytest.raises(ValueError):
         build_toy_diagonal(10)
+
+
+def test_toy_diagonal_refuses_oversized_before_allocating(monkeypatch):
+    # 3^9 exceeds MAX_DENSE_DIM, as it does for build_walsh: refused before
+    # the dense 3^9 x 3^9 matrix is allocated; 3^8 still reaches it
+    def zeros(*args, **kwargs):
+        raise RuntimeError("dense toy matrix allocated")
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    with pytest.raises(ValueError, match=f"exceeds cap {MAX_DENSE_DIM}"):
+        build_toy_diagonal(3**9)
+    with pytest.raises(RuntimeError, match="allocated"):
+        build_toy_diagonal(3**8)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from openbaker.classical import B3, B5, transfer_matrix
+from openbaker import cli
 from openbaker.cli import build_map, map_spectrum
 from openbaker.quantize import build_toy_diagonal, parity_restrict, walsh_quantize
 from openbaker.spectral import (SectorQuery, Spectrum, canonical_order,
@@ -59,6 +60,22 @@ def test_eigen_spectrum_handles_defective_kernels():
     # residual contract must still hold via eigenvector refinement
     s = eigen_spectrum(walsh_quantize(B3, 4, "W"))
     assert len(s) == 81
+
+
+@pytest.mark.parametrize("parity,N_cap,N_over", [
+    ("full", 6000, 6001), ("even", 12000, 12002), ("odd", 12000, 12002)])
+def test_map_spectrum_refuses_oversized_before_building(monkeypatch, parity,
+                                                        N_cap, N_over):
+    # the eigensolve cap (halved by parity) is checked before the N x N
+    # map is built; at the cap the build is reached
+    def build(*args):
+        raise RuntimeError("dense map allocated")
+
+    monkeypatch.setattr(cli, "build_map", build)
+    with pytest.raises(ValueError, match="dense eigensolve capped at 6000"):
+        map_spectrum("dft", B5, N_over, parity)
+    with pytest.raises(RuntimeError, match="allocated"):
+        map_spectrum("dft", B5, N_cap, parity)
 
 
 def test_eigen_spectrum_rejects_bad_input():

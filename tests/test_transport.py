@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from openbaker import transport
+from openbaker.transforms import MAX_DENSE_DIM
 from openbaker.transport import (MAX_RESOLVENT_K, RANDOM_MATRIX_FANO,
                                  SHOT_NOISE_CONSTANT, cavity_propagator,
                                  lead_projectors, transmission_matrix,
@@ -172,11 +173,6 @@ def test_transmission_matrix_validation():
         transmission_matrix(0)
     with pytest.raises(ValueError):
         transmission_matrix(2, method="montecarlo")
-    with pytest.raises(ValueError):
-        transmission_matrix(2, tol=0.0)
-    for tol in (np.inf, np.nan):
-        with pytest.raises(ValueError):
-            transmission_matrix(2, 0.0, "series", tol=tol)
     # a non-finite quasi-energy would give an all-NaN t (resolvent) or a
     # series that never converges
     for theta in (np.nan, np.inf):
@@ -185,6 +181,19 @@ def test_transmission_matrix_validation():
                 transmission_matrix(2, theta, method)
     with pytest.raises(ValueError):
         transmission_matrix(MAX_RESOLVENT_K + 1, method="resolvent")
+
+
+def test_series_refuses_oversized_blocks_before_allocating(monkeypatch):
+    # the series' dense N x N/4 blocks are refused above MAX_DENSE_DIM
+    # (k = 8), before the first one is allocated; k = 7 still starts
+    def eye(*args, **kwargs):
+        raise RuntimeError("dense series block allocated")
+
+    monkeypatch.setattr(np, "eye", eye)
+    with pytest.raises(ValueError, match=f"exceeds cap {MAX_DENSE_DIM}"):
+        transmission_matrix(8, 0.3, "series")
+    with pytest.raises(RuntimeError, match="allocated"):
+        transmission_matrix(7, 0.3, "series")
 
 
 def test_transport_quantities_on_known_matrix():
