@@ -331,7 +331,7 @@ def cmd_transport(cfg, args) -> int:
         base = f"transport_k{k}_theta{i}"
         write_json(runner.outdir / f"{base}.json", res.as_dict())
         write_transmission_csv(runner.outdir / f"{base}_T.csv", res.T)
-        return [f"{base}.json", f"{base}_T.csv"]
+        return [f"{base}.json", f"{base}_T.csv"], res.diagnostics
 
     names = {(k, i): f"transport-k{k}-theta{i}"
              for k in ks for i in range(len(thetas))}

@@ -102,8 +102,11 @@ def get_float_list(cfg: dict, key: str, default=None) -> list:
 
 def distinct(key: str, values: list) -> list:
     """`values` unchanged, for a list key whose values each name one job
-    (spectrum.N, toy.k, transport.k, transport.theta): a repeated value
-    would run the same job twice under one name, so it is rejected."""
+    (spectrum.N, toy.k, transport.k, transport.theta): an empty list
+    would run no job and report success, and a repeated value would run
+    the same job twice under one name, so both are rejected."""
+    if not values:
+        raise ConfigError(f"{key}: expected at least one value")
     seen = set()
     for v in values:
         if v in seen:

@@ -27,6 +27,11 @@ MAX_RESOLVENT_K = 6
 # The bounce series stops once a term's Frobenius norm is below this.
 SERIES_TOL = 1e-12
 
+# The last bounce series run in this process: its term count, the
+# Frobenius norm of its last term and its live lead-1 columns at the end.
+# transport_result copies it into the result's diagnostics.
+_last_series: dict = {}
+
 SHOT_NOISE_CONSTANT = 11.0 / 80.0
 RANDOM_MATRIX_FANO = 1.0 / 8.0
 
@@ -78,9 +83,13 @@ def transmission_matrix(k: int, theta: float = 0.0,
     e^{i n theta} Pi_L2 U (Pi_I U)^(n-1) Pi_L1, truncated when the
     Frobenius norm of the next term drops below SERIES_TOL.
     Pi_I keeps the interior first digits {1, 2}, so U Pi_I is the
-    matrix-free OPEN_B4 tensor apply; each term is one such apply of a
-    dense N x N/4 block (so k <= 7, by MAX_DENSE_DIM), written into one
-    of two blocks reused for every term.
+    matrix-free OPEN_B4 tensor apply; each term is one such apply of an
+    N-row block of the live lead-1 columns, written into one of two
+    blocks reused while no column drops out.  A column drops out once its
+    interior rows are exactly zero, since every later term in it is then
+    exactly zero; after k - 1 terms the live columns are the 2^(k-1)
+    input words {1, 2}^(k-1).  The first block is N x N/4, so k <= 7
+    (MAX_DENSE_DIM).
     """
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
@@ -106,18 +115,28 @@ def transmission_matrix(k: int, theta: float = 0.0,
             raise ValueError(f"dense dimension 4**{k} exceeds cap {MAX_DENSE_DIM}")
         n_max = 200 * k
         t = np.zeros((n4, n4), dtype=complex)
-        # C holds U (Pi_I U)^(n-1) Pi_L1 applied to the lead-1 basis
+        live = np.arange(n4)
+        # C holds U (Pi_I U)^(n-1) Pi_L1 applied to the live lead-1 basis
         # columns.  U Pi_I is the OPEN_B4 apply, which reads only the
-        # interior rows of C, so its lead rows need no zeroing and the
-        # lead-2 rows can be phased in place.
+        # interior rows of C, so its lead rows need no zeroing, the
+        # lead-2 rows can be phased in place, and a column with exactly
+        # zero interior rows adds nothing to any later term.
         C = tensor_open_apply_block(np.eye(N, n4, dtype=complex), CLOSED_B4, "V")
         UC = np.empty_like(C)
         for n in range(1, n_max + 1):
             term = C[3 * n4:]
             term *= phase**n
-            t += term
-            if np.linalg.norm(term) < SERIES_TOL:
+            t[:, live] += term
+            tail = np.linalg.norm(term)
+            if tail < SERIES_TOL:
+                _last_series.update(series_terms=n,
+                                    series_tail_norm=float(tail),
+                                    series_live_columns=len(live))
                 return t
+            alive = C[n4:3 * n4].any(axis=0)
+            if not alive.all():
+                C, live = C.compress(alive, axis=1), live[alive]
+                UC = np.empty_like(C)
             tensor_open_apply_block(C, OPEN_B4, "V", out=UC)
             C, UC = UC, C
         raise RuntimeError(
@@ -136,6 +155,8 @@ class TransportResult:
     g: float
     P: float
     F: float | None
+    # how t was computed (the series' _last_series); not an artifact field
+    diagnostics: dict = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -162,8 +183,14 @@ def transport_quantities(t: np.ndarray, k: int = 0, theta: float = 0.0) -> Trans
 
 def transport_result(k: int, theta: float = 0.0,
                      method: str = "resolvent") -> TransportResult:
-    return transport_quantities(transmission_matrix(k, theta, method),
-                                k=k, theta=theta)
+    """transport_quantities of transmission_matrix(k, theta, method); a
+    series result's `diagnostics` holds series_terms, series_tail_norm
+    and series_live_columns."""
+    res = transport_quantities(transmission_matrix(k, theta, method),
+                               k=k, theta=theta)
+    if method == "series":
+        res.diagnostics = dict(_last_series)
+    return res
 
 
 def transport_asymptotics(results) -> dict:

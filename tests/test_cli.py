@@ -82,6 +82,13 @@ def test_distinct_rejects_a_repeated_value_by_key():
         get_dimensions(parse_config("spectrum.N = 9, 27, 9\n"), 3)
 
 
+def test_distinct_rejects_an_empty_list_by_key():
+    with pytest.raises(ConfigError, match="toy.k: expected at least one value"):
+        distinct("toy.k", [])
+    with pytest.raises(ConfigError, match="spectrum.N"):
+        get_dimensions(parse_config("spectrum.N =\n"), 3)
+
+
 # ------------------------------------------------------------- serialize
 
 def test_fmt_is_shortest_roundtrip():
@@ -193,6 +200,35 @@ def test_cli_transport_post_step_over_failed_job_is_partial(tmp_path, capsys):
     printed = capsys.readouterr()
     assert "missing jobs: ['transport-k7-theta0']" in printed.out
     assert "'transport-asymptotics'" in printed.err
+
+
+def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
+    # each series job records its term count, last-term norm and live
+    # lead-1 columns; resolvent jobs record none
+    cfg = write_cfg(tmp_path, "transport.k = 2,3\ntransport.theta = 0.3\n"
+                              "transport.method = series\n")
+    out = tmp_path / "out"
+    assert main(["transport", cfg, "-o", str(out)]) == 0
+    jobs = {j["name"]: j for j in
+            json.loads((out / "manifest.json").read_text())["jobs"]}
+    for k in (2, 3):
+        diag = jobs[f"transport-k{k}-theta0"]["diagnostics"]
+        assert diag == transport_result(k, 0.3, "series").diagnostics
+        assert diag["series_live_columns"] == 2 ** (k - 1)
+        assert 0.0 < diag["series_tail_norm"] < 1e-12
+    assert diag["series_terms"] == 106
+    assert "diagnostics" not in jobs["transport-asymptotics"]
+    capsys.readouterr()
+    assert main(["manifest", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "    series_terms: 106\n" in printed
+    assert "    series_live_columns: 4\n" in printed
+    assert printed.count("series_tail_norm: ") == 2
+    resolvent = tmp_path / "resolvent"
+    cfg = write_cfg(tmp_path, "transport.k = 2\ntransport.theta = 0.3\n")
+    assert main(["transport", cfg, "-o", str(resolvent)]) == 0
+    assert all("diagnostics" not in j for j in
+               json.loads((resolvent / "manifest.json").read_text())["jobs"])
 
 
 def test_cli_classical(tmp_path):
@@ -399,6 +435,21 @@ def test_cli_rejects_repeated_job_values(tmp_path, capsys, verb, text, key):
     out = tmp_path / "out"
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
     assert f"{key}: repeated value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,text,key", [
+    ("spectrum", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+                 "spectrum.N =\n", "spectrum.N"),
+    ("toy-check", "toy.k =\n", "toy.k"),
+    ("transport", "transport.k =\n", "transport.k"),
+    ("transport", "transport.k = 2\ntransport.theta =\n", "transport.theta"),
+], ids=["spectrum-N", "toy-k", "transport-k", "transport-theta"])
+def test_cli_rejects_empty_job_lists(tmp_path, capsys, verb, text, key):
+    # a list key with no values would run no job and exit 0
+    out = tmp_path / "out"
+    assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
+    assert f"{key}: expected at least one value" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from openbaker import transport
+from openbaker.classical import CLOSED_B4, OPEN_B4
+from openbaker.quantize import tensor_open_apply_block
 from openbaker.transforms import MAX_DENSE_DIM
 from openbaker.transport import (MAX_RESOLVENT_K, RANDOM_MATRIX_FANO,
-                                 SHOT_NOISE_CONSTANT, cavity_propagator,
+                                 SERIES_TOL, SHOT_NOISE_CONSTANT,
+                                 cavity_propagator,
                                  lead_projectors, transmission_matrix,
                                  transport_asymptotics, transport_quantities,
                                  transport_result)
@@ -85,6 +88,45 @@ def test_series_matches_dense_reference_loop(k, monkeypatch):
     t = transmission_matrix(k, 0.3, "series")
     assert len(calls) == n_ref
     assert np.max(np.abs(t - t_ref)) < 1e-13
+
+
+def full_width_series(k, theta):
+    """Reference: the bounce series with the same matrix-free applies,
+    carrying all N/4 lead-1 columns through every term.  Returns t, the
+    number of terms summed and the norm of the last one."""
+    N = 4**k
+    n4 = N // 4
+    phase = np.exp(1j * theta)
+    t = np.zeros((n4, n4), dtype=complex)
+    C = tensor_open_apply_block(np.eye(N, n4, dtype=complex), CLOSED_B4, "V")
+    for n in range(1, 200 * k + 1):
+        term = phase**n * C[3 * n4:]
+        t += term
+        if np.linalg.norm(term) < SERIES_TOL:
+            return t, n, np.linalg.norm(term)
+        C = tensor_open_apply_block(C, OPEN_B4, "V")
+    raise RuntimeError("full-width series did not converge")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_series_dropping_dead_columns_matches_full_width_loop(k):
+    # a lead-1 column whose interior rows are exactly zero adds exactly
+    # zero to every later term, so dropping it changes neither t nor the
+    # number of terms
+    t_ref, n_ref, tail_ref = full_width_series(k, 0.3)
+    assert np.max(np.abs(transmission_matrix(k, 0.3, "series") - t_ref)) <= 1e-14
+    diag = transport_result(k, 0.3, "series").diagnostics
+    assert diag["series_terms"] == n_ref
+    assert diag["series_tail_norm"] == pytest.approx(tail_ref, rel=1e-12)
+    assert diag["series_tail_norm"] < SERIES_TOL
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_series_ends_on_the_interior_input_words(k):
+    # after k - 1 bounces only inputs whose k - 1 remaining digits are
+    # all interior ({1, 2}^(k-1)) still reach the interior
+    diag = transport_result(k, 0.3, "series").diagnostics
+    assert diag["series_live_columns"] == 2 ** (k - 1)
 
 
 def test_series_calls_do_not_share_state():
