@@ -13,9 +13,8 @@ from .spectral import (ClosedFormToySpectrum, SectorQuery, Spectrum, WeylFit,
                        compare_spectra, count_sector, eigen_spectrum,
                        invariant_nonzero_spectrum, profile_curve,
                        toy_closed_spectrum, weyl_fit)
-from .transforms import (build_walsh, dft_centered, dft_plain, digit_decode,
-                         digit_encode, tensor_state)
-from .transport import (TransportResult, lead_projectors, transmission_matrix,
+from .transforms import build_walsh, dft_centered, dft_plain
+from .transport import (TransportResult, transmission_matrix,
                         transport_asymptotics, transport_quantities,
                         transport_result)
 

@@ -104,9 +104,6 @@ class EscapeGrid:
     t_max: int
     times: np.ndarray = field(repr=False)
 
-    def trapped_fraction(self) -> float:
-        return float(np.mean(self.times < 0))
-
 
 def escape_grid(spec: OpenBakerSpec, M: int, direction: str = "forward",
                 t_max: int = 100) -> EscapeGrid:

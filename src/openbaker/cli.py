@@ -34,8 +34,9 @@ from .quantize import build_toy_diagonal, parity_restrict, quantize_open, \
 from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
                         write_profile_csv, write_spectrum_csv,
                         write_transmission_csv)
-from .spectral import (SectorQuery, Spectrum, check_eig_dim, compare_spectra,
-                       count_sector, eigen_spectrum, invariant_nonzero_spectrum,
+from .spectral import (SectorQuery, Spectrum, check_eig_dim,
+                       check_profile_radii, compare_spectra, count_sector,
+                       eigen_spectrum, invariant_nonzero_spectrum,
                        profile_curve, toy_closed_spectrum, weyl_fit)
 from .transport import transport_asymptotics, transport_result
 
@@ -109,8 +110,9 @@ class JobRunner:
     """One verb's run after its config is parsed: resolves the output
     directory, runs independent jobs in order (BLAS parallelizes within
     each), isolating per-job failures, then post-steps on their results,
-    and rewrites the run manifest after each.  A job returns the names of
-    its artifacts, or a pair (artifacts, diagnostics dict) whose dict the
+    and rewrites the run manifest after the jobs and after each step,
+    listing the entries by name.  A job returns the names of its
+    artifacts, or a pair (artifacts, diagnostics dict) whose dict the
     job's manifest entry records under `diagnostics`."""
 
     def __init__(self, cfg: dict, args):
@@ -127,50 +129,42 @@ class JobRunner:
 
     def run(self, named_jobs) -> int:
         for name, fn in named_jobs:
-            start = time.monotonic()
-            try:
-                outputs, diagnostics = fn(), None
-                if isinstance(outputs, tuple):
-                    outputs, diagnostics = outputs
-                entry = {"name": name, "status": "ok",
-                         "outputs": sorted(outputs),
-                         "seconds": round(time.monotonic() - start, 3)}
-                if diagnostics:
-                    entry["diagnostics"] = diagnostics
-            except Exception as exc:  # isolate sibling jobs
-                entry = {"name": name, "status": "failed", "error": str(exc),
-                         "outputs": [],
-                         "seconds": round(time.monotonic() - start, 3)}
-                print(f"job {name} failed: {exc}", file=sys.stderr)
-            self.jobs.append(entry)
-        self.jobs.sort(key=lambda j: j["name"])
+            self._record("job", name, fn)
         self.write_manifest()
         return self.exit_code
 
     def step(self, name: str, fn, **missing) -> int:
-        """Run and time `fn`, a step on the finished jobs' results that
-        returns the names of its artifacts, record it, and rewrite the
-        manifest.  `missing_N` or `missing_jobs` lists inputs the step
-        lacks because their jobs failed; a nonempty list is recorded
-        under its keyword and makes the step partial.  An exception from
-        `fn` makes the step failed, with its text as `error`."""
-        start = time.monotonic()
-        try:
-            outputs, error = fn(), None
-        except Exception as exc:  # record the step, keep the jobs' results
-            outputs, error = [], str(exc)
-            print(f"step {name} failed: {error}", file=sys.stderr)
-        entry = {"name": name, "status": "ok", "outputs": outputs,
-                 "seconds": round(time.monotonic() - start, 3)}
-        missing = {key: value for key, value in missing.items() if value}
-        if error:
-            entry.update(status="failed", error=error, **missing)
-        elif missing:
-            entry.update(status="partial", **missing)
-        self.jobs.append(entry)
-        self.jobs.sort(key=lambda j: j["name"])
+        """Run `fn`, a step on the finished jobs' results that returns the
+        names of its artifacts, record it, and rewrite the manifest.
+        `missing_N` or `missing_jobs` lists inputs the step lacks because
+        their jobs failed; a nonempty list is recorded under its keyword
+        and makes the step partial."""
+        self._record("step", name, fn, **missing)
         self.write_manifest()
         return self.exit_code
+
+    def _record(self, kind: str, name: str, fn, **missing):
+        """Run and time `fn` and append its entry.  An exception from `fn`
+        makes the entry failed, with its text as `error`, and is reported
+        on stderr as `<kind> <name> failed: <error>`."""
+        start = time.monotonic()
+        entry = {"name": name, "status": "ok"}
+        try:
+            outputs = fn()
+            if isinstance(outputs, tuple):
+                outputs, diagnostics = outputs
+                if diagnostics:
+                    entry["diagnostics"] = diagnostics
+            entry["outputs"] = sorted(outputs)
+        except Exception as exc:  # isolate siblings, keep finished results
+            entry.update(status="failed", error=str(exc), outputs=[])
+            print(f"{kind} {name} failed: {exc}", file=sys.stderr)
+        entry["seconds"] = round(time.monotonic() - start, 3)
+        missing = {key: value for key, value in missing.items() if value}
+        if missing and entry["status"] == "ok":
+            entry["status"] = "partial"
+        entry.update(missing)
+        self.jobs.append(entry)
 
     def write_manifest(self):
         outputs = sorted({f for j in self.jobs for f in j["outputs"]})
@@ -179,7 +173,7 @@ class JobRunner:
             "version": __version__,
             "config": self.cfg,
             "environment": self.environment,
-            "jobs": self.jobs,
+            "jobs": sorted(self.jobs, key=lambda j: j["name"]),
             "outputs": outputs,
         }
         write_json(self.outdir / "manifest.json", manifest)
@@ -190,7 +184,7 @@ def _spectrum_params(cfg: dict):
     spec = get_spec(cfg)
     if family == "toy" and spec.D != 3:
         raise ConfigError("toy family requires map.D = 3")
-    dims = get_dimensions(cfg, spec.D)
+    dims = get_dimensions(cfg)
     parity = get_str(cfg, "spectrum.parity", default="full",
                      choices={"even", "odd", "full"})
     variant = get_str(cfg, "map.variant", default="W", choices={"V", "W"})
@@ -266,10 +260,10 @@ def cmd_weyl(cfg, args) -> int:
 
 def cmd_profile(cfg, args) -> int:
     radii = get_float_list(cfg, "profile.radii")
-    if (any(not 0.0 <= r < 1.0 for r in radii)
-            or any(b <= a for a, b in zip(radii, radii[1:]))):
-        raise ConfigError("profile.radii must be strictly increasing and "
-                          "lie in [0, 1)")
+    try:
+        check_profile_radii(radii)
+    except ValueError as exc:  # "radii must be ...": prefix the section
+        raise ConfigError(f"profile.{exc}") from exc
     params = _spectrum_params(cfg)
     spec = params[1]
     mu = math.log(spec.s) / math.log(spec.D)
@@ -355,6 +349,10 @@ def cmd_classical(cfg, args) -> int:
     M = get_int(cfg, "classical.M", default=81)
     t_max = get_int(cfg, "classical.tmax", default=20)
     k = get_int(cfg, "classical.toy_k") if "classical.toy_k" in cfg else None
+    if M < 1:
+        raise ConfigError("classical.M must be >= 1")
+    if t_max < 0:
+        raise ConfigError("classical.tmax must be >= 0")
     if k is not None and k < 1:
         raise ConfigError("classical.toy_k must be >= 1")
     runner = JobRunner(cfg, args)

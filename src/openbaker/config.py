@@ -125,19 +125,9 @@ def get_spec(cfg: dict) -> OpenBakerSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def get_dimensions(cfg: dict, D: int) -> list:
-    """Dimension list: either `spectrum.N = 20,100` or the geometric
-    sequence `spectrum.N0 = 20` + `spectrum.kmax = 3` expanding to N0*D^k."""
-    if "spectrum.N" in cfg:
-        dims = distinct("spectrum.N", get_int_list(cfg, "spectrum.N"))
-    elif "spectrum.N0" in cfg:
-        N0 = get_int(cfg, "spectrum.N0")
-        kmax = get_int(cfg, "spectrum.kmax")
-        if kmax < 0:
-            raise ConfigError("spectrum.kmax must be >= 0")
-        dims = [N0 * D**k for k in range(kmax + 1)]
-    else:
-        raise ConfigError("missing spectrum.N or spectrum.N0/spectrum.kmax")
+def get_dimensions(cfg: dict) -> list:
+    """Dimension list `spectrum.N = 20,100,500`, one spectrum job each."""
+    dims = distinct("spectrum.N", get_int_list(cfg, "spectrum.N"))
     for N in dims:
         if N < 1:
             raise ConfigError(f"dimension {N} must be positive")

@@ -61,29 +61,13 @@ def _sector_sign(N: int, sector: str) -> float:
     return 1.0 if sector == "even" else -1.0
 
 
-def parity_isometry(N: int, sector: str) -> np.ndarray:
-    """Orthonormal isometry from C^(N/2) onto one parity sector.
-
-    "even" spans the amplitude-symmetric states (e_j + e_{N-1-j})/sqrt(2),
-    "odd" the antisymmetric ones; with the global minus sign in the parity
-    operator these are its -1 and +1 eigenspaces respectively.  Requires
-    even N.
-    """
-    sign = _sector_sign(N, sector)
-    S = np.zeros((N, N // 2), dtype=complex)
-    rt = 1.0 / np.sqrt(2.0)
-    for j in range(N // 2):
-        S[j, j] = rt
-        S[N - 1 - j, j] = sign * rt
-    return S
-
-
 def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
     """Restrict a parity-commuting matrix to one parity sector.
 
-    Returns S^* B S for S = parity_isometry(N, sector), as an index fold
-    of B and its reversal R; its nonzero spectrum equals the nonzero
-    spectrum of B (1 +/- Pi)/2.
+    Returns S^* B S, for the isometry S whose columns are the states
+    (e_j +/- e_{N-1-j})/sqrt(2) with + for "even", as an index fold of B
+    and its reversal R; its nonzero spectrum equals the nonzero spectrum
+    of B (1 +/- Pi)/2.  Requires even N.
     """
     B = check_finite(B)
     N = B.shape[0]

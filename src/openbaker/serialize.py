@@ -27,12 +27,6 @@ def write_spectrum_csv(path, spectrum) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_spectrum_csv(path) -> np.ndarray:
-    rows = Path(path).read_text().strip().splitlines()[1:]
-    vals = [complex(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows]
-    return np.array(vals, dtype=complex)
-
-
 def write_counts_csv(path, counts) -> None:
     """Counts table: rows of (N, r, count)."""
     lines = ["N,r,count"]

@@ -61,9 +61,6 @@ class Spectrum:
     def __post_init__(self):
         self.values = canonical_order(self.values)
 
-    def __len__(self):
-        return len(self.values)
-
     def moduli(self) -> np.ndarray:
         return np.abs(self.values)
 
@@ -269,17 +266,20 @@ def weyl_fit(series) -> WeylFit:
     return WeylFit(float(slope), float(intercept), points, ratios)
 
 
+def check_profile_radii(radii) -> None:
+    """Refuse profile radii that are not strictly increasing in [0, 1)."""
+    if (any(not 0.0 <= r < 1.0 for r in radii)
+            or any(b <= a for a, b in zip(radii, radii[1:]))):
+        raise ValueError("radii must be strictly increasing and lie in [0, 1)")
+
+
 def profile_curve(spectra, mu: float, r_grid, D: int) -> np.ndarray:
     """Rescaled counting functions n(N, r) * (N/D)^(-mu).
 
     Row i corresponds to r_grid[i]; column j to spectra[j].  Along a
     geometric sequence the columns should collapse onto one profile.
     """
-    r_grid = np.asarray(r_grid, dtype=float)
-    if len(r_grid) and np.any(np.diff(r_grid) <= 0):
-        raise ValueError("r_grid must be strictly increasing")
-    if np.any((r_grid < 0) | (r_grid >= 1)):
-        raise ValueError("r_grid values must lie in [0, 1)")
+    check_profile_radii(r_grid)
     out = np.empty((len(r_grid), len(spectra)))
     for j, spec in enumerate(spectra):
         scale = (spec.N / D) ** (-mu)
@@ -300,9 +300,6 @@ class ClosedFormToySpectrum:
 
     k: int
     entries: list  # (eigenvalue, multiplicity) pairs, zero included
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
 
     def nonzero_entries(self) -> list:
         return [(z, m) for z, m in self.entries if z != 0]

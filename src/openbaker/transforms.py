@@ -15,31 +15,6 @@ import numpy as np
 MAX_DENSE_DIM = 2 ** 14
 
 
-def digit_encode(j: int, D: int, k: int) -> tuple[int, ...]:
-    """Base-D digits of j, most significant first, padded to length k."""
-    if D < 2:
-        raise ValueError(f"base must be >= 2, got {D}")
-    if not 0 <= j < D**k:
-        raise ValueError(f"index {j} out of range for {k} base-{D} digits")
-    word = []
-    for _ in range(k):
-        word.append(j % D)
-        j //= D
-    return tuple(reversed(word))
-
-
-def digit_decode(word, D: int) -> int:
-    """Inverse of digit_encode: j = sum_l eps_l * D^(k-l)."""
-    if D < 2:
-        raise ValueError(f"base must be >= 2, got {D}")
-    j = 0
-    for eps in word:
-        if not 0 <= eps < D:
-            raise ValueError(f"digit {eps} out of range for base {D}")
-        j = j * D + eps
-    return j
-
-
 def digit_reversal_permutation(D: int, k: int) -> np.ndarray:
     """perm[j] = index whose base-D word is the reverse of j's word."""
     n = D**k
@@ -98,15 +73,6 @@ def build_walsh(D: int, k: int, variant: str = "V") -> np.ndarray:
     for _ in range(k - 1):
         M = np.kron(M, F)
     return M[digit_reversal_permutation(D, k)]
-
-
-def tensor_state(factors) -> np.ndarray:
-    """Product state v_1 x v_2 x ... x v_k as a flat vector (first factor
-    most significant, matching the digit order of the position grid)."""
-    out = np.asarray(factors[0], dtype=complex)
-    for v in factors[1:]:
-        out = np.kron(out, np.asarray(v, dtype=complex))
-    return out
 
 
 def check_finite(M: np.ndarray) -> np.ndarray:

@@ -36,24 +36,6 @@ SHOT_NOISE_CONSTANT = 11.0 / 80.0
 RANDOM_MATRIX_FANO = 1.0 / 8.0
 
 
-def lead_projectors(k: int):
-    """Diagonals of the two lead projectors and the interior projector.
-
-    Returned as three 0/1 vectors of length 4^k selecting first digit 0
-    (lead 1), 3 (lead 2), and {1, 2} (interior).  They are mutually
-    orthogonal and sum to the identity.
-    """
-    if k < 1:
-        raise ValueError(f"length must be >= 1, got {k}")
-    N = 4**k
-    first = np.arange(N) // (N // 4)
-    return (
-        (first == 0).astype(float),
-        (first == 3).astype(float),
-        ((first == 1) | (first == 2)).astype(float),
-    )
-
-
 def cavity_propagator(k: int) -> np.ndarray:
     """Dense closed-cavity unitary: the V-variant Walsh 4-baker at 4^k."""
     return walsh_quantize(CLOSED_B4, k, "V")

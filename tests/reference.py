@@ -1,0 +1,87 @@
+"""Reference constructions that only the tests use: digit codecs,
+product states, the parity-sector isometry, the lead projectors of the
+Walsh cavity, and a reader for the spectrum CSV.  The package computes
+with faster index folds and slices; these spell out what those compute."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from openbaker.quantize import _sector_sign
+
+
+def digit_encode(j: int, D: int, k: int) -> tuple[int, ...]:
+    """Base-D digits of j, most significant first, padded to length k."""
+    if D < 2:
+        raise ValueError(f"base must be >= 2, got {D}")
+    if not 0 <= j < D**k:
+        raise ValueError(f"index {j} out of range for {k} base-{D} digits")
+    word = []
+    for _ in range(k):
+        word.append(j % D)
+        j //= D
+    return tuple(reversed(word))
+
+
+def digit_decode(word, D: int) -> int:
+    """Inverse of digit_encode: j = sum_l eps_l * D^(k-l)."""
+    if D < 2:
+        raise ValueError(f"base must be >= 2, got {D}")
+    j = 0
+    for eps in word:
+        if not 0 <= eps < D:
+            raise ValueError(f"digit {eps} out of range for base {D}")
+        j = j * D + eps
+    return j
+
+
+def tensor_state(factors) -> np.ndarray:
+    """Product state v_1 x v_2 x ... x v_k as a flat vector (first factor
+    most significant, matching the digit order of the position grid)."""
+    out = np.asarray(factors[0], dtype=complex)
+    for v in factors[1:]:
+        out = np.kron(out, np.asarray(v, dtype=complex))
+    return out
+
+
+def parity_isometry(N: int, sector: str) -> np.ndarray:
+    """Orthonormal isometry from C^(N/2) onto one parity sector.
+
+    "even" spans the amplitude-symmetric states (e_j + e_{N-1-j})/sqrt(2),
+    "odd" the antisymmetric ones; with the global minus sign in the parity
+    operator these are its -1 and +1 eigenspaces respectively.  Requires
+    even N.
+    """
+    sign = _sector_sign(N, sector)
+    S = np.zeros((N, N // 2), dtype=complex)
+    rt = 1.0 / np.sqrt(2.0)
+    for j in range(N // 2):
+        S[j, j] = rt
+        S[N - 1 - j, j] = sign * rt
+    return S
+
+
+def lead_projectors(k: int):
+    """Diagonals of the two lead projectors and the interior projector.
+
+    Returned as three 0/1 vectors of length 4^k selecting first digit 0
+    (lead 1), 3 (lead 2), and {1, 2} (interior).  They are mutually
+    orthogonal and sum to the identity.
+    """
+    if k < 1:
+        raise ValueError(f"length must be >= 1, got {k}")
+    N = 4**k
+    first = np.arange(N) // (N // 4)
+    return (
+        (first == 0).astype(float),
+        (first == 3).astype(float),
+        ((first == 1) | (first == 2)).astype(float),
+    )
+
+
+def read_spectrum_csv(path) -> np.ndarray:
+    rows = Path(path).read_text().strip().splitlines()[1:]
+    vals = [complex(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows]
+    return np.array(vals, dtype=complex)

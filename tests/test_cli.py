@@ -14,10 +14,11 @@ from openbaker.cli import main
 from openbaker.config import (ConfigError, distinct, get_dimensions, get_float,
                               get_float_list, get_int, get_spec, get_str,
                               parse_config)
-from openbaker.serialize import fmt, read_spectrum_csv, write_spectrum_csv
+from openbaker.serialize import fmt, write_spectrum_csv
 from openbaker.spectral import Spectrum
 from openbaker.transforms import MAX_DENSE_DIM
 from openbaker.transport import transport_asymptotics, transport_result
+from reference import read_spectrum_csv
 
 
 # ---------------------------------------------------------------- config
@@ -62,14 +63,14 @@ def test_float_getters_reject_non_finite():
 
 
 def test_get_spec_and_dimensions():
-    cfg = parse_config("map.D = 5\nmap.kept = 1,3\nspectrum.N0 = 20\nspectrum.kmax = 2\n")
+    cfg = parse_config("map.D = 5\nmap.kept = 1,3\nspectrum.N = 20,100,500\n")
     spec = get_spec(cfg)
     assert spec.D == 5 and spec.kept == (1, 3)
-    assert get_dimensions(cfg, 5) == [20, 100, 500]
+    assert get_dimensions(cfg) == [20, 100, 500]
     cfg2 = parse_config("spectrum.N = 9, 27\n")
-    assert get_dimensions(cfg2, 3) == [9, 27]
-    with pytest.raises(ConfigError):
-        get_dimensions(parse_config("x = 1\n"), 3)
+    assert get_dimensions(cfg2) == [9, 27]
+    with pytest.raises(ConfigError, match="spectrum.N"):
+        get_dimensions(parse_config("x = 1\n"))
     with pytest.raises(ConfigError):
         get_spec(parse_config("map.D = 3\nmap.kept = 5\n"))
 
@@ -79,14 +80,14 @@ def test_distinct_rejects_a_repeated_value_by_key():
     with pytest.raises(ConfigError, match="transport.theta"):
         distinct("transport.theta", [0.0, 0.3, 0.3])
     with pytest.raises(ConfigError, match="spectrum.N"):
-        get_dimensions(parse_config("spectrum.N = 9, 27, 9\n"), 3)
+        get_dimensions(parse_config("spectrum.N = 9, 27, 9\n"))
 
 
 def test_distinct_rejects_an_empty_list_by_key():
     with pytest.raises(ConfigError, match="toy.k: expected at least one value"):
         distinct("toy.k", [])
     with pytest.raises(ConfigError, match="spectrum.N"):
-        get_dimensions(parse_config("spectrum.N =\n"), 3)
+        get_dimensions(parse_config("spectrum.N =\n"))
 
 
 # ------------------------------------------------------------- serialize
@@ -148,7 +149,7 @@ def test_cli_count_and_weyl(tmp_path):
 
 def test_cli_profile(tmp_path):
     cfg = write_cfg(tmp_path, "map.family = dft\nmap.D = 3\nmap.kept = 0,2\n"
-                              "spectrum.N0 = 9\nspectrum.kmax = 1\n"
+                              "spectrum.N = 9,27\n"
                               "profile.radii = 0.1,0.3,0.5\n")
     out = tmp_path / "out"
     assert main(["profile", cfg, "-o", str(out)]) == 0
@@ -324,16 +325,31 @@ def test_cli_invalid_config_exits_1(tmp_path):
                  "-o", str(tmp_path / "o")]) == 1
 
 
-def test_cli_failing_job_exits_2(tmp_path):
+def test_cli_failing_job_exits_2(tmp_path, capsys):
     # N = 10 is not a power of 3: the walsh job fails, siblings succeed
     cfg = write_cfg(tmp_path, "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9,10\n")
     out = tmp_path / "out"
     assert main(["spectrum", cfg, "-o", str(out)]) == 2
+    message = "walsh family needs N = 3^k, got 10"
+    assert f"job spectrum-N10 failed: {message}" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     statuses = {j["name"]: j["status"] for j in manifest["jobs"]}
     assert statuses == {"spectrum-N9": "ok", "spectrum-N10": "failed"}
+    failed = {j["name"]: j for j in manifest["jobs"]}["spectrum-N10"]
+    assert failed["error"] == message
+    assert failed["outputs"] == []
     assert (out / "spectrum_N9_full.csv").exists()
+
+
+def test_cli_dimensions_are_given_only_by_spectrum_N(tmp_path, capsys):
+    # spectrum.N0 + spectrum.kmax is no second spelling of the list
+    cfg = write_cfg(tmp_path, "map.family = dft\nmap.D = 3\nmap.kept = 0,2\n"
+                              "spectrum.N0 = 9\nspectrum.kmax = 1\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", cfg, "-o", str(out)]) == 1
+    assert "missing required key 'spectrum.N'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb,step", [("count", "counts"), ("weyl", "weyl-fit"),
@@ -458,7 +474,12 @@ def test_cli_rejects_empty_job_lists(tmp_path, capsys, verb, text, key):
     ("classical", "map.D = 3\nmap.kept = 0,2\nclassical.toy_k = 0\n",
      "classical.toy_k must be >= 1"),
     ("transport", "transport.k = 0\n", "transport.k values must be >= 1"),
-], ids=["toy-k", "classical-toy-k", "transport-k"])
+    ("classical", "map.D = 3\nmap.kept = 0,2\nclassical.M = 0\n",
+     "classical.M must be >= 1"),
+    ("classical", "map.D = 3\nmap.kept = 0,2\nclassical.tmax = -1\n",
+     "classical.tmax must be >= 0"),
+], ids=["toy-k", "classical-toy-k", "transport-k", "classical-M",
+        "classical-tmax"])
 def test_cli_rejects_lengths_below_one(tmp_path, capsys, verb, text, message):
     out = tmp_path / "out"
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1

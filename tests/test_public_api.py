@@ -1,0 +1,35 @@
+"""Every public name of the package has a caller that is not a unit test."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import openbaker
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def loaded_names(path: Path) -> set:
+    """Names and attribute names that the file's code reads."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a name that only unit tests use belongs in tests/reference.py: the
+    # callers are the package's own modules, the acceptance suite and the
+    # benchmark, which is only read here
+    callers = [p for p in sorted((ROOT / "src" / "openbaker").glob("*.py"))
+               if p.name != "__init__.py"]
+    callers += [ROOT / "tests" / "test_acceptance.py"]
+    callers += sorted((ROOT / "bench").glob("*.py"))
+    used = set().union(*(loaded_names(p) for p in callers))
+    public = [name for name in openbaker.__all__
+              if not inspect.ismodule(getattr(openbaker, name))]
+    assert public
+    assert sorted(set(public) - used) == []

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from openbaker.classical import B3, B5, CLOSED_B4, OPEN_B4, OpenBakerSpec
-from openbaker.quantize import (build_toy_diagonal, parity_isometry,
-                                parity_operator, parity_restrict,
-                                quantize_closed, quantize_open,
-                                tensor_open_apply_block, walsh_quantize)
-from openbaker.transforms import (MAX_DENSE_DIM, build_walsh, dft_centered,
-                                  tensor_state)
+from openbaker.quantize import (build_toy_diagonal, parity_operator,
+                                parity_restrict, quantize_closed,
+                                quantize_open, tensor_open_apply_block,
+                                walsh_quantize)
+from openbaker.transforms import MAX_DENSE_DIM, build_walsh, dft_centered
+from reference import parity_isometry, tensor_state
 
 
 def unitarity_defect(M):

@@ -10,10 +10,10 @@ from openbaker.quantize import tensor_open_apply_block
 from openbaker.transforms import MAX_DENSE_DIM
 from openbaker.transport import (MAX_RESOLVENT_K, RANDOM_MATRIX_FANO,
                                  SERIES_TOL, SHOT_NOISE_CONSTANT,
-                                 cavity_propagator,
-                                 lead_projectors, transmission_matrix,
+                                 cavity_propagator, transmission_matrix,
                                  transport_asymptotics, transport_quantities,
                                  transport_result)
+from reference import lead_projectors
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
