@@ -9,8 +9,8 @@ from .classical import (B3, B5, CLOSED_B4, OPEN_B4, EscapeGrid,
                         transfer_matrix)
 from .quantize import (build_toy_diagonal, parity_operator, parity_restrict,
                        quantize_closed, quantize_open, walsh_quantize)
-from .spectral import (ClosedFormToySpectrum, SectorQuery, Spectrum, WeylFit,
-                       compare_spectra, count_sector, eigen_spectrum,
+from .spectral import (SectorQuery, Spectrum, WeylFit, compare_spectra,
+                       count_sector, eigen_spectrum,
                        invariant_nonzero_spectrum, profile_curve,
                        toy_closed_spectrum, weyl_fit)
 from .transforms import build_walsh, dft_centered, dft_plain

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import json
 import math
 import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -25,12 +27,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .classical import OpenBakerSpec, escape_grid, fractal_dimensions, transfer_matrix
-from .config import (ConfigError, distinct, get_dimensions, get_float,
-                     get_float_list, get_int, get_int_list, get_spec, get_str,
-                     load_config)
-from .quantize import build_toy_diagonal, parity_restrict, quantize_open, \
-    walsh_quantize
+from .classical import (B3, OpenBakerSpec, escape_grid, fractal_dimensions,
+                        transfer_matrix)
+from .config import (ConfigError, distinct, get_float, get_float_list, get_int,
+                     get_job_sizes, get_spec, get_str, load_config)
+from .quantize import (build_toy_diagonal, parity_restrict, quantize_open,
+                       tensor_open_apply_block)
 from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
                         write_profile_csv, write_spectrum_csv,
                         write_transmission_csv)
@@ -51,7 +53,9 @@ def build_map(family: str, spec: OpenBakerSpec, N: int, variant: str = "W") -> n
         k = round(math.log(N) / math.log(spec.D))
         if spec.D**k != N:
             raise ValueError(f"walsh family needs N = {spec.D}^k, got {N}")
-        return walsh_quantize(spec, k, variant)
+        # walsh_quantize's matrix, applied to the identity: each entry is
+        # one seed entry or an exact zero, so the kernel deflates exactly
+        return tensor_open_apply_block(np.eye(N, dtype=complex), spec, variant)
     raise ValueError(f"unknown map family {family!r}")
 
 
@@ -182,12 +186,14 @@ class JobRunner:
 def _spectrum_params(cfg: dict):
     family = get_str(cfg, "map.family", choices={"dft", "toy", "walsh"})
     spec = get_spec(cfg)
-    if family == "toy" and spec.D != 3:
-        raise ConfigError("toy family requires map.D = 3")
-    dims = get_dimensions(cfg)
+    variant = get_str(cfg, "map.variant", default="W", choices={"V", "W"})
+    # the toy is the "W" Walsh 3-baker B3 and reads no other map
+    if family == "toy" and (spec != B3 or variant != "W"):
+        raise ConfigError("toy family requires map.D = 3, map.kept = 0,2 "
+                          "and map.variant = W")
+    dims = get_job_sizes(cfg, "spectrum.N")
     parity = get_str(cfg, "spectrum.parity", default="full",
                      choices={"even", "odd", "full"})
-    variant = get_str(cfg, "map.variant", default="W", choices={"V", "W"})
     return family, spec, dims, parity, variant
 
 
@@ -252,7 +258,7 @@ def cmd_weyl(cfg, args) -> int:
 
     def fit():
         series = [(s.N, count_sector(s, query)) for s in spectra]
-        write_json(runner.outdir / "weyl_fit.json", weyl_fit(series).as_dict())
+        write_json(runner.outdir / "weyl_fit.json", asdict(weyl_fit(series)))
         return ["weyl_fit.json"]
 
     return runner.step("weyl-fit", fit, missing_N=missing)
@@ -279,9 +285,7 @@ def cmd_profile(cfg, args) -> int:
 
 
 def cmd_toy_check(cfg, args) -> int:
-    ks = distinct("toy.k", get_int_list(cfg, "toy.k"))
-    if any(k < 1 for k in ks):
-        raise ConfigError("toy.k values must be >= 1")
+    ks = get_job_sizes(cfg, "toy.k")
     runner = JobRunner(cfg, args)
 
     def job(k):
@@ -309,13 +313,11 @@ def cmd_toy_check(cfg, args) -> int:
 
 
 def cmd_transport(cfg, args) -> int:
-    ks = distinct("transport.k", get_int_list(cfg, "transport.k"))
+    ks = get_job_sizes(cfg, "transport.k")
     thetas = distinct("transport.theta",
                       get_float_list(cfg, "transport.theta", default=[0.0]))
     method = get_str(cfg, "transport.method", default="resolvent",
                      choices={"resolvent", "series"})
-    if any(k < 1 for k in ks):
-        raise ConfigError("transport.k values must be >= 1")
     runner = JobRunner(cfg, args)
     results = {}
 
@@ -389,31 +391,44 @@ def cmd_classical(cfg, args) -> int:
     return runner.run(jobs)
 
 
+def _describe_manifest(rundir: Path, manifest: dict):
+    """The report lines of a run's manifest, the names of its failed or
+    partial entries, and its listed artifacts missing from `rundir`."""
+    jobs = manifest.get("jobs", [])
+    outputs = manifest.get("outputs", [])
+    lines = [f"run of openbaker {manifest.get('version', '?')}: "
+             f"{len(jobs)} jobs, {len(outputs)} artifacts"]
+    if "environment" in manifest:
+        lines.append("  environment:")
+        lines += [f"    {key}: {value}"
+                  for key, value in manifest["environment"].items()]
+    for job in jobs:
+        lines.append(f"  {job['name']}: {job['status']} ({job['seconds']}s)")
+        for key in ("missing_N", "missing_jobs", "error"):
+            if job.get(key):
+                lines.append(f"    {key.replace('_', ' ')}: {job[key]}")
+        lines += [f"    {key}: {value}"
+                  for key, value in job.get("diagnostics", {}).items()]
+    unfinished = [job["name"] for job in jobs
+                  if job["status"] in ("failed", "partial")]
+    missing = [f for f in outputs if not (rundir / f).exists()]
+    return lines, unfinished, missing
+
+
 def cmd_manifest(args) -> int:
-    path = Path(args.rundir) / "manifest.json"
+    rundir = Path(args.rundir)
+    path = rundir / "manifest.json"
     if not path.exists():
         print(f"no manifest at {path}", file=sys.stderr)
         return 1
-    import json
-    manifest = json.loads(path.read_text())
-    missing = [f for f in manifest.get("outputs", [])
-               if not (Path(args.rundir) / f).exists()]
-    print(f"run of openbaker {manifest.get('version', '?')}: "
-          f"{len(manifest.get('jobs', []))} jobs, "
-          f"{len(manifest.get('outputs', []))} artifacts")
-    if "environment" in manifest:
-        print("  environment:")
-        for key, value in manifest["environment"].items():
-            print(f"    {key}: {value}")
-    for job in manifest.get("jobs", []):
-        print(f"  {job['name']}: {job['status']} ({job['seconds']}s)")
-        for key in ("missing_N", "missing_jobs", "error"):
-            if job.get(key):
-                print(f"    {key.replace('_', ' ')}: {job[key]}")
-        for key, value in job.get("diagnostics", {}).items():
-            print(f"    {key}: {value}")
-    unfinished = [job["name"] for job in manifest.get("jobs", [])
-                  if job["status"] in ("failed", "partial")]
+    try:
+        lines, unfinished, missing = _describe_manifest(
+            rundir, json.loads(path.read_text()))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"unreadable manifest at {path}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
+    print("\n".join(lines))
     if unfinished:
         print(f"failed or partial: {unfinished}", file=sys.stderr)
     if missing:

@@ -125,10 +125,10 @@ def get_spec(cfg: dict) -> OpenBakerSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def get_dimensions(cfg: dict) -> list:
-    """Dimension list `spectrum.N = 20,100,500`, one spectrum job each."""
-    dims = distinct("spectrum.N", get_int_list(cfg, "spectrum.N"))
-    for N in dims:
-        if N < 1:
-            raise ConfigError(f"dimension {N} must be positive")
-    return dims
+def get_job_sizes(cfg: dict, key: str) -> list:
+    """Integer job list such as `spectrum.N = 20,100,500`, `toy.k` or
+    `transport.k`, one job per value: `distinct`, and each value >= 1."""
+    values = distinct(key, get_int_list(cfg, key))
+    if any(v < 1 for v in values):
+        raise ConfigError(f"{key} values must be >= 1")
+    return values

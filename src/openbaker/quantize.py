@@ -71,8 +71,6 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
     """
     B = check_finite(B)
     N = B.shape[0]
-    if B.shape[1] != N:
-        raise ValueError(f"expected a square matrix, got shape {B.shape}")
     R = B[::-1, ::-1]
     # B Pi - Pi B = J (B - R) with J the plain reversal: the same max entry
     comm = np.max(np.abs(B - R))

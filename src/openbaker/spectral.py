@@ -1,5 +1,6 @@
 """Resonance spectra: eigensolving, sector counting, Weyl-law fitting,
-and the closed-form spectrum of the Walsh toy model.
+and the closed-form spectrum of the Walsh toy model, all held as one
+`Spectrum` type.
 
 Eigenvalues of the subunitary open maps play the role of resonances; the
 fractal Weyl law predicts that the number of them outside a radius r
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,8 +164,6 @@ def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "") -> Spec
     ||M|| as `max_residual_rel`.
     """
     M = check_finite(M)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
     dim = M.shape[0]
     check_eig_dim(dim)
     core = _deflate_zero_indices(M)
@@ -234,14 +234,6 @@ class WeylFit:
     points: list
     doubling_ratios: list
 
-    def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "points": self.points,
-            "doubling_ratios": self.doubling_ratios,
-        }
-
 
 def weyl_fit(series) -> WeylFit:
     """Fit the fractal Weyl exponent from (N, count) pairs.
@@ -283,59 +275,28 @@ def profile_curve(spectra, mu: float, r_grid, D: int) -> np.ndarray:
     out = np.empty((len(r_grid), len(spectra)))
     for j, spec in enumerate(spectra):
         scale = (spec.N / D) ** (-mu)
-        mods = spec.moduli()
         for i, r in enumerate(r_grid):
-            out[i, j] = np.count_nonzero(mods > r) * scale
+            out[i, j] = count_sector(spec, SectorQuery(r)) * scale
     return out
 
 
-@dataclass
-class ClosedFormToySpectrum:
-    """Exact spectrum of the Walsh toy 3-baker at N = 3^k.
-
-    Nonzero eigenvalues form a lattice on the circles of modulus
-    3^(-p/2k); the ring-p multiplicities total binomial(k, p).  Zero has
-    multiplicity 3^k - 2^k.
-    """
-
-    k: int
-    entries: list  # (eigenvalue, multiplicity) pairs, zero included
-
-    def nonzero_entries(self) -> list:
-        return [(z, m) for z, m in self.entries if z != 0]
-
-    def ring_of(self, z: complex) -> int:
-        """Ring index p with |z| = 3^(-p/2k)."""
-        return round(-2 * self.k * math.log(abs(z)) / math.log(3.0))
-
-    def ring_totals(self) -> dict:
-        totals: dict[int, int] = {}
-        for z, m in self.nonzero_entries():
-            p = self.ring_of(z)
-            totals[p] = totals.get(p, 0) + m
-        return totals
-
-    def expand(self) -> np.ndarray:
-        vals = []
-        for z, m in self.entries:
-            vals.extend([z] * m)
-        return canonical_order(np.array(vals, dtype=complex))
-
-
-def toy_closed_spectrum(k: int) -> ClosedFormToySpectrum:
-    """Exact eigenvalues of the toy 3-baker with exact multiplicities.
+def toy_closed_spectrum(k: int) -> Spectrum:
+    """Exact spectrum of the Walsh toy 3-baker at N = 3^k, every
+    eigenvalue repeated by its exact multiplicity.
 
     The map acts as a weighted cyclic shift on words over the two nonzero
     eigendirections of G_3^* pi_{0,2} (eigenvalues 1 and i/sqrt(3)).  Each
     cyclic orbit of length d with m minus-symbols per period contributes
     the d d-th roots of 1^(d-m) (i/sqrt 3)^m, which land on the lattice
-    points e^{2 pi i l/k} (i/sqrt 3)^(p/k); summing orbit lengths over the
-    words with p minus-symbols recovers the ring total binomial(k, p).
+    points e^{2 pi i l/k} (i/sqrt 3)^(p/k), rounded to 12 decimals; summing
+    orbit lengths over the words with p minus-symbols recovers the ring
+    total binomial(k, p) on the circle of modulus 3^(-p/2k).  The other
+    3^k - 2^k eigenvalues are exact zeros.
     """
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
     seen: set[int] = set()
-    acc: dict[complex, int] = {}
+    points = []
     for w in range(2**k):
         if w in seen:
             continue
@@ -354,12 +315,9 @@ def toy_closed_spectrum(k: int) -> ClosedFormToySpectrum:
         base_arg = np.angle(prod) / d
         for l in range(d):
             z = mod * np.exp(1j * (base_arg + 2 * np.pi * l / d))
-            key = complex(round(z.real, 12), round(z.imag, 12))
-            acc[key] = acc.get(key, 0) + 1
-    entries = [(z, m) for z, m in sorted(acc.items(), key=lambda t: (-abs(t[0]),
-               np.mod(np.angle(t[0]), 2 * np.pi)))]
-    entries.append((0j, 3**k - 2**k))
-    return ClosedFormToySpectrum(k, entries)
+            points.append(complex(round(z.real, 12), round(z.imag, 12)))
+    return Spectrum(np.concatenate([points, np.zeros(3**k - 2**k)]), N=3**k,
+                    label=f"toy-closed-k{k}")
 
 
 def invariant_nonzero_spectrum(M: np.ndarray, k: int) -> tuple:
@@ -381,8 +339,6 @@ def invariant_nonzero_spectrum(M: np.ndarray, k: int) -> tuple:
     kept and discarded singular values.
     """
     M = check_finite(M)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
     n = M.shape[0]
@@ -417,18 +373,19 @@ class MatchReport:
         return self.unmatched == 0
 
 
-def compare_spectra(spectrum: Spectrum, reference: ClosedFormToySpectrum,
+def compare_spectra(spectrum: Spectrum, reference: Spectrum,
                     tol: float = 1e-8) -> MatchReport:
-    """Greedy nearest-point matching of computed eigenvalues to the
-    closed-form lattice, largest moduli first.
+    """Greedy nearest-point matching of computed eigenvalues to a
+    reference lattice (`toy_closed_spectrum`), largest moduli first.
 
     Reports the worst matched distance, how many pairs exceed tol, and
-    the reference lattice's per-ring totals: the matching uses every
+    the reference's per-ring totals, where ring p holds its nonzero
+    points of modulus 3^(-p/2k) for N = 3^k: the matching uses every
     reference point exactly once, so these are also the per-ring tallies
     of the matched points.
     """
     computed = spectrum.values
-    ref = reference.expand()
+    ref = reference.values
     if len(computed) != len(ref):
         raise ValueError(
             f"dimension mismatch: {len(computed)} computed vs {len(ref)} reference"
@@ -441,4 +398,7 @@ def compare_spectra(spectrum: Spectrum, reference: ClosedFormToySpectrum,
         distances[i] = abs(ref[j] - z)
         alive[j] = False
     unmatched = int(np.count_nonzero(distances > tol))
-    return MatchReport(float(distances.max()), unmatched, reference.ring_totals())
+    k = round(math.log(reference.N, 3))
+    rings = Counter(round(-2 * k * math.log(m) / math.log(3.0))
+                    for m in reference.moduli() if m > 0)
+    return MatchReport(float(distances.max()), unmatched, dict(rings))

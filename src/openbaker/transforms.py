@@ -76,10 +76,10 @@ def build_walsh(D: int, k: int, variant: str = "V") -> np.ndarray:
 
 
 def check_finite(M: np.ndarray) -> np.ndarray:
-    """Validate a dense complex matrix: 2-D, nonempty, finite entries."""
+    """Validate a dense complex matrix: square, nonempty, finite entries."""
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] < 1 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains NaN or Inf entries")
     return M

@@ -11,8 +11,8 @@ import pytest
 
 from openbaker import cli, quantize
 from openbaker.cli import main
-from openbaker.config import (ConfigError, distinct, get_dimensions, get_float,
-                              get_float_list, get_int, get_spec, get_str,
+from openbaker.config import (ConfigError, distinct, get_float, get_float_list,
+                              get_int, get_job_sizes, get_spec, get_str,
                               parse_config)
 from openbaker.serialize import fmt, write_spectrum_csv
 from openbaker.spectral import Spectrum
@@ -66,11 +66,13 @@ def test_get_spec_and_dimensions():
     cfg = parse_config("map.D = 5\nmap.kept = 1,3\nspectrum.N = 20,100,500\n")
     spec = get_spec(cfg)
     assert spec.D == 5 and spec.kept == (1, 3)
-    assert get_dimensions(cfg) == [20, 100, 500]
+    assert get_job_sizes(cfg, "spectrum.N") == [20, 100, 500]
     cfg2 = parse_config("spectrum.N = 9, 27\n")
-    assert get_dimensions(cfg2) == [9, 27]
+    assert get_job_sizes(cfg2, "spectrum.N") == [9, 27]
     with pytest.raises(ConfigError, match="spectrum.N"):
-        get_dimensions(parse_config("x = 1\n"))
+        get_job_sizes(parse_config("x = 1\n"), "spectrum.N")
+    with pytest.raises(ConfigError, match="spectrum.N values must be >= 1"):
+        get_job_sizes(parse_config("spectrum.N = 9, 0\n"), "spectrum.N")
     with pytest.raises(ConfigError):
         get_spec(parse_config("map.D = 3\nmap.kept = 5\n"))
 
@@ -79,15 +81,15 @@ def test_distinct_rejects_a_repeated_value_by_key():
     assert distinct("toy.k", [3, 1, 2]) == [3, 1, 2]
     with pytest.raises(ConfigError, match="transport.theta"):
         distinct("transport.theta", [0.0, 0.3, 0.3])
-    with pytest.raises(ConfigError, match="spectrum.N"):
-        get_dimensions(parse_config("spectrum.N = 9, 27, 9\n"))
+    with pytest.raises(ConfigError, match="spectrum.N: repeated value"):
+        get_job_sizes(parse_config("spectrum.N = 9, 27, 9\n"), "spectrum.N")
 
 
 def test_distinct_rejects_an_empty_list_by_key():
     with pytest.raises(ConfigError, match="toy.k: expected at least one value"):
         distinct("toy.k", [])
-    with pytest.raises(ConfigError, match="spectrum.N"):
-        get_dimensions(parse_config("spectrum.N =\n"))
+    with pytest.raises(ConfigError, match="spectrum.N: expected at least one"):
+        get_job_sizes(parse_config("spectrum.N =\n"), "spectrum.N")
 
 
 # ------------------------------------------------------------- serialize
@@ -317,6 +319,43 @@ def test_cli_manifest_inspection(tmp_path, capsys):
     assert main(["manifest", str(tmp_path / "nowhere")]) == 1
 
 
+@pytest.mark.parametrize("damage", ["truncated", "job-without-status"])
+def test_cli_manifest_reports_an_unreadable_manifest(tmp_path, capsys, damage):
+    cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+                              "spectrum.N = 9\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", cfg, "-o", str(out)]) == 0
+    path = out / "manifest.json"
+    text = path.read_text()
+    if damage == "truncated":
+        path.write_text(text[:len(text) // 2])
+    else:
+        manifest = json.loads(text)
+        del manifest["jobs"][0]["status"]
+        path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["manifest", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"unreadable manifest at {path}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "map.D = 5\nmap.kept = 1,3\n",
+    "map.D = 3\nmap.kept = 1\n",
+    "map.D = 3\nmap.kept = 0,2\nmap.variant = V\n",
+], ids=["D5", "kept1", "variant-V"])
+def test_cli_toy_family_rejects_other_maps(tmp_path, capsys, text):
+    # the toy is B3 with the "W" variant; any other map.D, map.kept or
+    # map.variant would be ignored and its spectra written under its name
+    cfg = write_cfg(tmp_path, "map.family = toy\nspectrum.N = 9\n" + text)
+    out = tmp_path / "out"
+    assert main(["spectrum", cfg, "-o", str(out)]) == 1
+    assert "toy family requires map.D = 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_invalid_config_exits_1(tmp_path):
     cfg = write_cfg(tmp_path, "map.family = warp\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9\n")
@@ -471,6 +510,8 @@ def test_cli_rejects_empty_job_lists(tmp_path, capsys, verb, text, key):
 
 @pytest.mark.parametrize("verb,text,message", [
     ("toy-check", "toy.k = 2,0\n", "toy.k values must be >= 1"),
+    ("spectrum", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+                 "spectrum.N = 9,0\n", "spectrum.N values must be >= 1"),
     ("classical", "map.D = 3\nmap.kept = 0,2\nclassical.toy_k = 0\n",
      "classical.toy_k must be >= 1"),
     ("transport", "transport.k = 0\n", "transport.k values must be >= 1"),
@@ -478,8 +519,8 @@ def test_cli_rejects_empty_job_lists(tmp_path, capsys, verb, text, key):
      "classical.M must be >= 1"),
     ("classical", "map.D = 3\nmap.kept = 0,2\nclassical.tmax = -1\n",
      "classical.tmax must be >= 0"),
-], ids=["toy-k", "classical-toy-k", "transport-k", "classical-M",
-        "classical-tmax"])
+], ids=["toy-k", "spectrum-N", "classical-toy-k", "transport-k",
+        "classical-M", "classical-tmax"])
 def test_cli_rejects_lengths_below_one(tmp_path, capsys, verb, text, message):
     out = tmp_path / "out"
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1

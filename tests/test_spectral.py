@@ -1,6 +1,7 @@
 """Spectral tools: eigensolving with residual checks, sector counting,
 Weyl fits, profile curves, and the closed-form toy spectrum."""
 
+import dataclasses
 import math
 import warnings
 
@@ -139,7 +140,7 @@ def test_weyl_fit_recovers_power_law():
     fit = weyl_fit(series)
     assert fit.slope == pytest.approx(0.4, abs=0.01)
     assert len(fit.doubling_ratios) == 3
-    assert fit.as_dict()["points"][0]["N"] == 20
+    assert dataclasses.asdict(fit)["points"][0]["N"] == 20
 
 
 def test_weyl_fit_needs_two_positive_points():
@@ -175,16 +176,20 @@ def test_profile_curve_validates_grid():
 def test_toy_closed_spectrum_combinatorics(k):
     # [PAPER] ring-p totals binomial(k,p); kernel 3^k - 2^k; total 3^k
     cf = toy_closed_spectrum(k)
-    assert sum(m for _, m in cf.entries) == 3**k
-    assert dict(cf.entries)[0j] == 3**k - 2**k
-    totals = cf.ring_totals()
+    assert len(cf.values) == cf.N == 3**k
+    assert np.count_nonzero(cf.values == 0) == 3**k - 2**k
+    mods = cf.moduli()
+    rings = np.rint(-2 * k * np.log(mods[mods > 0]) / math.log(3.0))
+    assert np.allclose(mods[mods > 0], 3.0 ** (-rings / (2 * k)), atol=1e-12)
+    totals = dict(zip(*np.unique(rings.astype(int), return_counts=True)))
     assert totals == {p: math.comb(k, p) for p in range(k + 1)}
 
 
 def test_toy_closed_spectrum_k1():
     # [PAPER] the two nonzero eigenvalues at k = 1 are 1 and i/sqrt(3)
     cf = toy_closed_spectrum(1)
-    nonzero = sorted((z for z, _ in cf.nonzero_entries()), key=abs, reverse=True)
+    nonzero = cf.values[cf.values != 0]  # canonical order: largest first
+    assert len(nonzero) == 2
     assert nonzero[0] == pytest.approx(1.0)
     assert nonzero[1] == pytest.approx(1j / math.sqrt(3))
 
@@ -392,11 +397,22 @@ def test_toy_spectrum_through_the_dense_verb_path(k):
     assert report.ring_totals == {p: math.comb(k, p) for p in range(k + 1)}
 
 
+@pytest.mark.parametrize("k", [5, 6])
+def test_walsh_family_kernel_is_exact_zeros(k):
+    # [PAPER] the walsh family's B3 "W" map is the toy: its 3^k - 2^k
+    # kernel eigenvalues are exact zeros, not eigensolver scatter, and
+    # only the 2^k core is eigensolved
+    s = map_spectrum("walsh", B3, 3**k, "full", "W")
+    assert s.eig_dim == 2**k
+    assert np.count_nonzero(s.values == 0) == 3**k - 2**k
+    assert compare_spectra(s, toy_closed_spectrum(k), tol=1e-8).unmatched == 0
+
+
 # --------------------------------------------------------------- matching
 
 def test_compare_spectra_detects_perturbation():
     cf = toy_closed_spectrum(2)
-    vals = cf.expand().copy()
+    vals = cf.values.copy()
     vals[0] += 1e-4
     report = compare_spectra(Spectrum(vals, N=9), cf, tol=1e-8)
     assert report.unmatched == 1
