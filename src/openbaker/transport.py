@@ -18,7 +18,7 @@ import numpy as np
 
 from .classical import CLOSED_B4, OPEN_B4
 from .quantize import tensor_open_apply_block, walsh_quantize
-from .transforms import MAX_DENSE_DIM
+from .transforms import MAX_DENSE_DIM, _seed
 
 # Dense resolvent solves are refused above 4^6 = 4096 (memory budget);
 # the truncated series with the tensor-structured apply remains available.
@@ -26,11 +26,6 @@ MAX_RESOLVENT_K = 6
 
 # The bounce series stops once a term's Frobenius norm is below this.
 SERIES_TOL = 1e-12
-
-# The last bounce series run in this process: its term count, the
-# Frobenius norm of its last term and its live lead-1 columns at the end.
-# transport_result copies it into the result's diagnostics.
-_last_series: dict = {}
 
 SHOT_NOISE_CONSTANT = 11.0 / 80.0
 RANDOM_MATRIX_FANO = 1.0 / 8.0
@@ -51,8 +46,8 @@ def _shared_propagator(k: int) -> np.ndarray:
     return U
 
 
-def transmission_matrix(k: int, theta: float = 0.0,
-                        method: str = "resolvent") -> np.ndarray:
+def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
+                        *, return_diagnostics: bool = False):
     """Transmission matrix t(theta) from lead 1 to lead 2, as the
     (N/4) x (N/4) block indexed by the remaining k-1 digits.
 
@@ -64,14 +59,22 @@ def transmission_matrix(k: int, theta: float = 0.0,
     series: the sum over bounce numbers n of
     e^{i n theta} Pi_L2 U (Pi_I U)^(n-1) Pi_L1, truncated when the
     Frobenius norm of the next term drops below SERIES_TOL.
-    Pi_I keeps the interior first digits {1, 2}, so U Pi_I is the
-    matrix-free OPEN_B4 tensor apply; each term is one such apply of an
-    N-row block of the live lead-1 columns, written into one of two
-    blocks reused while no column drops out.  A column drops out once its
-    interior rows are exactly zero, since every later term in it is then
-    exactly zero; after k - 1 terms the live columns are the 2^(k-1)
-    input words {1, 2}^(k-1).  The first block is N x N/4, so k <= 7
-    (MAX_DENSE_DIM).
+    The first term is written straight into t: U sends lead-1 basis
+    column j to the seed's first column on rows 4j..4j+3.  Pi_I keeps the
+    interior first digits {1, 2}, so U Pi_I is the matrix-free OPEN_B4
+    tensor apply; each later term is one such apply of an N-row block of
+    the live lead-1 columns, written into one of two blocks reused while
+    no column drops out.  A column drops out once its interior rows are
+    exactly zero, since every later term in it is then exactly zero: the
+    first block holds the N/8 columns with a row 4j..4j+3 in the interior,
+    and after k - 1 terms the live columns are the 2^(k-1) input words
+    {1, 2}^(k-1).  The first block is N x N/8 and t itself N/4 x N/4, so
+    k <= 7 (MAX_DENSE_DIM): at k = 8, t alone is 4 GiB.
+
+    With return_diagnostics, returns (t, diagnostics): the series records
+    series_terms, the number of terms summed, series_tail_norm, the
+    Frobenius norm of the last one, and series_live_columns, the lead-1
+    columns live at the end; the resolvent records nothing.
     """
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
@@ -91,40 +94,56 @@ def transmission_matrix(k: int, theta: float = 0.0,
         A = -phase * U[interior, interior]
         A[np.diag_indices(2 * n4)] += 1.0
         X = np.linalg.solve(A, phase * U[interior, lead1])
-        return phase * (U[lead2, lead1] + U[lead2, interior] @ X)
-    if method == "series":
+        t, diagnostics = phase * (U[lead2, lead1] + U[lead2, interior] @ X), {}
+    elif method == "series":
         if N > MAX_DENSE_DIM:
             raise ValueError(f"dense dimension 4**{k} exceeds cap {MAX_DENSE_DIM}")
-        n_max = 200 * k
-        t = np.zeros((n4, n4), dtype=complex)
-        live = np.arange(n4)
-        # C holds U (Pi_I U)^(n-1) Pi_L1 applied to the live lead-1 basis
-        # columns.  U Pi_I is the OPEN_B4 apply, which reads only the
-        # interior rows of C, so its lead rows need no zeroing, the
-        # lead-2 rows can be phased in place, and a column with exactly
-        # zero interior rows adds nothing to any later term.
-        C = tensor_open_apply_block(np.eye(N, n4, dtype=complex), CLOSED_B4, "V")
-        UC = np.empty_like(C)
-        for n in range(1, n_max + 1):
-            term = C[3 * n4:]
-            term *= phase**n
-            t[:, live] += term
-            tail = np.linalg.norm(term)
-            if tail < SERIES_TOL:
-                _last_series.update(series_terms=n,
-                                    series_tail_norm=float(tail),
-                                    series_live_columns=len(live))
-                return t
-            alive = C[n4:3 * n4].any(axis=0)
-            if not alive.all():
-                C, live = C.compress(alive, axis=1), live[alive]
-                UC = np.empty_like(C)
-            tensor_open_apply_block(C, OPEN_B4, "V", out=UC)
-            C, UC = UC, C
-        raise RuntimeError(
-            f"transmission series did not converge within {n_max} terms"
-        )
-    raise ValueError(f"method must be 'resolvent' or 'series', got {method!r}")
+        t, diagnostics = _bounce_series(k, phase)
+    else:
+        raise ValueError(f"method must be 'resolvent' or 'series', got {method!r}")
+    return (t, diagnostics) if return_diagnostics else t
+
+
+def _bounce_series(k: int, phase: complex) -> tuple[np.ndarray, dict]:
+    """The bounce series of transmission_matrix and its diagnostics."""
+    N = 4**k
+    n4 = N // 4
+    n_max = 200 * k
+    # U is the CLOSED_B4 apply, which sends lead-1 basis column j (first
+    # digit 0, remaining digits j) to the seed's first column s on rows
+    # 4j..4j+3.  Term 1 is the lead-2 rows among them; the columns with a
+    # row in the interior are the live ones, N/8 of them for k >= 2 (at
+    # k = 1 the one column reaches lead 1, the interior and lead 2).
+    s = _seed(4, "V").conj().T[:, 0]
+    t = np.zeros((n4, n4), dtype=complex)
+    rows = np.arange(3 * n4, N)
+    t[rows - 3 * n4, rows // 4] = phase * s[rows % 4]
+    live = np.unique(np.arange(n4, 3 * n4) // 4)
+    # C holds U (Pi_I U)^(n-1) Pi_L1 applied to the live lead-1 basis
+    # columns.  U Pi_I is the OPEN_B4 apply, which reads only the
+    # interior rows of C, so its lead rows need no zeroing, the lead-2
+    # rows can be phased in place, and a column with exactly zero
+    # interior rows adds nothing to any later term.
+    C = np.zeros((N, len(live)), dtype=complex)
+    C.reshape(n4, 4, len(live))[live, :, np.arange(len(live))] = s
+    UC = np.empty_like(C)
+    for n in range(2, n_max + 1):
+        tensor_open_apply_block(C, OPEN_B4, "V", out=UC)
+        C, UC = UC, C
+        term = C[3 * n4:]
+        term *= phase**n
+        t[:, live] += term
+        tail = np.linalg.norm(term)
+        if tail < SERIES_TOL:
+            return t, {"series_terms": n, "series_tail_norm": float(tail),
+                       "series_live_columns": len(live)}
+        alive = C[n4:3 * n4].any(axis=0)
+        if not alive.all():
+            C, live = C.compress(alive, axis=1), live[alive]
+            UC = np.empty_like(C)
+    raise RuntimeError(
+        f"transmission series did not converge within {n_max} terms"
+    )
 
 
 @dataclass
@@ -137,7 +156,7 @@ class TransportResult:
     g: float
     P: float
     F: float | None
-    # how t was computed (the series' _last_series); not an artifact field
+    # how t was computed and decomposed; not an artifact field
     diagnostics: dict = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> dict:
@@ -153,25 +172,36 @@ class TransportResult:
 
 def transport_quantities(t: np.ndarray, k: int = 0, theta: float = 0.0) -> TransportResult:
     """Transmission eigenvalues (squared singular values of t) and the
-    Landauer conductance, noise power, and Fano factor."""
+    Landauer conductance, noise power, and Fano factor.
+
+    t's exact-zero rows and columns are deleted first: they change no
+    nonzero singular value and add only exact zeros, so only the nonzero
+    core is decomposed (t itself when nothing is deleted), and T is padded
+    with exact zeros to min(t.shape) entries.  The result's diagnostics
+    record the core's (rows, cols) as svd_shape.
+    """
     t = np.asarray(t, dtype=complex)
-    sv = np.linalg.svd(t, compute_uv=False)
-    T = np.sort(sv**2)[::-1]
+    rows, cols = t.any(axis=1), t.any(axis=0)
+    core = t if rows.all() and cols.all() else t[np.ix_(rows, cols)]
+    sv = np.linalg.svd(core, compute_uv=False)
+    T = np.zeros(min(t.shape))
+    T[:len(sv)] = np.sort(sv**2)[::-1]
     g = float(T.sum())
     P = float((T * (1.0 - T)).sum())
     F = P / g if g > 0 else None
-    return TransportResult(k, theta, T, g, P, F)
+    return TransportResult(k, theta, T, g, P, F,
+                           diagnostics={"svd_shape": list(core.shape)})
 
 
 def transport_result(k: int, theta: float = 0.0,
                      method: str = "resolvent") -> TransportResult:
-    """transport_quantities of transmission_matrix(k, theta, method); a
-    series result's `diagnostics` holds series_terms, series_tail_norm
-    and series_live_columns."""
-    res = transport_quantities(transmission_matrix(k, theta, method),
-                               k=k, theta=theta)
-    if method == "series":
-        res.diagnostics = dict(_last_series)
+    """transport_quantities of transmission_matrix(k, theta, method); the
+    result's `diagnostics` holds the series' series_terms,
+    series_tail_norm and series_live_columns (series only), then
+    svd_shape."""
+    t, diagnostics = transmission_matrix(k, theta, method, return_diagnostics=True)
+    res = transport_quantities(t, k=k, theta=theta)
+    res.diagnostics = {**diagnostics, **res.diagnostics}
     return res
 
 

@@ -1,6 +1,7 @@
 """Reference constructions that only the tests use: digit codecs,
 product states, the parity-sector isometry, the lead projectors of the
-Walsh cavity, and a reader for the spectrum CSV.  The package computes
+Walsh cavity, the bounce series started from the full lead-1 basis, and
+a reader for the spectrum CSV.  The package computes
 with faster index folds and slices; these spell out what those compute."""
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from openbaker.quantize import _sector_sign
+from openbaker.classical import CLOSED_B4, OPEN_B4
+from openbaker.quantize import _sector_sign, tensor_open_apply_block
+from openbaker.transport import SERIES_TOL
 
 
 def digit_encode(j: int, D: int, k: int) -> tuple[int, ...]:
@@ -78,6 +81,36 @@ def lead_projectors(k: int):
         (first == 0).astype(float),
         (first == 3).astype(float),
         ((first == 1) | (first == 2)).astype(float),
+    )
+
+
+def eye_start_series(k: int, theta: float) -> np.ndarray:
+    """The bounce series' t started from all N/4 lead-1 basis columns:
+    term 1 is the CLOSED_B4 apply of np.eye(N, N/4), and the columns
+    reaching no interior row drop out only after it."""
+    N = 4**k
+    n4 = N // 4
+    phase = np.exp(1j * theta)
+    n_max = 200 * k
+    t = np.zeros((n4, n4), dtype=complex)
+    live = np.arange(n4)
+    C = tensor_open_apply_block(np.eye(N, n4, dtype=complex), CLOSED_B4, "V")
+    UC = np.empty_like(C)
+    for n in range(1, n_max + 1):
+        term = C[3 * n4:]
+        term *= phase**n
+        t[:, live] += term
+        tail = np.linalg.norm(term)
+        if tail < SERIES_TOL:
+            return t
+        alive = C[n4:3 * n4].any(axis=0)
+        if not alive.all():
+            C, live = C.compress(alive, axis=1), live[alive]
+            UC = np.empty_like(C)
+        tensor_open_apply_block(C, OPEN_B4, "V", out=UC)
+        C, UC = UC, C
+    raise RuntimeError(
+        f"transmission series did not converge within {n_max} terms"
     )
 
 

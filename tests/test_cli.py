@@ -207,7 +207,8 @@ def test_cli_transport_post_step_over_failed_job_is_partial(tmp_path, capsys):
 
 def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
     # each series job records its term count, last-term norm and live
-    # lead-1 columns; resolvent jobs record none
+    # lead-1 columns; every transport job records the shape of the
+    # nonzero core of t that was decomposed
     cfg = write_cfg(tmp_path, "transport.k = 2,3\ntransport.theta = 0.3\n"
                               "transport.method = series\n")
     out = tmp_path / "out"
@@ -227,11 +228,18 @@ def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
     assert "    series_terms: 106\n" in printed
     assert "    series_live_columns: 4\n" in printed
     assert printed.count("series_tail_norm: ") == 2
+    # the series' t is zero in the lead-1 columns that never reach lead 2
+    assert "    svd_shape: [16, 10]\n" in printed
     resolvent = tmp_path / "resolvent"
     cfg = write_cfg(tmp_path, "transport.k = 2\ntransport.theta = 0.3\n")
     assert main(["transport", cfg, "-o", str(resolvent)]) == 0
-    assert all("diagnostics" not in j for j in
-               json.loads((resolvent / "manifest.json").read_text())["jobs"])
+    jobs = {j["name"]: j for j in
+            json.loads((resolvent / "manifest.json").read_text())["jobs"]}
+    assert jobs["transport-k2-theta0"]["diagnostics"] == {"svd_shape": [4, 4]}
+    assert "diagnostics" not in jobs["transport-asymptotics"]
+    capsys.readouterr()
+    assert main(["manifest", str(resolvent)]) == 0
+    assert "    svd_shape: [4, 4]\n" in capsys.readouterr().out
 
 
 def test_cli_classical(tmp_path):

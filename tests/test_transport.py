@@ -13,7 +13,7 @@ from openbaker.transport import (MAX_RESOLVENT_K, RANDOM_MATRIX_FANO,
                                  cavity_propagator, transmission_matrix,
                                  transport_asymptotics, transport_quantities,
                                  transport_result)
-from reference import lead_projectors
+from reference import eye_start_series, lead_projectors
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -78,15 +78,16 @@ def reference_series(k, theta, tol=1e-12):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_series_matches_dense_reference_loop(k, monkeypatch):
-    # one tensor apply per term, the same number of terms as the dense
-    # loop, and the same sum up to rounding
+    # one tensor apply per term after the first, which is written
+    # straight into t; the same number of terms as the dense loop, and the
+    # same sum up to rounding
     calls = []
     real = transport.tensor_open_apply_block
     monkeypatch.setattr(transport, "tensor_open_apply_block",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
     t_ref, n_ref = reference_series(k, 0.3)
     t = transmission_matrix(k, 0.3, "series")
-    assert len(calls) == n_ref
+    assert len(calls) == n_ref - 1
     assert np.max(np.abs(t - t_ref)) < 1e-13
 
 
@@ -119,6 +120,16 @@ def test_series_dropping_dead_columns_matches_full_width_loop(k):
     assert diag["series_terms"] == n_ref
     assert diag["series_tail_norm"] == pytest.approx(tail_ref, rel=1e-12)
     assert diag["series_tail_norm"] < SERIES_TOL
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_series_first_term_matches_eye_start(k, theta):
+    # term 1 written from the seed column, then the N x N/8 block of the
+    # columns that reach the interior: the same arithmetic as applying U
+    # to np.eye(N, N/4) and dropping the dead columns after it
+    assert np.array_equal(transmission_matrix(k, theta, "series"),
+                          eye_start_series(k, theta))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -226,16 +237,27 @@ def test_transmission_matrix_validation():
 
 
 def test_series_refuses_oversized_blocks_before_allocating(monkeypatch):
-    # the series' dense N x N/4 blocks are refused above MAX_DENSE_DIM
-    # (k = 8), before the first one is allocated; k = 7 still starts
-    def eye(*args, **kwargs):
+    # the series' N-row blocks are refused above MAX_DENSE_DIM (k = 8),
+    # before any is allocated; k = 7 starts from an N x N/8 block
+    def allocate(*args, **kwargs):
         raise RuntimeError("dense series block allocated")
 
-    monkeypatch.setattr(np, "eye", eye)
-    with pytest.raises(ValueError, match=f"exceeds cap {MAX_DENSE_DIM}"):
-        transmission_matrix(8, 0.3, "series")
-    with pytest.raises(RuntimeError, match="allocated"):
+    with monkeypatch.context() as patch:
+        for name in ("eye", "zeros", "empty", "empty_like", "zeros_like"):
+            patch.setattr(np, name, allocate)
+        with pytest.raises(ValueError, match=f"exceeds cap {MAX_DENSE_DIM}"):
+            transmission_matrix(8, 0.3, "series")
+
+    shapes = []
+
+    def first_apply(X, *args, **kwargs):
+        shapes.append(X.shape)
+        raise RuntimeError("first apply reached")
+
+    monkeypatch.setattr(transport, "tensor_open_apply_block", first_apply)
+    with pytest.raises(RuntimeError, match="first apply reached"):
         transmission_matrix(7, 0.3, "series")
+    assert shapes == [(4**7, 4**7 // 8)]
 
 
 def test_transport_quantities_on_known_matrix():
@@ -245,6 +267,44 @@ def test_transport_quantities_on_known_matrix():
     assert res.g == pytest.approx(1.25)
     assert res.P == pytest.approx(0.25 * 0.75)
     assert res.F == pytest.approx(0.1875 / 1.25)
+
+
+def zeroed(shape, rows=(), cols=()):
+    """A deterministic random contraction with exact-zero rows and columns."""
+    rng = np.random.default_rng(sum(shape) + len(rows) + 3 * len(cols))
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    t[list(rows)] = 0.0
+    t[:, list(cols)] = 0.0
+    return t / np.linalg.norm(t, 2)
+
+
+@pytest.mark.parametrize("t, svd_shape", [
+    (zeroed((6, 6)), [6, 6]),
+    (zeroed((6, 6), rows=(0, 4)), [4, 6]),
+    (zeroed((6, 6), cols=(1, 2, 5)), [6, 3]),
+    (zeroed((7, 5), rows=(3,), cols=(0, 4)), [6, 3]),
+    (zeroed((5, 8), rows=(1, 2), cols=(0, 3, 6, 7)), [3, 4]),
+    (np.zeros((4, 4), dtype=complex), [0, 0]),
+    (np.zeros((3, 5), dtype=complex), [0, 0]),
+])
+def test_transport_quantities_decomposes_only_the_nonzero_core(t, svd_shape,
+                                                               monkeypatch):
+    # deleting exact-zero rows and columns keeps every nonzero singular
+    # value; T is padded with exact zeros to min(t.shape) entries, and t
+    # itself is decomposed when nothing is deleted
+    decomposed = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, **kw: decomposed.append(a) or real(a, **kw))
+    res = transport_quantities(t)
+    full = np.sort(real(t, compute_uv=False) ** 2)[::-1]
+    assert res.T.shape == (min(t.shape),)
+    assert np.max(np.abs(res.T - full)) <= 1e-14
+    assert np.all(res.T[min(svd_shape):] == 0.0)
+    assert res.diagnostics == {"svd_shape": svd_shape}
+    assert decomposed[0].shape == tuple(svd_shape)
+    if svd_shape == list(t.shape):
+        assert decomposed[0] is t
 
 
 def test_transport_quantities_zero_matrix():
