@@ -51,11 +51,17 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     """Transmission matrix t(theta) from lead 1 to lead 2, as the
     (N/4) x (N/4) block indexed by the remaining k-1 digits.
 
-    resolvent: e^{i theta} Pi_L2 U (I - e^{i theta} Pi_I U)^{-1} Pi_L1.
-    The lead rows of I - e^{i theta} Pi_I U are rows of the identity, so
-    only the interior block is solved:
-    t = e^{i theta} (U_{L2,L1} + U_{L2,I} X_I) with
-    (I - e^{i theta} U_{I,I}) X_I = e^{i theta} U_{I,L1}.
+    resolvent: e^{i theta} Pi_L2 U (I - e^{i theta} Pi_I U)^{-1} Pi_L1,
+    eliminated along the digits.  Let P_j be the words whose digits
+    1..j+1 lie in {1, 2}, so P_0 is the interior.  U sends d_1 ... d_k to
+    d_2 ... d_k b: P_{j+1} into P_j, and the rest of P_j into
+    P_{j-1} - P_j (into the leads for j = 0), so the system is triangular.
+    Only the 2^k words of the core {1, 2}^k can bounce forever: they alone
+    are solved for, then each level outward, and lead 2 last, is one
+    product with the level inside it.  Only the N/8 lead-1 columns with a
+    row in the interior are carried (the one column at k = 1); the others
+    of t are e^{i theta} U_{L2,L1}.  U's entries off this structure are
+    walsh_quantize rounding and are not read.
     series: the sum over bounce numbers n of
     e^{i n theta} Pi_L2 U (Pi_I U)^(n-1) Pi_L1, truncated when the
     Frobenius norm of the next term drops below SERIES_TOL.
@@ -74,14 +80,14 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     With return_diagnostics, returns (t, diagnostics): the series records
     series_terms, the number of terms summed, series_tail_norm, the
     Frobenius norm of the last one, and series_live_columns, the lead-1
-    columns live at the end; the resolvent records nothing.
+    columns live at the end; the resolvent records solve_dim, the
+    dimension 2^k of its one dense solve.
     """
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
     if not math.isfinite(theta):
         raise ValueError(f"quasi-energy must be finite, got {theta}")
     N = 4**k
-    n4 = N // 4
     phase = np.exp(1j * theta)
     if method == "resolvent":
         if k > MAX_RESOLVENT_K:
@@ -89,12 +95,7 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
                 f"dense resolvent capped at k = {MAX_RESOLVENT_K}; "
                 "use method='series'"
             )
-        U = _shared_propagator(k)
-        lead1, interior, lead2 = slice(0, n4), slice(n4, 3 * n4), slice(3 * n4, N)
-        A = -phase * U[interior, interior]
-        A[np.diag_indices(2 * n4)] += 1.0
-        X = np.linalg.solve(A, phase * U[interior, lead1])
-        t, diagnostics = phase * (U[lead2, lead1] + U[lead2, interior] @ X), {}
+        t, diagnostics = _trapped_resolvent(k, phase)
     elif method == "series":
         if N > MAX_DENSE_DIM:
             raise ValueError(f"dense dimension 4**{k} exceeds cap {MAX_DENSE_DIM}")
@@ -102,6 +103,28 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     else:
         raise ValueError(f"method must be 'resolvent' or 'series', got {method!r}")
     return (t, diagnostics) if return_diagnostics else t
+
+
+def _trapped_resolvent(k: int, phase: complex) -> tuple[np.ndarray, dict]:
+    """The resolvent of transmission_matrix and its diagnostics."""
+    n4 = 4 ** (k - 1)
+    U = _shared_propagator(k)
+    # trapped[:, j] marks P_j; its last column is the core
+    words = np.arange(4 * n4)[:, None] // 4 ** np.arange(k - 1, -1, -1) % 4
+    trapped = np.logical_and.accumulate((words == 1) | (words == 2), axis=1)
+    cols = np.unique(np.arange(n4, 3 * n4) // 4)
+    rows = trapped[:, -1]
+    A = -phase * U[np.ix_(rows, rows)]
+    A[np.diag_indices(len(A))] += 1.0
+    X = np.linalg.solve(A, phase * U[np.ix_(rows, cols)])
+    # rows: P_{j-1} - P_j, fed by the level inside it; lead 2 last
+    for j in range(k - 1, -1, -1):
+        prev = rows
+        rows = trapped[:, j - 1] & ~trapped[:, j] if j else words[:, 0] == 3
+        X = phase * (U[np.ix_(rows, cols)] + U[np.ix_(rows, prev)] @ X)
+    t = phase * U[3 * n4:, :n4]
+    t[:, cols] = X
+    return t, {"solve_dim": len(A)}
 
 
 def _bounce_series(k: int, phase: complex) -> tuple[np.ndarray, dict]:
@@ -196,8 +219,8 @@ def transport_quantities(t: np.ndarray, k: int = 0, theta: float = 0.0) -> Trans
 def transport_result(k: int, theta: float = 0.0,
                      method: str = "resolvent") -> TransportResult:
     """transport_quantities of transmission_matrix(k, theta, method); the
-    result's `diagnostics` holds the series' series_terms,
-    series_tail_norm and series_live_columns (series only), then
+    result's `diagnostics` holds the resolvent's solve_dim or the series'
+    series_terms, series_tail_norm and series_live_columns, then
     svd_shape."""
     t, diagnostics = transmission_matrix(k, theta, method, return_diagnostics=True)
     res = transport_quantities(t, k=k, theta=theta)

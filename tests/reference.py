@@ -1,7 +1,8 @@
 """Reference constructions that only the tests use: digit codecs,
 product states, the parity-sector isometry, the lead projectors of the
-Walsh cavity, the bounce series started from the full lead-1 basis, and
-a reader for the spectrum CSV.  The package computes
+Walsh cavity, the resolvent solved on the whole interior block, the
+bounce series started from the full lead-1 basis, and a reader for the
+spectrum CSV.  The package computes
 with faster index folds and slices; these spell out what those compute."""
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from openbaker.classical import CLOSED_B4, OPEN_B4
 from openbaker.quantize import _sector_sign, tensor_open_apply_block
-from openbaker.transport import SERIES_TOL
+from openbaker.transport import SERIES_TOL, _shared_propagator
 
 
 def digit_encode(j: int, D: int, k: int) -> tuple[int, ...]:
@@ -82,6 +83,23 @@ def lead_projectors(k: int):
         (first == 3).astype(float),
         ((first == 1) | (first == 2)).astype(float),
     )
+
+
+def interior_block_resolvent(k: int, theta: float) -> np.ndarray:
+    """The resolvent's t from the whole interior block: the lead rows of
+    I - e^{i theta} Pi_I U are rows of the identity, so
+    t = e^{i theta} (U_{L2,L1} + U_{L2,I} X_I) with
+    (I - e^{i theta} U_{I,I}) X_I = e^{i theta} U_{I,L1}, an (N/2)^2 solve
+    with N/4 right-hand sides."""
+    N = 4**k
+    n4 = N // 4
+    phase = np.exp(1j * theta)
+    U = _shared_propagator(k)
+    lead1, interior, lead2 = slice(0, n4), slice(n4, 3 * n4), slice(3 * n4, N)
+    A = -phase * U[interior, interior]
+    A[np.diag_indices(2 * n4)] += 1.0
+    X = np.linalg.solve(A, phase * U[interior, lead1])
+    return phase * (U[lead2, lead1] + U[lead2, interior] @ X)
 
 
 def eye_start_series(k: int, theta: float) -> np.ndarray:

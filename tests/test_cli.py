@@ -235,11 +235,14 @@ def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
     assert main(["transport", cfg, "-o", str(resolvent)]) == 0
     jobs = {j["name"]: j for j in
             json.loads((resolvent / "manifest.json").read_text())["jobs"]}
-    assert jobs["transport-k2-theta0"]["diagnostics"] == {"svd_shape": [4, 4]}
+    assert jobs["transport-k2-theta0"]["diagnostics"] == {"solve_dim": 4,
+                                                          "svd_shape": [4, 4]}
     assert "diagnostics" not in jobs["transport-asymptotics"]
     capsys.readouterr()
     assert main(["manifest", str(resolvent)]) == 0
-    assert "    svd_shape: [4, 4]\n" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "    solve_dim: 4\n" in printed
+    assert "    svd_shape: [4, 4]\n" in printed
 
 
 def test_cli_classical(tmp_path):

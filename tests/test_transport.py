@@ -13,7 +13,8 @@ from openbaker.transport import (MAX_RESOLVENT_K, RANDOM_MATRIX_FANO,
                                  cavity_propagator, transmission_matrix,
                                  transport_asymptotics, transport_quantities,
                                  transport_result)
-from reference import eye_start_series, lead_projectors
+from reference import (eye_start_series, interior_block_resolvent,
+                       lead_projectors)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -180,6 +181,65 @@ def test_interior_block_resolvent_matches_full_solve(k, theta):
     t = transmission_matrix(k, theta, "resolvent")
     assert t.shape == t_full.shape
     assert np.max(np.abs(t - t_full)) < 1e-12
+
+
+@pytest.mark.parametrize("k, theta", [(k, theta) for k in (1, 2, 3, 4, 5)
+                                      for theta in (0.0, 0.3, 2.1)]
+                         + [(6, 0.3)])
+def test_trapped_resolvent_matches_interior_block_solve(k, theta):
+    # the elimination solves only the 2^k core {1, 2}^k; at k = 1 that is
+    # the whole interior, and the one lead-1 column reaches it
+    t_ref = interior_block_resolvent(k, theta)
+    t, diagnostics = transmission_matrix(k, theta, return_diagnostics=True)
+    assert diagnostics == {"solve_dim": 2**k}
+    assert t.shape == t_ref.shape
+    assert np.max(np.abs(t - t_ref)) <= 1e-12
+    res, ref = transport_quantities(t), transport_quantities(t_ref)
+    assert np.max(np.abs(np.sort(res.T) - np.sort(ref.T))) <= 1e-12
+    assert abs(res.g - ref.g) <= 1e-12 * max(abs(ref.g), 1.0)
+    assert abs(res.P - ref.P) <= 1e-12 * max(abs(ref.P), 1.0)
+
+
+def test_series_matches_resolvent_at_k6():
+    # the series sums bounces, the resolvent eliminates along the digits:
+    # both use the digit structure, but independently
+    t_res = transmission_matrix(6, 0.3, "resolvent")
+    t_ser = transmission_matrix(6, 0.3, "series")
+    assert np.max(np.abs(t_res - t_ser)) <= 1e-12
+
+
+def trapped_levels(k):
+    """Masks of P_0 ... P_{k-1} over the 4^k words: P_j holds the words
+    whose first j + 1 base-4 digits all lie in {1, 2}."""
+    words = [np.base_repr(w, 4).zfill(k) for w in range(4**k)]
+    return [np.array([set(w[:j + 1]) <= {"1", "2"} for w in words])
+            for j in range(k)]
+
+
+# k = 6 first, so it reuses the propagator the k = 6 tests above built
+@pytest.mark.parametrize("k", [6, 5, 4, 3, 2])
+def test_trapped_resolvent_reads_only_the_digit_structure(k):
+    # the elimination treats these blocks as zero: U sends P_{j+1} into
+    # P_j and the rest of P_j out of it, and a lead-1 word whose second
+    # digit is 0 or 3 never enters the interior.  They are exact zeros of
+    # the tensor apply and rounding in the propagator the resolvent reads
+    # (cavity_propagator(k), shared), so a changed propagator fails here
+    # rather than giving a wrong t.
+    N = 4**k
+    levels = trapped_levels(k)
+    second = np.arange(N) // 4 ** (k - 2) % 4
+    uncarried = (np.arange(N) < N // 4) & ((second == 0) | (second == 3))
+    blocks = [(levels[0], uncarried)]
+    for outer, inner in zip(levels, levels[1:]):
+        blocks += [(outer, outer & ~inner), (~outer, inner)]
+    exact = tensor_open_apply_block(np.eye(N), CLOSED_B4, "V")
+    for rows, cols in blocks:
+        assert cols.any()
+        assert not exact[np.ix_(rows, cols)].any()
+    del exact
+    U = transport._shared_propagator(k)
+    for rows, cols in blocks:
+        assert np.max(np.abs(U[np.ix_(rows, cols)])) <= 1e-15
 
 
 def test_resolvent_propagator_memo_follows_k():
