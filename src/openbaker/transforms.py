@@ -15,12 +15,6 @@ import numpy as np
 MAX_DENSE_DIM = 2 ** 14
 
 
-def digit_reversal_permutation(D: int, k: int) -> np.ndarray:
-    """perm[j] = index whose base-D word is the reverse of j's word."""
-    n = D**k
-    return np.arange(n).reshape((D,) * k).transpose(range(k - 1, -1, -1)).ravel()
-
-
 def dft_centered(N: int) -> np.ndarray:
     """Centered DFT: entries N^(-1/2) exp(-2 pi i (j+1/2)(j'+1/2) / N).
 
@@ -56,9 +50,9 @@ def build_walsh(D: int, k: int, variant: str = "V") -> np.ndarray:
 
     Variant "V" uses plain-DFT phases exp(-2 pi i eps eps' / D) digit by
     digit; variant "W" the half-integer phases (eps+1/2)(eps'+1/2).  Both
-    equal the digit-reversal permutation composed with the k-fold tensor
-    power of the D-dimensional seed transform, hence are unitary.  k = 0
-    returns the 1x1 identity.
+    are the k-fold tensor power of the seed F with its row digits reversed,
+    hence unitary: row block b at length k is W_{k-1} (x) F[b, :], one
+    broadcast product per digit.  k = 0 returns the 1x1 identity.
     """
     if D < 2:
         raise ValueError(f"base must be >= 2, got {D}")
@@ -71,8 +65,9 @@ def build_walsh(D: int, k: int, variant: str = "V") -> np.ndarray:
     F = _seed(D, variant)
     M = F
     for _ in range(k - 1):
-        M = np.kron(M, F)
-    return M[digit_reversal_permutation(D, k)]
+        n = len(M)
+        M = (M[None, :, :, None] * F[:, None, None, :]).reshape(D * n, n * D)
+    return M
 
 
 def check_finite(M: np.ndarray) -> np.ndarray:

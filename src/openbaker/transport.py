@@ -60,8 +60,8 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     are solved for, then each level outward, and lead 2 last, is one
     product with the level inside it.  Only the N/8 lead-1 columns with a
     row in the interior are carried (the one column at k = 1); the others
-    of t are e^{i theta} U_{L2,L1}.  U's entries off this structure are
-    walsh_quantize rounding and are not read.
+    of t hold only term 1, written as in the series.  U's entries off this
+    structure are walsh_quantize rounding and are not read.
     series: the sum over bounce numbers n of
     e^{i n theta} Pi_L2 U (Pi_I U)^(n-1) Pi_L1, truncated when the
     Frobenius norm of the next term drops below SERIES_TOL.
@@ -105,12 +105,28 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     return (t, diagnostics) if return_diagnostics else t
 
 
+def _words(k: int) -> np.ndarray:
+    """Base-4 digits of the 4^k words of length k, one row per word."""
+    return np.arange(4**k)[:, None] // 4 ** np.arange(k - 1, -1, -1) % 4
+
+
+def _first_term(k: int, phase: complex) -> tuple[np.ndarray, np.ndarray]:
+    """t holding only term 1, and the seed's first column s, which U puts
+    on rows 4j..4j+3 for lead-1 basis column j."""
+    n4 = 4 ** (k - 1)
+    s = _seed(4, "V").conj().T[:, 0]
+    t = np.zeros((n4, n4), dtype=complex)
+    rows = np.arange(3 * n4, 4 * n4)
+    t[rows - 3 * n4, rows // 4] = phase * s[rows % 4]
+    return t, s
+
+
 def _trapped_resolvent(k: int, phase: complex) -> tuple[np.ndarray, dict]:
     """The resolvent of transmission_matrix and its diagnostics."""
     n4 = 4 ** (k - 1)
     U = _shared_propagator(k)
     # trapped[:, j] marks P_j; its last column is the core
-    words = np.arange(4 * n4)[:, None] // 4 ** np.arange(k - 1, -1, -1) % 4
+    words = _words(k)
     trapped = np.logical_and.accumulate((words == 1) | (words == 2), axis=1)
     cols = np.unique(np.arange(n4, 3 * n4) // 4)
     rows = trapped[:, -1]
@@ -122,7 +138,7 @@ def _trapped_resolvent(k: int, phase: complex) -> tuple[np.ndarray, dict]:
         prev = rows
         rows = trapped[:, j - 1] & ~trapped[:, j] if j else words[:, 0] == 3
         X = phase * (U[np.ix_(rows, cols)] + U[np.ix_(rows, prev)] @ X)
-    t = phase * U[3 * n4:, :n4]
+    t = _first_term(k, phase)[0]
     t[:, cols] = X
     return t, {"solve_dim": len(A)}
 
@@ -132,15 +148,9 @@ def _bounce_series(k: int, phase: complex) -> tuple[np.ndarray, dict]:
     N = 4**k
     n4 = N // 4
     n_max = 200 * k
-    # U is the CLOSED_B4 apply, which sends lead-1 basis column j (first
-    # digit 0, remaining digits j) to the seed's first column s on rows
-    # 4j..4j+3.  Term 1 is the lead-2 rows among them; the columns with a
-    # row in the interior are the live ones, N/8 of them for k >= 2 (at
-    # k = 1 the one column reaches lead 1, the interior and lead 2).
-    s = _seed(4, "V").conj().T[:, 0]
-    t = np.zeros((n4, n4), dtype=complex)
-    rows = np.arange(3 * n4, N)
-    t[rows - 3 * n4, rows // 4] = phase * s[rows % 4]
+    t, s = _first_term(k, phase)
+    # the live columns have a row 4j..4j+3 in the interior: N/8 of them for
+    # k >= 2 (at k = 1 the one column reaches lead 1, the interior and lead 2)
     live = np.unique(np.arange(n4, 3 * n4) // 4)
     # C holds U (Pi_I U)^(n-1) Pi_L1 applied to the live lead-1 basis
     # columns.  U Pi_I is the OPEN_B4 apply, which reads only the
@@ -216,16 +226,36 @@ def transport_quantities(t: np.ndarray, k: int = 0, theta: float = 0.0) -> Trans
                            diagnostics={"svd_shape": list(core.shape)})
 
 
+def _exit_digits(k: int) -> np.ndarray:
+    """Digit by which each lead-1 channel 0 d_2 ... d_k leaves the cavity,
+    -1 for the trapped words {1, 2}^(k-1): U shifts the digits left, so the
+    channel leaves whole at its first d_i in {0, 3} (3: lead 2, 0: lead 1)."""
+    exits = np.full(4 ** (k - 1), -1)
+    for d in _words(k - 1)[:, ::-1].T:  # d_k first, so the first d_i wins
+        exits = np.where((d == 0) | (d == 3), d, exits)
+    return exits
+
+
 def transport_result(k: int, theta: float = 0.0,
                      method: str = "resolvent") -> TransportResult:
-    """transport_quantities of transmission_matrix(k, theta, method); the
-    result's `diagnostics` holds the resolvent's solve_dim or the series'
-    series_terms, series_tail_norm and series_live_columns, then
-    svd_shape."""
+    """transport_quantities of transmission_matrix(k, theta, method), with
+    only t's 2^(k-1) trapped columns decomposed.  Every other channel
+    leaves whole (_exit_digits), so ||t_j|| is exactly 1 or 0; S = [r; t]
+    is unitary, so r_j = 0 where ||t_j|| = 1, and t_j is orthogonal to the
+    other columns.  Its T is exactly 1.0 or 0.0 and adds exactly 0 to P.
+    `diagnostics` holds the method's (solve_dim, or the series_* keys),
+    then closed_form_channels, [transmitted, reflected], and svd_shape."""
     t, diagnostics = transmission_matrix(k, theta, method, return_diagnostics=True)
-    res = transport_quantities(t, k=k, theta=theta)
-    res.diagnostics = {**diagnostics, **res.diagnostics}
-    return res
+    exits = _exit_digits(k)
+    core = transport_quantities(t[:, exits < 0], k=k, theta=theta)
+    opened, closed = int((exits == 3).sum()), int((exits == 0).sum())
+    # a trapped channel may transmit fully too: T = 1 + 4e-16 at k = 4, theta = 0
+    T = np.sort(np.concatenate([np.ones(opened), core.T, np.zeros(closed)]))[::-1]
+    g = opened + core.g
+    return TransportResult(
+        k, theta, T, g, core.P, core.P / g if g > 0 else None,
+        diagnostics={**diagnostics, "closed_form_channels": [opened, closed],
+                     **core.diagnostics})
 
 
 def transport_asymptotics(results) -> dict:

@@ -1,9 +1,9 @@
-"""Reference constructions that only the tests use: digit codecs,
-product states, the parity-sector isometry, the lead projectors of the
-Walsh cavity, the resolvent solved on the whole interior block, the
-bounce series started from the full lead-1 basis, and a reader for the
-spectrum CSV.  The package computes
-with faster index folds and slices; these spell out what those compute."""
+"""Reference constructions that only the tests use: digit codecs, the
+digit-reversal permutation, product states, the parity-sector isometry,
+the lead projectors of the Walsh cavity, the resolvent solved on the
+whole interior block, the bounce series started from the full lead-1
+basis, and a reader for the spectrum CSV.  The package computes with
+faster index folds and slices; these spell out what those compute."""
 
 from __future__ import annotations
 
@@ -39,6 +39,12 @@ def digit_decode(word, D: int) -> int:
             raise ValueError(f"digit {eps} out of range for base {D}")
         j = j * D + eps
     return j
+
+
+def digit_reversal_permutation(D: int, k: int) -> np.ndarray:
+    """perm[j] = index whose base-D word is the reverse of j's word."""
+    n = D**k
+    return np.arange(n).reshape((D,) * k).transpose(range(k - 1, -1, -1)).ravel()
 
 
 def tensor_state(factors) -> np.ndarray:

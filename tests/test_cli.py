@@ -207,8 +207,8 @@ def test_cli_transport_post_step_over_failed_job_is_partial(tmp_path, capsys):
 
 def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
     # each series job records its term count, last-term norm and live
-    # lead-1 columns; every transport job records the shape of the
-    # nonzero core of t that was decomposed
+    # lead-1 columns; every transport job records its closed-form channels
+    # and the shape of the trapped columns of t that were decomposed
     cfg = write_cfg(tmp_path, "transport.k = 2,3\ntransport.theta = 0.3\n"
                               "transport.method = series\n")
     out = tmp_path / "out"
@@ -228,21 +228,24 @@ def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
     assert "    series_terms: 106\n" in printed
     assert "    series_live_columns: 4\n" in printed
     assert printed.count("series_tail_norm: ") == 2
-    # the series' t is zero in the lead-1 columns that never reach lead 2
-    assert "    svd_shape: [16, 10]\n" in printed
+    # at k = 3, 6 lead-1 channels are transmitted and 6 reflected whole;
+    # only the 4 trapped ones reach the SVD
+    assert "    closed_form_channels: [6, 6]\n" in printed
+    assert "    svd_shape: [16, 4]\n" in printed
     resolvent = tmp_path / "resolvent"
     cfg = write_cfg(tmp_path, "transport.k = 2\ntransport.theta = 0.3\n")
     assert main(["transport", cfg, "-o", str(resolvent)]) == 0
     jobs = {j["name"]: j for j in
             json.loads((resolvent / "manifest.json").read_text())["jobs"]}
-    assert jobs["transport-k2-theta0"]["diagnostics"] == {"solve_dim": 4,
-                                                          "svd_shape": [4, 4]}
+    assert jobs["transport-k2-theta0"]["diagnostics"] == {
+        "solve_dim": 4, "closed_form_channels": [1, 1], "svd_shape": [4, 2]}
     assert "diagnostics" not in jobs["transport-asymptotics"]
     capsys.readouterr()
     assert main(["manifest", str(resolvent)]) == 0
     printed = capsys.readouterr().out
     assert "    solve_dim: 4\n" in printed
-    assert "    svd_shape: [4, 4]\n" in printed
+    assert "    closed_form_channels: [1, 1]\n" in printed
+    assert "    svd_shape: [4, 2]\n" in printed
 
 
 def test_cli_classical(tmp_path):

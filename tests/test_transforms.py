@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openbaker.transforms import (MAX_DENSE_DIM, build_walsh, dft_centered,
-                                  dft_plain, digit_reversal_permutation)
-from reference import digit_decode, digit_encode, tensor_state
+                                  dft_plain)
+from reference import (digit_decode, digit_encode, digit_reversal_permutation,
+                       tensor_state)
 
 
 def unitarity_defect(M):

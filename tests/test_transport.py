@@ -208,6 +208,29 @@ def test_series_matches_resolvent_at_k6():
     assert np.max(np.abs(t_res - t_ser)) <= 1e-12
 
 
+def exit_digit_reference(k):
+    """For each lead-1 word 0 d_2 ... d_k, the first of d_2 ... d_k in
+    {0, 3}, or -1 when they all lie in {1, 2}, read from base-4 strings."""
+    words = [np.base_repr(j, 4).zfill(k - 1) if k > 1 else ""
+             for j in range(4 ** (k - 1))]
+    return np.array([int(next((d for d in w if d in "03"), -1))
+                     for w in words])
+
+
+def closed_form_count(k):
+    """2^(k-2)(2^(k-1)-1): the lead-1 channels transmitted whole, and as
+    many reflected whole."""
+    return 2 ** (k - 1) * (2 ** (k - 1) - 1) // 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_exit_digits_read_the_first_lead_digit(k):
+    exits = transport._exit_digits(k)
+    assert np.array_equal(exits, exit_digit_reference(k))
+    assert (exits == 3).sum() == (exits == 0).sum() == closed_form_count(k)
+    assert (exits == -1).sum() == 2 ** (k - 1)
+
+
 def trapped_levels(k):
     """Masks of P_0 ... P_{k-1} over the 4^k words: P_j holds the words
     whose first j + 1 base-4 digits all lie in {1, 2}."""
@@ -240,6 +263,61 @@ def test_trapped_resolvent_reads_only_the_digit_structure(k):
     U = transport._shared_propagator(k)
     for rows, cols in blocks:
         assert np.max(np.abs(U[np.ix_(rows, cols)])) <= 1e-15
+
+
+# k = 2 first, where the test above ends
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_closed_form_channels_are_whole_and_orthogonal(k):
+    # the premise of transport_result's split, on the dense resolvent's t:
+    # a channel that leaves through lead 2 has ||t_j|| = 1, one that leaves
+    # through lead 1 has t_j = 0, and either is orthogonal to every other
+    # column of t, so t*t is block diagonal
+    exits = transport._exit_digits(k)
+    trivial = np.flatnonzero(exits >= 0)
+    assert len(trivial) == 2 * closed_form_count(k)
+    second = np.arange(4 ** (k - 1)) // 4 ** (k - 2)
+    for theta in (0.0, 0.3):
+        t = transmission_matrix(k, theta)
+        # term 1 is written from the seed column, not read from U
+        assert not t[:, second == 0].any()
+        norms = np.sum(np.abs(t) ** 2, axis=0)
+        assert np.max(np.abs(norms[exits == 3] - 1.0)) <= 1e-12
+        assert np.max(norms[exits == 0]) <= 1e-12
+        gram = t[:, trivial].conj().T @ t
+        gram[np.arange(len(trivial)), trivial] = 0.0
+        assert np.max(np.abs(gram)) <= 1e-12
+
+
+def assert_split_matches_full_svd(k, theta, method):
+    # only the trapped columns are decomposed; T, g, P and F match the SVD
+    # of the whole t, and T is descending with exact 1.0 and 0.0 for the
+    # closed-form channels
+    res = transport_result(k, theta, method)
+    full = transport_quantities(transmission_matrix(k, theta, method))
+    n = closed_form_count(k)
+    assert res.diagnostics["closed_form_channels"] == [n, n]
+    assert res.diagnostics["svd_shape"] == [4 ** (k - 1), 2 ** (k - 1)]
+    assert res.T.shape == full.T.shape == (4 ** (k - 1),)
+    assert np.all(np.diff(res.T) <= 0.0)
+    assert np.sum(res.T == 1.0) >= n and np.sum(res.T == 0.0) >= n
+    assert np.max(np.abs(res.T - full.T)) <= 1e-12
+    for q in ("g", "P", "F"):
+        got, want = getattr(res, q), getattr(full, q)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+# k = 6 first, so it reuses the propagator the test above built
+@pytest.mark.parametrize("k", [6, 5, 4, 3, 2, 1])
+@pytest.mark.parametrize("method", ["resolvent", "series"])
+def test_split_matches_full_svd(k, method):
+    for theta in (0.0, 0.3):
+        assert_split_matches_full_svd(k, theta, method)
+
+
+@pytest.mark.parametrize("method", ["resolvent", "series"])
+def test_split_matches_full_svd_at_criterion_7_thetas(method):
+    for theta in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
+        assert_split_matches_full_svd(4, theta, method)
 
 
 def test_resolvent_propagator_memo_follows_k():
