@@ -7,6 +7,7 @@ faster index folds and slices; these spell out what those compute."""
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -91,12 +92,14 @@ def lead_projectors(k: int):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def interior_block_resolvent(k: int, theta: float) -> np.ndarray:
     """The resolvent's t from the whole interior block: the lead rows of
     I - e^{i theta} Pi_I U are rows of the identity, so
     t = e^{i theta} (U_{L2,L1} + U_{L2,I} X_I) with
     (I - e^{i theta} U_{I,I}) X_I = e^{i theta} U_{I,L1}, an (N/2)^2 solve
-    with N/4 right-hand sides."""
+    with N/4 right-hand sides (about 4.5 s at k = 6).  Memoized per
+    (k, theta) and returned read-only."""
     N = 4**k
     n4 = N // 4
     phase = np.exp(1j * theta)
@@ -105,7 +108,9 @@ def interior_block_resolvent(k: int, theta: float) -> np.ndarray:
     A = -phase * U[interior, interior]
     A[np.diag_indices(2 * n4)] += 1.0
     X = np.linalg.solve(A, phase * U[interior, lead1])
-    return phase * (U[lead2, lead1] + U[lead2, interior] @ X)
+    t = phase * (U[lead2, lead1] + U[lead2, interior] @ X)
+    t.flags.writeable = False
+    return t
 
 
 def eye_start_series(k: int, theta: float) -> np.ndarray:

@@ -206,9 +206,9 @@ def test_cli_transport_post_step_over_failed_job_is_partial(tmp_path, capsys):
 
 
 def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
-    # each series job records its term count, last-term norm and live
-    # lead-1 columns; every transport job records its closed-form channels
-    # and the shape of the trapped columns of t that were decomposed
+    # each series job records its term count and last-term norm; every
+    # transport job records its closed-form channels and the shape of the
+    # trapped columns of t that were decomposed
     cfg = write_cfg(tmp_path, "transport.k = 2,3\ntransport.theta = 0.3\n"
                               "transport.method = series\n")
     out = tmp_path / "out"
@@ -218,7 +218,8 @@ def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
     for k in (2, 3):
         diag = jobs[f"transport-k{k}-theta0"]["diagnostics"]
         assert diag == transport_result(k, 0.3, "series").diagnostics
-        assert diag["series_live_columns"] == 2 ** (k - 1)
+        assert set(diag) == {"series_terms", "series_tail_norm",
+                             "closed_form_channels", "svd_shape"}
         assert 0.0 < diag["series_tail_norm"] < 1e-12
     assert diag["series_terms"] == 106
     assert "diagnostics" not in jobs["transport-asymptotics"]
@@ -226,7 +227,6 @@ def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
     assert main(["manifest", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "    series_terms: 106\n" in printed
-    assert "    series_live_columns: 4\n" in printed
     assert printed.count("series_tail_norm: ") == 2
     # at k = 3, 6 lead-1 channels are transmitted and 6 reflected whole;
     # only the 4 trapped ones reach the SVD

@@ -4,7 +4,7 @@ transmission matrices, and Landauer quantities."""
 import numpy as np
 import pytest
 
-from openbaker import transport
+from openbaker import quantize, transport
 from openbaker.classical import CLOSED_B4, OPEN_B4
 from openbaker.quantize import tensor_open_apply_block
 from openbaker.transforms import MAX_DENSE_DIM
@@ -79,8 +79,8 @@ def reference_series(k, theta, tol=1e-12):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_series_matches_dense_reference_loop(k, monkeypatch):
-    # one tensor apply per term after the first, which is written
-    # straight into t; the same number of terms as the dense loop, and the
+    # one tensor apply per term after the first, which starts from the
+    # seed column; the same number of terms as the dense loop, and the
     # same sum up to rounding
     calls = []
     real = transport.tensor_open_apply_block
@@ -112,9 +112,9 @@ def full_width_series(k, theta):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_series_dropping_dead_columns_matches_full_width_loop(k):
-    # a lead-1 column whose interior rows are exactly zero adds exactly
-    # zero to every later term, so dropping it changes neither t nor the
-    # number of terms
+    # every lead-1 column but the trapped ones leaves whole, at a single
+    # bounce, so carrying only the trapped columns and writing the others
+    # in closed form changes neither t nor the number of terms
     t_ref, n_ref, tail_ref = full_width_series(k, 0.3)
     assert np.max(np.abs(transmission_matrix(k, 0.3, "series") - t_ref)) <= 1e-14
     diag = transport_result(k, 0.3, "series").diagnostics
@@ -126,19 +126,33 @@ def test_series_dropping_dead_columns_matches_full_width_loop(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("theta", [0.0, 0.3])
 def test_series_first_term_matches_eye_start(k, theta):
-    # term 1 written from the seed column, then the N x N/8 block of the
-    # columns that reach the interior: the same arithmetic as applying U
-    # to np.eye(N, N/4) and dropping the dead columns after it
+    # the leaving columns in closed form and the N x 2^(k-1) block of the
+    # trapped ones started from the seed column: the same arithmetic as
+    # applying U to np.eye(N, N/4) and dropping the dead columns after it
     assert np.array_equal(transmission_matrix(k, theta, "series"),
                           eye_start_series(k, theta))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-def test_series_ends_on_the_interior_input_words(k):
-    # after k - 1 bounces only inputs whose k - 1 remaining digits are
-    # all interior ({1, 2}^(k-1)) still reach the interior
+def test_series_ends_on_the_interior_input_words(k, monkeypatch):
+    # the inputs whose k - 1 remaining digits are all interior
+    # ({1, 2}^(k-1)) are the only columns the series carries, from its
+    # first apply to its last
+    shapes = []
+    real = transport.tensor_open_apply_block
+    monkeypatch.setattr(transport, "tensor_open_apply_block",
+                        lambda X, *a, **kw: shapes.append(X.shape) or real(X, *a, **kw))
     diag = transport_result(k, 0.3, "series").diagnostics
-    assert diag["series_live_columns"] == 2 ** (k - 1)
+    assert shapes == [(4**k, 2 ** (k - 1))] * (diag["series_terms"] - 1)
+
+
+@pytest.mark.parametrize("k, terms", enumerate([104, 105, 106, 107, 109, 110], 1))
+def test_series_terms_are_pinned(k, terms):
+    # a trapped channel's first k - 1 terms are exactly zero, so a stop
+    # test that read them would end the series after one term
+    diag = transport_result(k, 0.3, "series").diagnostics
+    assert diag["series_terms"] == terms
+    assert 0.0 < diag["series_tail_norm"] < SERIES_TOL
 
 
 def test_series_calls_do_not_share_state():
@@ -183,9 +197,13 @@ def test_interior_block_resolvent_matches_full_solve(k, theta):
     assert np.max(np.abs(t - t_full)) < 1e-12
 
 
-@pytest.mark.parametrize("k, theta", [(k, theta) for k in (1, 2, 3, 4, 5)
-                                      for theta in (0.0, 0.3, 2.1)]
-                         + [(6, 0.3)])
+# the interior-block solves the tests compare against, memoized: the
+# k = 6 one takes about 4.5 s, so it is solved at one quasi-energy only
+REFERENCE_CASES = [(k, theta) for k in (1, 2, 3, 4, 5)
+                   for theta in (0.0, 0.3, 2.1)] + [(6, 0.3)]
+
+
+@pytest.mark.parametrize("k, theta", REFERENCE_CASES)
 def test_trapped_resolvent_matches_interior_block_solve(k, theta):
     # the elimination solves only the 2^k core {1, 2}^k; at k = 1 that is
     # the whole interior, and the one lead-1 column reaches it
@@ -225,10 +243,13 @@ def closed_form_count(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_exit_digits_read_the_first_lead_digit(k):
-    exits = transport._exit_digits(k)
+    run, exits = transport._leading_runs(k - 1)
     assert np.array_equal(exits, exit_digit_reference(k))
     assert (exits == 3).sum() == (exits == 0).sum() == closed_form_count(k)
     assert (exits == -1).sum() == 2 ** (k - 1)
+    words = [np.base_repr(j, 4).zfill(k - 1) if k > 1 else ""
+             for j in range(4 ** (k - 1))]
+    assert np.array_equal(run, [len(w) - len(w.lstrip("12")) for w in words])
 
 
 def trapped_levels(k):
@@ -243,16 +264,18 @@ def trapped_levels(k):
 @pytest.mark.parametrize("k", [6, 5, 4, 3, 2])
 def test_trapped_resolvent_reads_only_the_digit_structure(k):
     # the elimination treats these blocks as zero: U sends P_{j+1} into
-    # P_j and the rest of P_j out of it, and a lead-1 word whose second
-    # digit is 0 or 3 never enters the interior.  They are exact zeros of
-    # the tensor apply and rounding in the propagator the resolvent reads
-    # (cavity_propagator(k), shared), so a changed propagator fails here
-    # rather than giving a wrong t.
+    # P_j and the rest of P_j out of it.  It skips every lead-1 word but
+    # {1, 2}^(k-1): one whose leading run of interior digits c_1 ... c_j
+    # ends at j < k - 1 never enters P_j, so never reaches the core.
+    # They are exact zeros of the tensor apply and rounding in the
+    # propagator the resolvent reads (cavity_propagator(k), shared), so a
+    # changed propagator fails here rather than giving a wrong t.
     N = 4**k
     levels = trapped_levels(k)
-    second = np.arange(N) // 4 ** (k - 2) % 4
-    uncarried = (np.arange(N) < N // 4) & ((second == 0) | (second == 3))
-    blocks = [(levels[0], uncarried)]
+    run = np.zeros(N, dtype=int)
+    run[:N // 4] = transport._leading_runs(k - 1)[0]
+    lead1 = np.arange(N) < N // 4
+    blocks = [(levels[j], lead1 & (run == j)) for j in range(k - 1)]
     for outer, inner in zip(levels, levels[1:]):
         blocks += [(outer, outer & ~inner), (~outer, inner)]
     exact = tensor_open_apply_block(np.eye(N), CLOSED_B4, "V")
@@ -265,27 +288,39 @@ def test_trapped_resolvent_reads_only_the_digit_structure(k):
         assert np.max(np.abs(U[np.ix_(rows, cols)])) <= 1e-15
 
 
-# k = 2 first, where the test above ends
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_closed_form_channels_are_whole_and_orthogonal(k):
-    # the premise of transport_result's split, on the dense resolvent's t:
-    # a channel that leaves through lead 2 has ||t_j|| = 1, one that leaves
-    # through lead 1 has t_j = 0, and either is orthogonal to every other
-    # column of t, so t*t is block diagonal
-    exits = transport._exit_digits(k)
+    # the premise of transport_result's split, on the interior-block
+    # solve's t, which knows nothing of the split: a channel that leaves
+    # through lead 2 has ||t_j|| = 1, one that leaves through lead 1 has
+    # t_j = 0, and either is orthogonal to every other column of t, so
+    # t*t is block diagonal
+    exits = transport._leading_runs(k - 1)[1]
     trivial = np.flatnonzero(exits >= 0)
     assert len(trivial) == 2 * closed_form_count(k)
-    second = np.arange(4 ** (k - 1)) // 4 ** (k - 2)
-    for theta in (0.0, 0.3):
-        t = transmission_matrix(k, theta)
-        # term 1 is written from the seed column, not read from U
-        assert not t[:, second == 0].any()
+    for theta in [theta for kk, theta in REFERENCE_CASES if kk == k]:
+        t = interior_block_resolvent(k, theta)
         norms = np.sum(np.abs(t) ** 2, axis=0)
         assert np.max(np.abs(norms[exits == 3] - 1.0)) <= 1e-12
         assert np.max(norms[exits == 0]) <= 1e-12
         gram = t[:, trivial].conj().T @ t
         gram[np.arange(len(trivial)), trivial] = 0.0
         assert np.max(np.abs(gram)) <= 1e-12
+
+
+@pytest.mark.parametrize("k, theta", REFERENCE_CASES)
+def test_closed_form_columns_match_both_references(k, theta):
+    # each leaving column is its one bounce term: the same arithmetic as
+    # the series applied to every lead-1 column, and the interior-block
+    # solve up to walsh_quantize rounding; the trapped columns are left
+    # zero for the method to fill
+    t = transport._closed_form(k, np.exp(1j * theta))
+    exits = exit_digit_reference(k)
+    leaving = np.flatnonzero(exits >= 0)
+    assert not t[:, exits < 0].any()
+    assert np.array_equal(t[:, leaving], eye_start_series(k, theta)[:, leaving])
+    t_ref = interior_block_resolvent(k, theta)
+    assert np.max(np.abs(t - t_ref)[:, leaving], initial=0.0) <= 1e-15
 
 
 def assert_split_matches_full_svd(k, theta, method):
@@ -359,6 +394,29 @@ def test_resolvent_results_do_not_share_state():
     assert np.max(np.abs(transmission_matrix(3, 0.3) - expected)) < 1e-14
 
 
+def sentinel(name):
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return called
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_methods_keep_the_benchmark_call_pattern(k, monkeypatch):
+    # the cavity benchmarks require this call pattern: the resolvent never
+    # applies the tensor propagator, and the series never builds U or
+    # solves a dense system
+    with monkeypatch.context() as patch:
+        for module in (quantize, transport):
+            patch.setattr(module, "tensor_open_apply_block",
+                          sentinel("tensor_open_apply_block"))
+        transport_result(k, 0.3, "resolvent")
+    for name in ("cavity_propagator", "_shared_propagator", "walsh_quantize"):
+        monkeypatch.setattr(transport, name, sentinel(name))
+    monkeypatch.setattr(quantize, "walsh_quantize", sentinel("walsh_quantize"))
+    monkeypatch.setattr(np.linalg, "solve", sentinel("np.linalg.solve"))
+    transport_result(k, 0.3, "series")
+
+
 def test_transmission_matrix_validation():
     with pytest.raises(ValueError):
         transmission_matrix(0)
@@ -376,7 +434,7 @@ def test_transmission_matrix_validation():
 
 def test_series_refuses_oversized_blocks_before_allocating(monkeypatch):
     # the series' N-row blocks are refused above MAX_DENSE_DIM (k = 8),
-    # before any is allocated; k = 7 starts from an N x N/8 block
+    # before any is allocated; k = 7 carries an N x 2^6 block
     def allocate(*args, **kwargs):
         raise RuntimeError("dense series block allocated")
 
@@ -395,7 +453,7 @@ def test_series_refuses_oversized_blocks_before_allocating(monkeypatch):
     monkeypatch.setattr(transport, "tensor_open_apply_block", first_apply)
     with pytest.raises(RuntimeError, match="first apply reached"):
         transmission_matrix(7, 0.3, "series")
-    assert shapes == [(4**7, 4**7 // 8)]
+    assert shapes == [(4**7, 2**6)]
 
 
 def test_transport_quantities_on_known_matrix():
@@ -405,44 +463,6 @@ def test_transport_quantities_on_known_matrix():
     assert res.g == pytest.approx(1.25)
     assert res.P == pytest.approx(0.25 * 0.75)
     assert res.F == pytest.approx(0.1875 / 1.25)
-
-
-def zeroed(shape, rows=(), cols=()):
-    """A deterministic random contraction with exact-zero rows and columns."""
-    rng = np.random.default_rng(sum(shape) + len(rows) + 3 * len(cols))
-    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    t[list(rows)] = 0.0
-    t[:, list(cols)] = 0.0
-    return t / np.linalg.norm(t, 2)
-
-
-@pytest.mark.parametrize("t, svd_shape", [
-    (zeroed((6, 6)), [6, 6]),
-    (zeroed((6, 6), rows=(0, 4)), [4, 6]),
-    (zeroed((6, 6), cols=(1, 2, 5)), [6, 3]),
-    (zeroed((7, 5), rows=(3,), cols=(0, 4)), [6, 3]),
-    (zeroed((5, 8), rows=(1, 2), cols=(0, 3, 6, 7)), [3, 4]),
-    (np.zeros((4, 4), dtype=complex), [0, 0]),
-    (np.zeros((3, 5), dtype=complex), [0, 0]),
-])
-def test_transport_quantities_decomposes_only_the_nonzero_core(t, svd_shape,
-                                                               monkeypatch):
-    # deleting exact-zero rows and columns keeps every nonzero singular
-    # value; T is padded with exact zeros to min(t.shape) entries, and t
-    # itself is decomposed when nothing is deleted
-    decomposed = []
-    real = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda a, **kw: decomposed.append(a) or real(a, **kw))
-    res = transport_quantities(t)
-    full = np.sort(real(t, compute_uv=False) ** 2)[::-1]
-    assert res.T.shape == (min(t.shape),)
-    assert np.max(np.abs(res.T - full)) <= 1e-14
-    assert np.all(res.T[min(svd_shape):] == 0.0)
-    assert res.diagnostics == {"svd_shape": svd_shape}
-    assert decomposed[0].shape == tuple(svd_shape)
-    if svd_shape == list(t.shape):
-        assert decomposed[0] is t
 
 
 def test_transport_quantities_zero_matrix():
