@@ -31,8 +31,8 @@ from .classical import (B3, OpenBakerSpec, escape_grid, fractal_dimensions,
                         transfer_matrix)
 from .config import (ConfigError, distinct, get_float, get_float_list, get_int,
                      get_job_sizes, get_spec, get_str, load_config)
-from .quantize import (build_toy_diagonal, parity_restrict, quantize_open,
-                       tensor_open_apply_block)
+from .quantize import (_sector_sign, build_toy_diagonal, parity_restrict,
+                       quantize_open, tensor_open_apply_block)
 from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
                         write_profile_csv, write_spectrum_csv,
                         write_transmission_csv)
@@ -62,6 +62,8 @@ def build_map(family: str, spec: OpenBakerSpec, N: int, variant: str = "W") -> n
 def map_spectrum(family: str, spec: OpenBakerSpec, N: int, parity: str,
                  variant: str = "W") -> Spectrum:
     """Spectrum of one map, parity-reduced when requested."""
+    if parity != "full":
+        _sector_sign(N, parity)  # an odd N fails before the N x N build
     check_eig_dim(N if parity == "full" else N // 2)
     M = build_map(family, spec, N, variant)
     label = f"{family}-D{spec.D}-kept{''.join(map(str, spec.kept))}-N{N}-{parity}"
@@ -113,11 +115,13 @@ def _run_environment() -> dict:
 class JobRunner:
     """One verb's run after its config is parsed: resolves the output
     directory, runs independent jobs in order (BLAS parallelizes within
-    each), isolating per-job failures, then post-steps on their results,
-    and rewrites the run manifest after the jobs and after each step,
-    listing the entries by name.  A job returns the names of its
-    artifacts, or a pair (artifacts, diagnostics dict) whose dict the
-    job's manifest entry records under `diagnostics`."""
+    each), isolating per-job failures, and rewrites the run manifest
+    after the jobs and after the step, listing the entries by name.  A
+    job returns the names of its artifacts, or a pair (artifacts,
+    diagnostics dict) whose dict the job's manifest entry records under
+    `diagnostics`.  After `run`, a verb calls `step` at most once, always,
+    even when every job failed: the step writes the one artifact it
+    names from the jobs that succeeded and lists the failed ones."""
 
     def __init__(self, cfg: dict, args):
         self.outdir = Path(args.output or cfg.get("output.dir", "."))
@@ -137,12 +141,16 @@ class JobRunner:
         self.write_manifest()
         return self.exit_code
 
-    def step(self, name: str, fn, **missing) -> int:
-        """Run `fn`, a step on the finished jobs' results that returns the
-        names of its artifacts, record it, and rewrite the manifest.
-        `missing_N` or `missing_jobs` lists inputs the step lacks because
-        their jobs failed; a nonempty list is recorded under its keyword
-        and makes the step partial."""
+    def step(self, name: str, fname: str, write, **missing) -> int:
+        """Run `write(outdir / fname)`, a step on the finished jobs'
+        results that writes the one artifact `fname`, record it, and
+        rewrite the manifest.  `missing_N` or `missing_jobs` lists inputs
+        the step lacks because their jobs failed; a nonempty list is
+        recorded under its keyword and makes the step partial."""
+        def fn():
+            write(self.outdir / fname)
+            return [fname]
+
         self._record("step", name, fn, **missing)
         self.write_manifest()
         return self.exit_code
@@ -183,7 +191,11 @@ class JobRunner:
         write_json(self.outdir / "manifest.json", manifest)
 
 
-def _spectrum_params(cfg: dict):
+def _run_spectra(cfg: dict, args):
+    """Read the map and spectrum keys and run one spectrum job per
+    `spectrum.N` value.  Returns the runner, the map's spec, the spectra
+    of the jobs that succeeded in dimension order, and the dimensions
+    whose jobs failed."""
     family = get_str(cfg, "map.family", choices={"dft", "toy", "walsh"})
     spec = get_spec(cfg)
     variant = get_str(cfg, "map.variant", default="W", choices={"V", "W"})
@@ -194,15 +206,6 @@ def _spectrum_params(cfg: dict):
     dims = get_job_sizes(cfg, "spectrum.N")
     parity = get_str(cfg, "spectrum.parity", default="full",
                      choices={"even", "odd", "full"})
-    return family, spec, dims, parity, variant
-
-
-def _run_spectra(cfg: dict, args, params):
-    """Run one spectrum job per dimension of `params` (as returned by
-    `_spectrum_params`).  Returns the runner, the spectra of the jobs
-    that succeeded in dimension order, and the dimensions whose jobs
-    failed."""
-    family, spec, dims, parity, variant = params
     runner = JobRunner(cfg, args)
     store: dict = {}
 
@@ -215,12 +218,12 @@ def _run_spectra(cfg: dict, args, params):
                          "max_residual_rel": s.max_residual_rel}
 
     runner.run([(f"spectrum-N{N}", partial(job, N)) for N in dims])
-    return (runner, [store[N] for N in dims if N in store],
+    return (runner, spec, [store[N] for N in dims if N in store],
             [N for N in dims if N not in store])
 
 
 def cmd_spectrum(cfg, args) -> int:
-    return _run_spectra(cfg, args, _spectrum_params(cfg))[0].exit_code
+    return _run_spectra(cfg, args)[0].exit_code
 
 
 def _sector_query(r: float, theta: float = 0.0, rho: float = math.pi) -> SectorQuery:
@@ -232,36 +235,23 @@ def _sector_query(r: float, theta: float = 0.0, rho: float = math.pi) -> SectorQ
         raise ConfigError(str(exc)) from exc
 
 
-def _counts(spectra, queries):
-    return [(s.N, q.r, count_sector(s, q)) for s in spectra for q in queries]
-
-
 def cmd_count(cfg, args) -> int:
-    radii = get_float_list(cfg, "count.radii", default=[])
+    radii = distinct("count.radii", get_float_list(cfg, "count.radii"))
     theta = get_float(cfg, "sector.theta", default=0.0)
     rho = get_float(cfg, "sector.rho", default=math.pi)
     queries = [_sector_query(r, theta, rho) for r in radii]
-    runner, spectra, missing = _run_spectra(cfg, args, _spectrum_params(cfg))
-    if not queries:
-        return runner.exit_code
-
-    def counts():
-        write_counts_csv(runner.outdir / "counts.csv", _counts(spectra, queries))
-        return ["counts.csv"]
-
-    return runner.step("counts", counts, missing_N=missing)
+    runner, _, spectra, missing = _run_spectra(cfg, args)
+    return runner.step("counts", "counts.csv", lambda path: write_counts_csv(
+        path, [(s.N, q.r, count_sector(s, q)) for s in spectra for q in queries]),
+        missing_N=missing)
 
 
 def cmd_weyl(cfg, args) -> int:
     query = _sector_query(get_float(cfg, "weyl.r"))
-    runner, spectra, missing = _run_spectra(cfg, args, _spectrum_params(cfg))
-
-    def fit():
-        series = [(s.N, count_sector(s, query)) for s in spectra]
-        write_json(runner.outdir / "weyl_fit.json", asdict(weyl_fit(series)))
-        return ["weyl_fit.json"]
-
-    return runner.step("weyl-fit", fit, missing_N=missing)
+    runner, _, spectra, missing = _run_spectra(cfg, args)
+    return runner.step("weyl-fit", "weyl_fit.json", lambda path: write_json(
+        path, asdict(weyl_fit([(s.N, count_sector(s, query)) for s in spectra]))),
+        missing_N=missing)
 
 
 def cmd_profile(cfg, args) -> int:
@@ -270,18 +260,11 @@ def cmd_profile(cfg, args) -> int:
         check_profile_radii(radii)
     except ValueError as exc:  # "radii must be ...": prefix the section
         raise ConfigError(f"profile.{exc}") from exc
-    params = _spectrum_params(cfg)
-    spec = params[1]
+    runner, spec, spectra, missing = _run_spectra(cfg, args)
     mu = math.log(spec.s) / math.log(spec.D)
-    runner, spectra, missing = _run_spectra(cfg, args, params)
-
-    def profile():
-        table = profile_curve(spectra, mu, radii, spec.D)
-        write_profile_csv(runner.outdir / "profile.csv", radii,
-                          [s.N for s in spectra], table)
-        return ["profile.csv"]
-
-    return runner.step("profile", profile, missing_N=missing)
+    return runner.step("profile", "profile.csv", lambda path: write_profile_csv(
+        path, radii, [s.N for s in spectra],
+        profile_curve(spectra, mu, radii, spec.D)), missing_N=missing)
 
 
 def cmd_toy_check(cfg, args) -> int:
@@ -331,19 +314,12 @@ def cmd_transport(cfg, args) -> int:
 
     names = {(k, i): f"transport-k{k}-theta{i}"
              for k in ks for i in range(len(thetas))}
-    code = runner.run([(name, partial(job, *key)) for key, name in names.items()])
-    if not results:
-        return code
-
-    def summary():
-        report = transport_asymptotics([results[key] for key in names
-                                        if key in results])
-        write_json(runner.outdir / "transport_asymptotics.json", report)
-        return ["transport_asymptotics.json"]
-
-    return runner.step("transport-asymptotics", summary,
-                       missing_jobs=[name for key, name in names.items()
-                                     if key not in results])
+    runner.run([(name, partial(job, *key)) for key, name in names.items()])
+    return runner.step(
+        "transport-asymptotics", "transport_asymptotics.json",
+        lambda path: write_json(path, transport_asymptotics(
+            [results[key] for key in names if key in results])),
+        missing_jobs=[name for key, name in names.items() if key not in results])
 
 
 def cmd_classical(cfg, args) -> int:

@@ -102,9 +102,11 @@ def get_float_list(cfg: dict, key: str, default=None) -> list:
 
 def distinct(key: str, values: list) -> list:
     """`values` unchanged, for a list key whose values each name one job
-    (spectrum.N, toy.k, transport.k, transport.theta): an empty list
-    would run no job and report success, and a repeated value would run
-    the same job twice under one name, so both are rejected."""
+    (spectrum.N, toy.k, transport.k, transport.theta) or one count per
+    spectrum (count.radii): an empty list would run no job or write no
+    counts and report success, and a repeated value would run the same
+    job twice under one name or count the same radius twice, so both
+    are rejected."""
     if not values:
         raise ConfigError(f"{key}: expected at least one value")
     seen = set()

@@ -71,6 +71,7 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
     """
     B = check_finite(B)
     N = B.shape[0]
+    sign = _sector_sign(N, sector)
     R = B[::-1, ::-1]
     # B Pi - Pi B = J (B - R) with J the plain reversal: the same max entry
     comm = np.max(np.abs(B - R))
@@ -78,7 +79,6 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
         raise ValueError(
             f"matrix does not commute with parity: max commutator entry {comm:.3e}"
         )
-    sign = _sector_sign(N, sector)
     h = N // 2
     mirrored = B[:h, N - 1:h - 1:-1] + R[:h, N - 1:h - 1:-1]
     return 0.5 * (B[:h, :h] + R[:h, :h] + sign * mirrored)
@@ -114,35 +114,25 @@ def walsh_quantize(spec: OpenBakerSpec, k: int, variant: str = "W") -> np.ndarra
                                spec.kept, build_walsh(spec.D, k - 1, variant))
 
 
-def tensor_open_apply_block(X: np.ndarray, spec: OpenBakerSpec, variant: str = "W",
-                            out: np.ndarray | None = None) -> np.ndarray:
+def tensor_open_apply_block(X: np.ndarray, spec: OpenBakerSpec,
+                            variant: str = "W") -> np.ndarray:
     """Matrix-free application of the Walsh-quantized baker to each column
     of an (N, m) array:
     v_1 x ... x v_k  ->  v_2 x ... x v_k x (S pi_kept v_1),
     with seed S = G_D^* (variant W) or F_D^* (variant V).
 
-    One batched product out[r, b, :] = sum_a S[b, a] X[a, r, :] over the
-    first digits a from the smallest to the largest kept one, written
-    straight into natural (N, m) order.  Only those digit blocks of X are
-    read; removed digits inside that range enter through zeroed seed
-    columns.  When `out` is given, a C-contiguous complex (N, m) array
-    that shares no memory with X, the result is written into it and it
-    is returned; otherwise a new array is allocated."""
+    One batched product Y[r, b, :] = sum_a S[b, a] X[a, r, :] over the
+    first digits a from the smallest to the largest kept one, which is
+    the new (N, m) array in natural order.  Only those digit blocks of X
+    are read; removed digits inside that range enter through zeroed seed
+    columns."""
     X = np.asarray(X, dtype=complex)
     N, m = X.shape
     D = spec.D
     if N % D != 0:
         raise ValueError(f"state length {N} is not divisible by {D}")
-    if out is None:
-        out = np.empty((N, m), dtype=complex)
-    elif (out.shape != (N, m) or out.dtype != np.complex128
-          or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous complex ({N}, {m}) array")
-    elif np.shares_memory(out, X):
-        raise ValueError("out must not share memory with X")
     lo, hi = spec.kept[0], spec.kept[-1] + 1
     seed = _seed(D, variant).conj().T[:, lo:hi]
     seed[:, [a - lo for a in range(lo, hi) if a not in spec.kept]] = 0.0
-    np.matmul(seed, X.reshape(D, N // D, m)[lo:hi].transpose(1, 0, 2),
-              out=out.reshape(N // D, D, m))
-    return out
+    return np.matmul(seed, X.reshape(D, N // D, m)[lo:hi].transpose(1, 0, 2)
+                     ).reshape(N, m)

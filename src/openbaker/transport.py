@@ -168,7 +168,6 @@ def _bounce_series(k: int, phase: complex,
     # rows can be phased in place.
     C = np.zeros((N, len(cols)), dtype=complex)
     C.reshape(n4, 4, len(cols))[cols, :, np.arange(len(cols))] = _seed(4, "V").conj()[0]
-    UC = np.empty_like(C)
     t = np.zeros((n4, len(cols)), dtype=complex)
     for n in range(1, n_max + 1):
         term = C[3 * n4:]
@@ -177,8 +176,7 @@ def _bounce_series(k: int, phase: complex,
         tail = np.linalg.norm(term)
         if n >= k and tail < SERIES_TOL:
             return t, {"series_terms": n, "series_tail_norm": float(tail)}
-        tensor_open_apply_block(C, OPEN_B4, "V", out=UC)
-        C, UC = UC, C
+        C = tensor_open_apply_block(C, OPEN_B4, "V")
     raise RuntimeError(
         f"transmission series did not converge within {n_max} terms"
     )

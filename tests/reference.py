@@ -124,7 +124,6 @@ def eye_start_series(k: int, theta: float) -> np.ndarray:
     t = np.zeros((n4, n4), dtype=complex)
     live = np.arange(n4)
     C = tensor_open_apply_block(np.eye(N, n4, dtype=complex), CLOSED_B4, "V")
-    UC = np.empty_like(C)
     for n in range(1, n_max + 1):
         term = C[3 * n4:]
         term *= phase**n
@@ -135,9 +134,7 @@ def eye_start_series(k: int, theta: float) -> np.ndarray:
         alive = C[n4:3 * n4].any(axis=0)
         if not alive.all():
             C, live = C.compress(alive, axis=1), live[alive]
-            UC = np.empty_like(C)
-        tensor_open_apply_block(C, OPEN_B4, "V", out=UC)
-        C, UC = UC, C
+        C = tensor_open_apply_block(C, OPEN_B4, "V")
     raise RuntimeError(
         f"transmission series did not converge within {n_max} terms"
     )

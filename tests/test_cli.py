@@ -205,6 +205,24 @@ def test_cli_transport_post_step_over_failed_job_is_partial(tmp_path, capsys):
     assert "'transport-asymptotics'" in printed.err
 
 
+def test_cli_transport_step_over_only_failed_jobs_is_partial(tmp_path, capsys):
+    # every job fails the dense-resolvent cap; the asymptotics step still
+    # runs, writes an empty report and names both jobs as missing
+    cfg = write_cfg(tmp_path, "transport.k = 7\ntransport.theta = 0.0,0.3\n")
+    out = tmp_path / "out"
+    assert main(["transport", cfg, "-o", str(out)]) == 2
+    jobs = {j["name"]: j for j in
+            json.loads((out / "manifest.json").read_text())["jobs"]}
+    assert {jobs[f"transport-k7-theta{i}"]["status"] for i in (0, 1)} == {"failed"}
+    step = jobs["transport-asymptotics"]
+    assert step["status"] == "partial"
+    assert step["missing_jobs"] == ["transport-k7-theta0", "transport-k7-theta1"]
+    assert step["outputs"] == ["transport_asymptotics.json"]
+    rep = json.loads((out / "transport_asymptotics.json").read_text())
+    assert rep["rows"] == rep["theta_spread"] == []
+    assert "step transport-asymptotics" not in capsys.readouterr().err
+
+
 def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
     # each series job records its term count and last-term norm; every
     # transport job records its closed-form channels and the shape of the
@@ -302,15 +320,16 @@ def test_cli_spectrum_jobs_record_eigensolve_diagnostics(tmp_path, capsys):
 
 
 def test_cli_post_step_seconds_cover_the_step(tmp_path, monkeypatch):
-    # the counts step runs after the spectrum jobs; its manifest entry
-    # must time it instead of reporting zero
-    real_counts = cli._counts
+    # the counts step runs after the spectrum jobs, and in the count verb
+    # only it calls count_sector; its manifest entry must time it instead
+    # of reporting zero
+    real_count = cli.count_sector
 
-    def slow_counts(*args):
+    def slow_count(*args):
         time.sleep(0.05)
-        return real_counts(*args)
+        return real_count(*args)
 
-    monkeypatch.setattr(cli, "_counts", slow_counts)
+    monkeypatch.setattr(cli, "count_sector", slow_count)
     cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9,27\ncount.radii = 0.5\n")
     out = tmp_path / "out"
@@ -405,6 +424,16 @@ def test_cli_dimensions_are_given_only_by_spectrum_N(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_count_requires_radii(tmp_path, capsys):
+    # without count.radii the count verb would write no counts.csv
+    cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+                              "spectrum.N = 9\n")
+    out = tmp_path / "out"
+    assert main(["count", cfg, "-o", str(out)]) == 1
+    assert "missing required key 'count.radii'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb,step", [("count", "counts"), ("weyl", "weyl-fit"),
                                        ("profile", "profile")])
 def test_cli_post_step_over_failed_job_is_partial(tmp_path, capsys, verb, step):
@@ -458,7 +487,7 @@ def _raise(*args):
 
 
 @pytest.mark.parametrize("verb,step,target,text", [
-    ("count", "counts", "_counts", "map.family = toy\nmap.D = 3\n"
+    ("count", "counts", "count_sector", "map.family = toy\nmap.D = 3\n"
      "map.kept = 0,2\nspectrum.N = 9,27\ncount.radii = 0.5\n"),
     ("profile", "profile", "profile_curve", "map.family = toy\nmap.D = 3\n"
      "map.kept = 0,2\nspectrum.N = 9,27\nprofile.radii = 0.5\n"),
@@ -499,6 +528,8 @@ def test_cli_classical_rejects_bad_map_before_running(tmp_path, capsys):
     ("transport", "transport.k = 2,2\n", "transport.k"),
     ("transport", "transport.k = 2\ntransport.theta = 0.3,0.30\n",
      "transport.theta"),
+    ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+              "spectrum.N = 9\ncount.radii = 0.5,0.50\n", "count.radii"),
 ])
 def test_cli_rejects_repeated_job_values(tmp_path, capsys, verb, text, key):
     out = tmp_path / "out"
@@ -513,9 +544,12 @@ def test_cli_rejects_repeated_job_values(tmp_path, capsys, verb, text, key):
     ("toy-check", "toy.k =\n", "toy.k"),
     ("transport", "transport.k =\n", "transport.k"),
     ("transport", "transport.k = 2\ntransport.theta =\n", "transport.theta"),
-], ids=["spectrum-N", "toy-k", "transport-k", "transport-theta"])
+    ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+              "spectrum.N = 9\ncount.radii =\n", "count.radii"),
+], ids=["spectrum-N", "toy-k", "transport-k", "transport-theta", "count-radii"])
 def test_cli_rejects_empty_job_lists(tmp_path, capsys, verb, text, key):
-    # a list key with no values would run no job and exit 0
+    # a list key with no values would run no job (or write no counts.csv)
+    # and exit 0
     out = tmp_path / "out"
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
     assert f"{key}: expected at least one value" in capsys.readouterr().err
@@ -562,6 +596,24 @@ def test_cli_refuses_oversized_toy_before_allocating(tmp_path, monkeypatch,
             json.loads((out / "manifest.json").read_text())["jobs"]}
     assert jobs[job]["status"] == "failed"
     assert f"exceeds cap {MAX_DENSE_DIM}" in jobs[job]["error"]
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_cli_refuses_odd_parity_dimension_before_building(tmp_path, monkeypatch,
+                                                         parity):
+    # N = 15 has no parity sectors: the job fails on the N check, never
+    # in the dense N x N build
+    def build(*args):
+        raise RuntimeError("dense map built")
+
+    monkeypatch.setattr(cli, "quantize_open", build)
+    cfg = write_cfg(tmp_path, "map.family = dft\nmap.D = 5\nmap.kept = 1,3\n"
+                              f"spectrum.N = 15\nspectrum.parity = {parity}\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", cfg, "-o", str(out)]) == 2
+    job = json.loads((out / "manifest.json").read_text())["jobs"][0]
+    assert job["status"] == "failed"
+    assert job["error"] == "parity reduction requires even N, got 15"
 
 
 @pytest.mark.parametrize("verb,text,key", [

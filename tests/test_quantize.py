@@ -183,6 +183,12 @@ def test_parity_restrict_rejects_odd_dimension_and_bad_sector():
     J = reversal(6)
     with pytest.raises(ValueError, match="sector"):
         parity_restrict(Y + J @ Y @ J, "sideways")
+    # both are checked before the N^2 commutator pass, so a matrix that
+    # does not commute with parity is refused for them too
+    with pytest.raises(ValueError, match="even N"):
+        parity_restrict(X, "even")
+    with pytest.raises(ValueError, match="sector"):
+        parity_restrict(Y, "sideways")
     with pytest.raises(ValueError, match="square"):
         parity_restrict(np.ones((4, 6)), "even")
 
@@ -273,32 +279,6 @@ def test_tensor_apply_matches_dense(spec, variant):
             # a non-contiguous block gives the same result
             assert np.array_equal(
                 tensor_open_apply_block(np.asfortranarray(X), spec, variant), Y)
-
-
-@pytest.mark.parametrize("spec,variant", [(B3, "W"), (OPEN_B4, "V"),
-                                          (CLOSED_B4, "V")])
-def test_tensor_apply_into_out(spec, variant):
-    # the result overwrites every entry of `out`, which is returned itself
-    X = random_block((spec.D**3, 4))
-    out = np.full(X.shape, np.nan, dtype=complex)
-    Y = tensor_open_apply_block(X, spec, variant, out=out)
-    assert Y is out
-    assert np.array_equal(Y, tensor_open_apply_block(X, spec, variant))
-
-
-def test_tensor_apply_rejects_bad_out():
-    X = random_block((27, 2))
-    buf = np.zeros((28, 2), dtype=complex)
-    for out in (np.empty((27, 3), dtype=complex),      # shape
-                np.empty((27, 2), dtype=np.complex64),  # dtype
-                np.empty((27, 2)),                      # real dtype
-                np.empty((27, 2), dtype=complex, order="F"),
-                X):                                     # X itself
-        with pytest.raises(ValueError):
-            tensor_open_apply_block(X, B3, out=out)
-    # a block overlapping X by all but one row
-    with pytest.raises(ValueError):
-        tensor_open_apply_block(buf[:27], B3, out=buf[1:])
 
 
 def test_tensor_apply_ignores_removed_digits():
