@@ -3,9 +3,8 @@ counting, and coherent transport for the Walsh 4-baker cavity."""
 
 __version__ = "0.1.0"
 
-from .classical import (B3, B5, CLOSED_B4, OPEN_B4, EscapeGrid,
-                        OpenBakerSpec, escape_grid, escape_time,
-                        fractal_dimensions, map_step, markov_weight,
+from .classical import (B3, B5, CLOSED_B4, OPEN_B4, OpenBakerSpec,
+                        escape_grid, fractal_dimensions, markov_weight,
                         transfer_matrix)
 from .quantize import (build_toy_diagonal, parity_operator, parity_restrict,
                        quantize_closed, quantize_open, walsh_quantize)

@@ -11,7 +11,7 @@ matrix of a quantum toy map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,12 @@ class OpenBakerSpec:
     def is_open(self) -> bool:
         return self.s < self.D
 
+    @property
+    def mu(self) -> float:
+        """log s / log D: the partial dimension of the trapped set, 1 for a
+        closed map."""
+        return math.log(self.s) / math.log(self.D)
+
 
 B3 = OpenBakerSpec(3, (0, 2))
 B5 = OpenBakerSpec(5, (1, 3))
@@ -50,75 +56,38 @@ CLOSED_B4 = OpenBakerSpec(4, (0, 1, 2, 3))
 OPEN_B4 = OpenBakerSpec(4, (1, 2))
 
 
-def _check_direction(direction: str):
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-
-
-def map_step(spec: OpenBakerSpec, x, direction: str = "forward"):
-    """One step of the open baker; None if the point falls in the hole.
-
-    Forward: branch l = floor(D q); (q, p) -> (D q - l, (p + l) / D).
-    Backward: the inverse branch is selected by p in [l/D, (l+1)/D).
-    """
-    _check_direction(direction)
-    q, p = x
-    if direction == "forward":
-        br = int(math.floor(spec.D * q))
-        if br not in spec.kept:
-            return None
-        return (spec.D * q - br, (p + br) / spec.D)
-    br = int(math.floor(spec.D * p))
-    if br not in spec.kept:
-        return None
-    return ((q + br) / spec.D, spec.D * p - br)
-
-
-def escape_time(spec: OpenBakerSpec, x, direction: str = "forward", t_max: int = 1000):
-    """Smallest n >= 0 whose n-th iterate sits on a removed strip.
-
-    Checks the iterates n = 0, ..., t_max - 1 and returns None (trapped)
-    if none of them has escaped.
-    """
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    _check_direction(direction)
-    for n in range(t_max):
-        nxt = map_step(spec, x, direction)
-        if nxt is None:
-            return n
-        x = nxt
-    return None
-
-
-@dataclass
-class EscapeGrid:
-    """Escape times sampled at cell centers ((i+1/2)/M, (j+1/2)/M).
-
-    times[i, j] holds the escape time of the cell with position index i
-    and momentum index j; -1 marks trapped cells.
-    """
-
-    resolution: int
-    direction: str
-    t_max: int
-    times: np.ndarray = field(repr=False)
+def _leading_run(digits: np.ndarray, kept) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of base-D digits, the length of its leading run of
+    digits in `kept` and the digit that ends it (-1 if none)."""
+    run = np.logical_and.accumulate(np.isin(digits, kept), axis=1).sum(axis=1)
+    ends = np.append(digits, np.full((len(digits), 1), -1), axis=1)
+    return run, ends[np.arange(len(digits)), run]
 
 
 def escape_grid(spec: OpenBakerSpec, M: int, direction: str = "forward",
-                t_max: int = 100) -> EscapeGrid:
-    """Escape-time grid approximating the incoming (forward) or outgoing
-    (backward) tail complement."""
+                t_max: int = 100) -> np.ndarray:
+    """Escape times at the cell centres ((i+1/2)/M, (j+1/2)/M), an M x M
+    int array indexed by position i and momentum j; -1 marks cells still
+    trapped after t_max steps.
+
+    A point escapes forward at the first base-D digit of q outside
+    spec.kept and backward at the first such digit of p, so each direction
+    is one vector of M exact orbits: the centre (2i+1)/(2M) is held as the
+    residue r = 2i+1 mod 2M, whose next digit is D r // 2M.
+    """
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     if M < 1:
         raise ValueError(f"resolution must be >= 1, got {M}")
-    times = np.empty((M, M), dtype=int)
-    for i in range(M):
-        q = (i + 0.5) / M
-        for j in range(M):
-            p = (j + 0.5) / M
-            t = escape_time(spec, (q, p), direction, t_max)
-            times[i, j] = -1 if t is None else t
-    return EscapeGrid(M, direction, t_max, times)
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    r = 2 * np.arange(M) + 1
+    digits = np.empty((M, t_max), dtype=int)
+    for n in range(t_max):
+        digits[:, n], r = np.divmod(spec.D * r, 2 * M)
+    run = _leading_run(digits, spec.kept)[0]
+    grid = np.repeat(np.where(run < t_max, run, -1)[:, None], M, axis=1)
+    return grid if direction == "forward" else grid.T
 
 
 def fractal_dimensions(spec: OpenBakerSpec) -> dict:
@@ -130,12 +99,11 @@ def fractal_dimensions(spec: OpenBakerSpec) -> dict:
     """
     if not spec.is_open:
         raise ValueError("closed map has no escape: dimensions undefined")
-    mu = math.log(spec.s) / math.log(spec.D)
     lyap = math.log(spec.D)
     tau = spec.D / (spec.D - spec.s)
     return {
-        "mu": mu,
-        "dimK": 2.0 * mu,
+        "mu": spec.mu,
+        "dimK": 2.0 * spec.mu,
         "tau_dwell": tau,
         "lyapunov": lyap,
         "heuristic_mu": 1.0 - 1.0 / (lyap * tau),

@@ -203,6 +203,8 @@ def _run_spectra(cfg: dict, args):
     if family == "toy" and (spec != B3 or variant != "W"):
         raise ConfigError("toy family requires map.D = 3, map.kept = 0,2 "
                           "and map.variant = W")
+    if family == "dft" and "map.variant" in cfg:
+        raise ConfigError("map.variant: the dft family has no variant")
     dims = get_job_sizes(cfg, "spectrum.N")
     parity = get_str(cfg, "spectrum.parity", default="full",
                      choices={"even", "odd", "full"})
@@ -261,10 +263,9 @@ def cmd_profile(cfg, args) -> int:
     except ValueError as exc:  # "radii must be ...": prefix the section
         raise ConfigError(f"profile.{exc}") from exc
     runner, spec, spectra, missing = _run_spectra(cfg, args)
-    mu = math.log(spec.s) / math.log(spec.D)
     return runner.step("profile", "profile.csv", lambda path: write_profile_csv(
         path, radii, [s.N for s in spectra],
-        profile_curve(spectra, mu, radii, spec.D)), missing_N=missing)
+        profile_curve(spectra, spec.mu, radii, spec.D)), missing_N=missing)
 
 
 def cmd_toy_check(cfg, args) -> int:

@@ -44,13 +44,12 @@ def write_profile_csv(path, r_grid, dims, table) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_escape_grid_csv(path, grid) -> None:
+def write_escape_grid_csv(path, times) -> None:
     """Escape-time grid: header i,j,escape_time with -1 encoding trapped."""
     lines = ["i,j,escape_time"]
-    M = grid.resolution
-    for i in range(M):
-        for j in range(M):
-            lines.append(f"{i},{j},{grid.times[i, j]}")
+    for i, row in enumerate(times):
+        for j, t in enumerate(row):
+            lines.append(f"{i},{j},{t}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Dense D**k matrices above this are refused (2 GiB+ of complex128).
+# Dense D**k matrices above this are refused (more than 4 GiB of complex128).
 MAX_DENSE_DIM = 2 ** 14
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import CLOSED_B4, OPEN_B4
+from .classical import CLOSED_B4, OPEN_B4, _leading_run
 from .quantize import tensor_open_apply_block, walsh_quantize
 from .transforms import MAX_DENSE_DIM, _seed
 
@@ -71,9 +71,9 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     lead-1 basis column c to the seed's first column on rows 4c..4c+3,
     which starts the N x 2^(k-1) block.  Pi_I keeps the interior first
     digits {1, 2}, so U Pi_I is the matrix-free OPEN_B4 tensor apply; each
-    later term is one such apply, written into one of two blocks reused
-    throughout.  A trapped channel's first k - 1 terms are exactly zero,
-    so the stop test starts at term k.  t itself is N/4 x N/4, so
+    later term is one such apply to the block of the term before it.  A
+    trapped channel's first k - 1 terms are exactly zero, so the stop test
+    starts at term k.  t itself is N/4 x N/4, so
     k <= 7 (MAX_DENSE_DIM): at k = 8, t alone is 4 GiB.
 
     With return_diagnostics, returns (t, diagnostics): the series records
@@ -109,11 +109,10 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
 
 def _leading_runs(length: int) -> tuple[np.ndarray, np.ndarray]:
     """For each base-4 word of `length` digits, the length of its leading
-    {1, 2} run and the digit that ends it (-1 if none)."""
+    run of interior digits OPEN_B4.kept = {1, 2} and the digit that ends
+    it (-1 if none)."""
     words = np.arange(4**length)[:, None] // 4 ** np.arange(length - 1, -1, -1) % 4
-    run = np.logical_and.accumulate((words == 1) | (words == 2), axis=1).sum(axis=1)
-    ends = np.append(words, np.full((len(words), 1), -1), axis=1)
-    return run, ends[np.arange(len(words)), run]
+    return _leading_run(words, OPEN_B4.kept)
 
 
 def _closed_form(k: int, phase: complex) -> np.ndarray:

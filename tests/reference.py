@@ -1,20 +1,63 @@
-"""Reference constructions that only the tests use: digit codecs, the
-digit-reversal permutation, product states, the parity-sector isometry,
-the lead projectors of the Walsh cavity, the resolvent solved on the
-whole interior block, the bounce series started from the full lead-1
-basis, and a reader for the spectrum CSV.  The package computes with
-faster index folds and slices; these spell out what those compute."""
+"""Reference constructions that only the tests use: the float open-baker
+step and escape time, digit codecs, the digit-reversal permutation,
+product states, the parity-sector isometry, the lead projectors of the
+Walsh cavity, the resolvent solved on the whole interior block, the
+bounce series started from the full lead-1 basis, and a reader for the
+spectrum CSV.  The package computes with faster index folds, slices and
+integer digit sweeps; these spell out what those compute."""
 
 from __future__ import annotations
 
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
 
-from openbaker.classical import CLOSED_B4, OPEN_B4
+from openbaker.classical import CLOSED_B4, OPEN_B4, OpenBakerSpec
 from openbaker.quantize import _sector_sign, tensor_open_apply_block
 from openbaker.transport import SERIES_TOL, _shared_propagator
+
+
+def _check_direction(direction: str):
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+
+
+def map_step(spec: OpenBakerSpec, x, direction: str = "forward"):
+    """One step of the open baker; None if the point falls in the hole.
+
+    Forward: branch l = floor(D q); (q, p) -> (D q - l, (p + l) / D).
+    Backward: the inverse branch is selected by p in [l/D, (l+1)/D).
+    """
+    _check_direction(direction)
+    q, p = x
+    if direction == "forward":
+        br = int(math.floor(spec.D * q))
+        if br not in spec.kept:
+            return None
+        return (spec.D * q - br, (p + br) / spec.D)
+    br = int(math.floor(spec.D * p))
+    if br not in spec.kept:
+        return None
+    return ((q + br) / spec.D, spec.D * p - br)
+
+
+def escape_time(spec: OpenBakerSpec, x, direction: str = "forward", t_max: int = 1000):
+    """Smallest n >= 0 whose n-th iterate sits on a removed strip.
+
+    Checks the iterates n = 0, ..., t_max - 1 and returns None (trapped)
+    if none of them has escaped.
+    """
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    _check_direction(direction)
+    for n in range(t_max):
+        nxt = map_step(spec, x, direction)
+        if nxt is None:
+            return n
+        x = nxt
+    return None
 
 
 def digit_encode(j: int, D: int, k: int) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ dimensions, the Markov weights of the multivalued 3-baker, and the
 transfer matrix."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from openbaker.classical import (B3, B5, CLOSED_B4, OPEN_B4, OpenBakerSpec,
-                                 escape_grid, escape_time,
-                                 fractal_dimensions, map_step, markov_weight,
-                                 transfer_matrix)
+                                 escape_grid, fractal_dimensions,
+                                 markov_weight, transfer_matrix)
 from openbaker.quantize import build_toy_diagonal
+from reference import escape_time, map_step
 
 
 # ------------------------------------------------------------------ spec
@@ -34,6 +35,9 @@ def test_builtin_specs():
     assert B5 == OpenBakerSpec(5, (1, 3))
     assert not CLOSED_B4.is_open
     assert OPEN_B4.kept == (1, 2)
+    # [PAPER] mu = log s / log D; a closed map keeps every strip: mu = 1
+    assert B3.mu == math.log(2) / math.log(3)
+    assert CLOSED_B4.mu == 1.0
 
 
 # ----------------------------------------------------------------- steps
@@ -90,19 +94,88 @@ def test_backward_escape_reads_momentum():
 def test_escape_grid_shape_and_encoding():
     # with 3 checked steps exactly the 8 of 27 columns whose first three
     # ternary digits avoid 1 stay trapped
-    g = escape_grid(B3, 27, t_max=3)
-    assert g.times.shape == (27, 27)
-    assert g.times.min() >= -1
+    times = escape_grid(B3, 27, t_max=3)
+    assert times.shape == (27, 27)
+    assert times.min() >= -1
     # forward escape depends only on position: rows are constant
-    assert np.all(g.times == g.times[:, :1])
-    assert np.mean(g.times < 0) == pytest.approx(8 / 27)
+    assert np.all(times == times[:, :1])
+    assert np.mean(times < 0) == pytest.approx(8 / 27)
 
 
 def test_escape_grid_trapped_fraction_shrinks():
     # [DERIVED] the surviving fraction after t steps scales like (2/3)^t
-    g = escape_grid(B3, 243, t_max=5)
+    times = escape_grid(B3, 243, t_max=5)
     expected = (2 / 3) ** 5
-    assert np.mean(g.times < 0) == pytest.approx(expected, rel=0.1)
+    assert np.mean(times < 0) == pytest.approx(expected, rel=0.1)
+
+
+def fraction_escape_times(spec, M, t_max):
+    """Escape time of each cell centre (2i+1)/(2M) under the exact
+    Fraction orbit x -> D x - floor(D x), -1 if none of its first t_max
+    digits floor(D x) leaves spec.kept."""
+    times = []
+    for i in range(M):
+        x, t = Fraction(2 * i + 1, 2 * M), -1
+        for n in range(t_max):
+            digit = math.floor(spec.D * x)
+            if digit not in spec.kept:
+                t = n
+                break
+            x = spec.D * x - digit
+        times.append(t)
+    return np.array(times)
+
+
+@pytest.mark.parametrize("M, t_max", [(9, 4), (27, 8), (81, 20), (100, 60),
+                                      (243, 5)])
+@pytest.mark.parametrize("spec", [B3, B5, OPEN_B4], ids=["B3", "B5", "B4"])
+def test_escape_grid_is_the_exact_orbit(spec, M, t_max):
+    # [DERIVED] forward escape reads the digits of q (rows i), backward
+    # those of p (columns j)
+    exact = fraction_escape_times(spec, M, t_max)
+    assert np.array_equal(escape_grid(spec, M, "forward", t_max),
+                          np.repeat(exact[:, None], M, axis=1))
+    assert np.array_equal(escape_grid(spec, M, "backward", t_max),
+                          np.repeat(exact[None, :], M, axis=0))
+
+
+def test_escape_grid_matches_exact_two_dimensional_orbits():
+    # the reference step on Fraction points is the exact map on the torus,
+    # so it checks that each direction reads only its own coordinate
+    M, t_max = 9, 4
+    for spec in (B3, B5, OPEN_B4):
+        for direction in ("forward", "backward"):
+            times = escape_grid(spec, M, direction, t_max)
+            for i in range(M):
+                for j in range(M):
+                    x = (Fraction(2 * i + 1, 2 * M), Fraction(2 * j + 1, 2 * M))
+                    t = escape_time(spec, x, direction, t_max)
+                    assert times[i, j] == (-1 if t is None else t)
+
+
+def test_escape_grid_keeps_the_digits_a_float_orbit_loses():
+    # the float orbit drops about one ternary digit per step: by n = 30-39
+    # it sends these eight trapped B3 centres into the middle strip
+    drifted = [2, 7, 22, 32, 67, 77, 92, 97]
+    forward = escape_grid(B3, 100, "forward", 60)
+    backward = escape_grid(B3, 100, "backward", 60)
+    assert np.all(forward[drifted] == -1)
+    assert np.all(backward[:, drifted] == -1)
+    for i in drifted:
+        assert 30 <= escape_time(B3, ((i + 0.5) / 100, 0.5), t_max=60) <= 39
+
+
+def test_escape_grid_with_no_steps_is_all_trapped():
+    for direction in ("forward", "backward"):
+        assert np.all(escape_grid(B5, 7, direction, t_max=0) == -1)
+
+
+@pytest.mark.parametrize("M, direction, t_max", [
+    (9, "sideways", 4), (0, "forward", 4), (9, "backward", -1),
+], ids=["direction", "M", "t_max"])
+def test_escape_grid_rejects_bad_arguments(M, direction, t_max):
+    with pytest.raises(ValueError):
+        escape_grid(B3, M, direction, t_max)
 
 
 # ------------------------------------------------------------ dimensions

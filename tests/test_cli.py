@@ -389,6 +389,18 @@ def test_cli_toy_family_rejects_other_maps(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant", ["V", "W"])
+def test_cli_dft_family_rejects_a_variant(tmp_path, capsys, variant):
+    # the DFT quantization has no variant: a map.variant would be ignored
+    # and the spectra written as if it had been read
+    cfg = write_cfg(tmp_path, "map.family = dft\nmap.D = 3\nmap.kept = 0,2\n"
+                              f"spectrum.N = 9\nmap.variant = {variant}\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", cfg, "-o", str(out)]) == 1
+    assert "config error: map.variant" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_invalid_config_exits_1(tmp_path):
     cfg = write_cfg(tmp_path, "map.family = warp\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9\n")
