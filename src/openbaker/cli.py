@@ -116,18 +116,23 @@ class JobRunner:
     """One verb's run after its config is parsed: resolves the output
     directory, runs independent jobs in order (BLAS parallelizes within
     each), isolating per-job failures, and rewrites the run manifest
-    after the jobs and after the step, listing the entries by name.  A
-    job returns the names of its artifacts, or a pair (artifacts,
-    diagnostics dict) whose dict the job's manifest entry records under
-    `diagnostics`.  After `run`, a verb calls `step` at most once, always,
-    even when every job failed: the step writes the one artifact it
-    names from the jobs that succeeded and lists the failed ones."""
+    after the jobs and after the step, listing the entries by name.
+
+    The runner is the only code that writes an artifact.  A job or step
+    returns its artifacts as a dict {file name: writer}, where
+    `writer(path)` writes that one file, or as a pair (artifacts,
+    diagnostics dict) whose dict its manifest entry records under
+    `diagnostics`.  The runner calls each writer on `outdir / name`, in
+    dict order, inside the entry's timed and isolated block, and lists
+    the names as the entry's `outputs`; so the manifest lists exactly the
+    files written.  After `run`, a verb calls `step` at most once,
+    always, even when every job failed: the step builds the one artifact
+    it names from the jobs that succeeded and lists the failed ones."""
 
     def __init__(self, cfg: dict, args):
         self.outdir = Path(args.output or cfg.get("output.dir", "."))
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.cfg = cfg
-        self.environment = _run_environment()
         self.jobs = []
 
     @property
@@ -141,33 +146,31 @@ class JobRunner:
         self.write_manifest()
         return self.exit_code
 
-    def step(self, name: str, fname: str, write, **missing) -> int:
-        """Run `write(outdir / fname)`, a step on the finished jobs'
-        results that writes the one artifact `fname`, record it, and
+    def step(self, name: str, fn, **missing) -> int:
+        """Run `fn`, a step on the finished jobs' results, as a job, and
         rewrite the manifest.  `missing_N` or `missing_jobs` lists inputs
         the step lacks because their jobs failed; a nonempty list is
         recorded under its keyword and makes the step partial."""
-        def fn():
-            write(self.outdir / fname)
-            return [fname]
-
         self._record("step", name, fn, **missing)
         self.write_manifest()
         return self.exit_code
 
     def _record(self, kind: str, name: str, fn, **missing):
-        """Run and time `fn` and append its entry.  An exception from `fn`
-        makes the entry failed, with its text as `error`, and is reported
-        on stderr as `<kind> <name> failed: <error>`."""
+        """Run and time `fn`, write the artifacts it returns and append its
+        entry.  An exception from `fn` or a writer makes the entry failed,
+        with its text as `error`, and is reported on stderr as
+        `<kind> <name> failed: <error>`."""
         start = time.monotonic()
         entry = {"name": name, "status": "ok"}
         try:
-            outputs = fn()
-            if isinstance(outputs, tuple):
-                outputs, diagnostics = outputs
+            artifacts = fn()
+            if isinstance(artifacts, tuple):
+                artifacts, diagnostics = artifacts
                 if diagnostics:
                     entry["diagnostics"] = diagnostics
-            entry["outputs"] = sorted(outputs)
+            for fname, write in artifacts.items():
+                write(self.outdir / fname)
+            entry["outputs"] = sorted(artifacts)
         except Exception as exc:  # isolate siblings, keep finished results
             entry.update(status="failed", error=str(exc), outputs=[])
             print(f"{kind} {name} failed: {exc}", file=sys.stderr)
@@ -184,7 +187,8 @@ class JobRunner:
             "tool": "openbaker",
             "version": __version__,
             "config": self.cfg,
-            "environment": self.environment,
+            # read at each write: scipy.linalg's BLAS loads with its first call
+            "environment": _run_environment(),
             "jobs": sorted(self.jobs, key=lambda j: j["name"]),
             "outputs": outputs,
         }
@@ -212,12 +216,9 @@ def _run_spectra(cfg: dict, args):
     store: dict = {}
 
     def job(N):
-        s = map_spectrum(family, spec, N, parity, variant)
-        store[N] = s
-        fname = f"spectrum_N{N}_{parity}.csv"
-        write_spectrum_csv(runner.outdir / fname, s)
-        return [fname], {"eig_dim": s.eig_dim,
-                         "max_residual_rel": s.max_residual_rel}
+        s = store[N] = map_spectrum(family, spec, N, parity, variant)
+        return ({f"spectrum_N{N}_{parity}.csv": partial(write_spectrum_csv, spectrum=s)},
+                {"eig_dim": s.eig_dim, "max_residual_rel": s.max_residual_rel})
 
     runner.run([(f"spectrum-N{N}", partial(job, N)) for N in dims])
     return (runner, spec, [store[N] for N in dims if N in store],
@@ -241,19 +242,21 @@ def cmd_count(cfg, args) -> int:
     radii = distinct("count.radii", get_float_list(cfg, "count.radii"))
     theta = get_float(cfg, "sector.theta", default=0.0)
     rho = get_float(cfg, "sector.rho", default=math.pi)
+    if "sector.theta" in cfg and rho == math.pi:  # the angle would select nothing
+        raise ConfigError("sector.theta: a full annulus (sector.rho = pi) has no angle")
     queries = [_sector_query(r, theta, rho) for r in radii]
     runner, _, spectra, missing = _run_spectra(cfg, args)
-    return runner.step("counts", "counts.csv", lambda path: write_counts_csv(
-        path, [(s.N, q.r, count_sector(s, q)) for s in spectra for q in queries]),
-        missing_N=missing)
+    return runner.step("counts", lambda: {"counts.csv": partial(
+        write_counts_csv, counts=[(s.N, q.r, count_sector(s, q))
+                                  for s in spectra for q in queries])}, missing_N=missing)
 
 
 def cmd_weyl(cfg, args) -> int:
     query = _sector_query(get_float(cfg, "weyl.r"))
     runner, _, spectra, missing = _run_spectra(cfg, args)
-    return runner.step("weyl-fit", "weyl_fit.json", lambda path: write_json(
-        path, asdict(weyl_fit([(s.N, count_sector(s, query)) for s in spectra]))),
-        missing_N=missing)
+    return runner.step("weyl-fit", lambda: {"weyl_fit.json": partial(
+        write_json, obj=asdict(weyl_fit([(s.N, count_sector(s, query))
+                                         for s in spectra])))}, missing_N=missing)
 
 
 def cmd_profile(cfg, args) -> int:
@@ -263,9 +266,9 @@ def cmd_profile(cfg, args) -> int:
     except ValueError as exc:  # "radii must be ...": prefix the section
         raise ConfigError(f"profile.{exc}") from exc
     runner, spec, spectra, missing = _run_spectra(cfg, args)
-    return runner.step("profile", "profile.csv", lambda path: write_profile_csv(
-        path, radii, [s.N for s in spectra],
-        profile_curve(spectra, spec.mu, radii, spec.D)), missing_N=missing)
+    return runner.step("profile", lambda: {"profile.csv": partial(
+        write_profile_csv, r_grid=radii, dims=[s.N for s in spectra],
+        table=profile_curve(spectra, spec.mu, radii, spec.D))}, missing_N=missing)
 
 
 def cmd_toy_check(cfg, args) -> int:
@@ -280,7 +283,7 @@ def cmd_toy_check(cfg, args) -> int:
         s = Spectrum(np.concatenate([vals, np.zeros(kdim, dtype=complex)]),
                      N=3**k, label=f"toy-k{k}")
         report = compare_spectra(s, toy_closed_spectrum(k))
-        payload = {
+        return {f"toy_check_k{k}.json": partial(write_json, obj={
             "k": k,
             "max_distance": report.max_distance,
             "unmatched": report.unmatched,
@@ -288,10 +291,7 @@ def cmd_toy_check(cfg, args) -> int:
                             sorted(report.ring_totals.items())},
             "kernel_dimension": kdim,
             "expected_kernel_dimension": 3**k - 2**k,
-        }
-        fname = f"toy_check_k{k}.json"
-        write_json(runner.outdir / fname, payload)
-        return [fname]
+        })}
 
     return runner.run([(f"toy-check-k{k}", partial(job, k)) for k in ks])
 
@@ -306,20 +306,19 @@ def cmd_transport(cfg, args) -> int:
     results = {}
 
     def job(k, i):
-        res = transport_result(k, thetas[i], method)
-        results[(k, i)] = res
+        res = results[(k, i)] = transport_result(k, thetas[i], method)
         base = f"transport_k{k}_theta{i}"
-        write_json(runner.outdir / f"{base}.json", res.as_dict())
-        write_transmission_csv(runner.outdir / f"{base}_T.csv", res.T)
-        return [f"{base}.json", f"{base}_T.csv"], res.diagnostics
+        return ({f"{base}.json": partial(write_json, obj=res.as_dict()),
+                 f"{base}_T.csv": partial(write_transmission_csv, T=res.T)},
+                res.diagnostics)
 
     names = {(k, i): f"transport-k{k}-theta{i}"
              for k in ks for i in range(len(thetas))}
     runner.run([(name, partial(job, *key)) for key, name in names.items()])
     return runner.step(
-        "transport-asymptotics", "transport_asymptotics.json",
-        lambda path: write_json(path, transport_asymptotics(
-            [results[key] for key in names if key in results])),
+        "transport-asymptotics", lambda: {"transport_asymptotics.json": partial(
+            write_json, obj=transport_asymptotics(
+                [results[key] for key in names if key in results]))},
         missing_jobs=[name for key, name in names.items() if key not in results])
 
 
@@ -337,30 +336,23 @@ def cmd_classical(cfg, args) -> int:
     runner = JobRunner(cfg, args)
 
     def grids_job():
-        files = []
-        for direction in ("forward", "backward"):
-            g = escape_grid(spec, M, direction, t_max)
-            fname = f"escape_{direction}.csv"
-            write_escape_grid_csv(runner.outdir / fname, g)
-            files.append(fname)
-        return files
+        return {f"escape_{direction}.csv": partial(
+            write_escape_grid_csv, times=escape_grid(spec, M, direction, t_max))
+            for direction in ("forward", "backward")}
 
     def dims_job():
-        write_json(runner.outdir / "dimensions.json", fractal_dimensions(spec))
-        return ["dimensions.json"]
+        return {"dimensions.json": partial(write_json, obj=fractal_dimensions(spec))}
 
     def transfer_job():
         # the k-th-power factorization keeps the defective kernel's
         # scatter out of the nonzero eigenvalues
         T = transfer_matrix(build_toy_diagonal(3**k))
         vals, kdim = invariant_nonzero_spectrum(T.astype(complex), k)
-        payload = {
+        return {"transfer_report.json": partial(write_json, obj={
             "k": k,
             "nontrivial_eigenvalues": [[z.real, z.imag] for z in vals],
             "kernel_dimension": kdim,
-        }
-        write_json(runner.outdir / "transfer_report.json", payload)
-        return ["transfer_report.json"]
+        })}
 
     jobs = [("escape-grids", grids_job), ("dimensions", dims_job)]
     if k is not None:

@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .transforms import check_finite
 
@@ -163,6 +162,8 @@ def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "") -> Spec
     dimension as `eig_dim` and the worst sampled residual relative to
     ||M|| as `max_residual_rel`.
     """
+    import scipy.linalg  # here, not at module level: ~0.3 s that transport never needs
+
     M = check_finite(M)
     dim = M.shape[0]
     check_eig_dim(dim)
@@ -338,6 +339,8 @@ def invariant_nonzero_spectrum(M: np.ndarray, k: int) -> tuple:
     singular value of M^k and requires a clean gap (factor 10^3) between
     kept and discarded singular values.
     """
+    import scipy.linalg  # as in eigen_spectrum
+
     M = check_finite(M)
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")

@@ -118,6 +118,16 @@ def write_cfg(tmp_path, text):
     return str(p)
 
 
+def assert_lists_what_it_wrote(out):
+    # the manifest's outputs are exactly the files the run wrote besides
+    # itself, and every entry's outputs name files that exist
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["outputs"] == written
+    for entry in manifest["jobs"]:
+        assert entry["outputs"] and set(entry["outputs"]) <= set(written)
+
+
 def test_cli_spectrum_writes_artifacts(tmp_path):
     cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9,27\n")
@@ -126,8 +136,7 @@ def test_cli_spectrum_writes_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "openbaker"
     assert {j["status"] for j in manifest["jobs"]} == {"ok"}
-    for f in manifest["outputs"]:
-        assert (out / f).exists()
+    assert_lists_what_it_wrote(out)
     assert len(read_spectrum_csv(out / "spectrum_N9_full.csv")) == 9
 
 
@@ -140,6 +149,7 @@ def test_cli_count_and_weyl(tmp_path):
     rows = (out / "counts.csv").read_text().strip().splitlines()
     assert rows[0] == "N,r,count"
     assert len(rows) == 1 + 3 * 2
+    assert_lists_what_it_wrote(out)
 
     cfg2 = write_cfg(tmp_path, base + "weyl.r = 0.1\n")
     out2 = tmp_path / "weyl"
@@ -147,6 +157,7 @@ def test_cli_count_and_weyl(tmp_path):
     fit = json.loads((out2 / "weyl_fit.json").read_text())
     assert 0.0 < fit["slope"] < 1.0
     assert len(fit["doubling_ratios"]) == 2
+    assert_lists_what_it_wrote(out2)
 
 
 def test_cli_profile(tmp_path):
@@ -158,6 +169,7 @@ def test_cli_profile(tmp_path):
     lines = (out / "profile.csv").read_text().strip().splitlines()
     assert lines[0] == "r,N=9,N=27"
     assert len(lines) == 4
+    assert_lists_what_it_wrote(out)
 
 
 def test_cli_toy_check(tmp_path):
@@ -167,6 +179,7 @@ def test_cli_toy_check(tmp_path):
     rep = json.loads((out / "toy_check_k3.json").read_text())
     assert rep["unmatched"] == 0
     assert rep["kernel_dimension"] == rep["expected_kernel_dimension"] == 19
+    assert_lists_what_it_wrote(out)
 
 
 def test_cli_transport(tmp_path):
@@ -181,6 +194,7 @@ def test_cli_transport(tmp_path):
                                  for t in (0.0, 0.3)])
     assert rep["rows"] == json.loads(json.dumps(lib["rows"]))
     assert (out / "transport_k2_theta1_T.csv").exists()
+    assert_lists_what_it_wrote(out)
 
 
 def test_cli_transport_post_step_over_failed_job_is_partial(tmp_path, capsys):
@@ -250,6 +264,7 @@ def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
     # only the 4 trapped ones reach the SVD
     assert "    closed_form_channels: [6, 6]\n" in printed
     assert "    svd_shape: [16, 4]\n" in printed
+    assert_lists_what_it_wrote(out)
     resolvent = tmp_path / "resolvent"
     cfg = write_cfg(tmp_path, "transport.k = 2\ntransport.theta = 0.3\n")
     assert main(["transport", cfg, "-o", str(resolvent)]) == 0
@@ -264,6 +279,7 @@ def test_cli_series_jobs_record_series_diagnostics(tmp_path, capsys):
     assert "    solve_dim: 4\n" in printed
     assert "    closed_form_channels: [1, 1]\n" in printed
     assert "    svd_shape: [4, 2]\n" in printed
+    assert_lists_what_it_wrote(resolvent)
 
 
 def test_cli_classical(tmp_path):
@@ -278,6 +294,7 @@ def test_cli_classical(tmp_path):
     grid = (out / "escape_forward.csv").read_text().splitlines()
     assert grid[0] == "i,j,escape_time"
     assert len(grid) == 1 + 27 * 27
+    assert_lists_what_it_wrote(out)
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -648,17 +665,23 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, verb, text, key):
 @pytest.mark.parametrize("verb,text,message", [
     ("count", "count.radii = 0.5, 1.5\n", "inner radius must be in [0, 1)"),
     ("count", "count.radii = 0.5\nsector.rho = 4\n", "half-width must be in"),
+    ("count", "count.radii = 0.5\nsector.theta = 1.0\n",
+     "sector.theta: a full annulus (sector.rho = pi) has no angle"),
+    ("count", "count.radii = 0.5\nsector.theta = 0\nsector.rho = pi\n",
+     "sector.theta: a full annulus (sector.rho = pi) has no angle"),
     ("weyl", "weyl.r = -0.1\n", "inner radius must be in [0, 1)"),
     ("profile", "profile.radii = 0.1, 1.5\n",
      "profile.radii must be strictly increasing and lie in [0, 1)"),
     ("profile", "profile.radii = 0.5, 0.1\n",
      "profile.radii must be strictly increasing and lie in [0, 1)"),
-], ids=["radius", "rho", "weyl-radius", "profile-radius", "profile-order"])
+], ids=["radius", "rho", "theta-without-rho", "theta-with-rho-pi", "weyl-radius",
+        "profile-radius", "profile-order"])
 def test_cli_rejects_bad_sector_before_running(tmp_path, capsys, verb, text,
                                               message):
     # the counting sector and the profile radii are checked with the
     # config, not after the spectra: no job runs and no output directory
-    # is made
+    # is made.  An angle with a full annulus would select nothing and
+    # write the counts of the run without it
     cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9,27\n" + text)
     out = tmp_path / "out"
