@@ -127,7 +127,8 @@ class JobRunner:
     the names as the entry's `outputs`; so the manifest lists exactly the
     files written.  After `run`, a verb calls `step` at most once,
     always, even when every job failed: the step builds the one artifact
-    it names from the jobs that succeeded and lists the failed ones."""
+    it names from the jobs that succeeded, and the runner records the
+    failed jobs as the step's `missing_jobs`."""
 
     def __init__(self, cfg: dict, args):
         self.outdir = Path(args.output or cfg.get("output.dir", "."))
@@ -146,20 +147,25 @@ class JobRunner:
         self.write_manifest()
         return self.exit_code
 
-    def step(self, name: str, fn, **missing) -> int:
+    def step(self, name: str, fn) -> int:
         """Run `fn`, a step on the finished jobs' results, as a job, and
-        rewrite the manifest.  `missing_N` or `missing_jobs` lists inputs
-        the step lacks because their jobs failed; a nonempty list is
-        recorded under its keyword and makes the step partial."""
-        self._record("step", name, fn, **missing)
+        rewrite the manifest.  The names of the failed jobs, whose results
+        the step lacks, are recorded as its `missing_jobs`; a nonempty
+        list makes an ok step partial."""
+        missing = [j["name"] for j in self.jobs if j["status"] == "failed"]
+        entry = self._record("step", name, fn)
+        if missing:
+            entry["missing_jobs"] = missing
+            if entry["status"] == "ok":
+                entry["status"] = "partial"
         self.write_manifest()
         return self.exit_code
 
-    def _record(self, kind: str, name: str, fn, **missing):
-        """Run and time `fn`, write the artifacts it returns and append its
-        entry.  An exception from `fn` or a writer makes the entry failed,
-        with its text as `error`, and is reported on stderr as
-        `<kind> <name> failed: <error>`."""
+    def _record(self, kind: str, name: str, fn) -> dict:
+        """Run and time `fn`, write the artifacts it returns, and append
+        and return its entry.  An exception from `fn` or a writer makes
+        the entry failed, with its text as `error`, and is reported on
+        stderr as `<kind> <name> failed: <error>`."""
         start = time.monotonic()
         entry = {"name": name, "status": "ok"}
         try:
@@ -175,11 +181,8 @@ class JobRunner:
             entry.update(status="failed", error=str(exc), outputs=[])
             print(f"{kind} {name} failed: {exc}", file=sys.stderr)
         entry["seconds"] = round(time.monotonic() - start, 3)
-        missing = {key: value for key, value in missing.items() if value}
-        if missing and entry["status"] == "ok":
-            entry["status"] = "partial"
-        entry.update(missing)
         self.jobs.append(entry)
+        return entry
 
     def write_manifest(self):
         outputs = sorted({f for j in self.jobs for f in j["outputs"]})
@@ -197,9 +200,8 @@ class JobRunner:
 
 def _run_spectra(cfg: dict, args):
     """Read the map and spectrum keys and run one spectrum job per
-    `spectrum.N` value.  Returns the runner, the map's spec, the spectra
-    of the jobs that succeeded in dimension order, and the dimensions
-    whose jobs failed."""
+    `spectrum.N` value.  Returns the runner, the map's spec and the
+    spectra of the jobs that succeeded, in dimension order."""
     family = get_str(cfg, "map.family", choices={"dft", "toy", "walsh"})
     spec = get_spec(cfg)
     variant = get_str(cfg, "map.variant", default="W", choices={"V", "W"})
@@ -221,21 +223,11 @@ def _run_spectra(cfg: dict, args):
                 {"eig_dim": s.eig_dim, "max_residual_rel": s.max_residual_rel})
 
     runner.run([(f"spectrum-N{N}", partial(job, N)) for N in dims])
-    return (runner, spec, [store[N] for N in dims if N in store],
-            [N for N in dims if N not in store])
+    return runner, spec, list(store.values())
 
 
 def cmd_spectrum(cfg, args) -> int:
     return _run_spectra(cfg, args)[0].exit_code
-
-
-def _sector_query(r: float, theta: float = 0.0, rho: float = math.pi) -> SectorQuery:
-    """The counting sector of config values, made before any job runs, so
-    that a value out of range is a config error and not a failed step."""
-    try:
-        return SectorQuery(r, theta, rho)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def cmd_count(cfg, args) -> int:
@@ -244,19 +236,19 @@ def cmd_count(cfg, args) -> int:
     rho = get_float(cfg, "sector.rho", default=math.pi)
     if "sector.theta" in cfg and rho == math.pi:  # the angle would select nothing
         raise ConfigError("sector.theta: a full annulus (sector.rho = pi) has no angle")
-    queries = [_sector_query(r, theta, rho) for r in radii]
-    runner, _, spectra, missing = _run_spectra(cfg, args)
+    queries = [SectorQuery(r, theta, rho) for r in radii]
+    runner, _, spectra = _run_spectra(cfg, args)
     return runner.step("counts", lambda: {"counts.csv": partial(
         write_counts_csv, counts=[(s.N, q.r, count_sector(s, q))
-                                  for s in spectra for q in queries])}, missing_N=missing)
+                                  for s in spectra for q in queries])})
 
 
 def cmd_weyl(cfg, args) -> int:
-    query = _sector_query(get_float(cfg, "weyl.r"))
-    runner, _, spectra, missing = _run_spectra(cfg, args)
+    query = SectorQuery(get_float(cfg, "weyl.r"))
+    runner, _, spectra = _run_spectra(cfg, args)
     return runner.step("weyl-fit", lambda: {"weyl_fit.json": partial(
         write_json, obj=asdict(weyl_fit([(s.N, count_sector(s, query))
-                                         for s in spectra])))}, missing_N=missing)
+                                         for s in spectra])))})
 
 
 def cmd_profile(cfg, args) -> int:
@@ -265,10 +257,10 @@ def cmd_profile(cfg, args) -> int:
         check_profile_radii(radii)
     except ValueError as exc:  # "radii must be ...": prefix the section
         raise ConfigError(f"profile.{exc}") from exc
-    runner, spec, spectra, missing = _run_spectra(cfg, args)
+    runner, spec, spectra = _run_spectra(cfg, args)
     return runner.step("profile", lambda: {"profile.csv": partial(
         write_profile_csv, r_grid=radii, dims=[s.N for s in spectra],
-        table=profile_curve(spectra, spec.mu, radii, spec.D))}, missing_N=missing)
+        table=profile_curve(spectra, spec.mu, radii, spec.D))})
 
 
 def cmd_toy_check(cfg, args) -> int:
@@ -312,27 +304,19 @@ def cmd_transport(cfg, args) -> int:
                  f"{base}_T.csv": partial(write_transmission_csv, T=res.T)},
                 res.diagnostics)
 
-    names = {(k, i): f"transport-k{k}-theta{i}"
-             for k in ks for i in range(len(thetas))}
-    runner.run([(name, partial(job, *key)) for key, name in names.items()])
+    runner.run([(f"transport-k{k}-theta{i}", partial(job, k, i))
+                for k in ks for i in range(len(thetas))])
     return runner.step(
         "transport-asymptotics", lambda: {"transport_asymptotics.json": partial(
-            write_json, obj=transport_asymptotics(
-                [results[key] for key in names if key in results]))},
-        missing_jobs=[name for key, name in names.items() if key not in results])
+            write_json, obj=transport_asymptotics(list(results.values())))})
 
 
 def cmd_classical(cfg, args) -> int:
     spec = get_spec(cfg)
-    M = get_int(cfg, "classical.M", default=81)
-    t_max = get_int(cfg, "classical.tmax", default=20)
-    k = get_int(cfg, "classical.toy_k") if "classical.toy_k" in cfg else None
-    if M < 1:
-        raise ConfigError("classical.M must be >= 1")
-    if t_max < 0:
-        raise ConfigError("classical.tmax must be >= 0")
-    if k is not None and k < 1:
-        raise ConfigError("classical.toy_k must be >= 1")
+    M = get_int(cfg, "classical.M", default=81, minimum=1)
+    t_max = get_int(cfg, "classical.tmax", default=20, minimum=0)
+    k = (get_int(cfg, "classical.toy_k", minimum=1)
+         if "classical.toy_k" in cfg else None)
     runner = JobRunner(cfg, args)
 
     def grids_job():
@@ -373,7 +357,7 @@ def _describe_manifest(rundir: Path, manifest: dict):
                   for key, value in manifest["environment"].items()]
     for job in jobs:
         lines.append(f"  {job['name']}: {job['status']} ({job['seconds']}s)")
-        for key in ("missing_N", "missing_jobs", "error"):
+        for key in ("missing_jobs", "error"):
             if job.get(key):
                 lines.append(f"    {key.replace('_', ' ')}: {job[key]}")
         lines += [f"    {key}: {value}"
@@ -433,7 +417,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.fn(cfg, args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # every ValueError that reaches here is a bad config value: each
+        # verb parses its config before its JobRunner makes the output
+        # directory, and the runner isolates every job and step
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -58,13 +58,16 @@ def get_str(cfg: dict, key: str, default=None, choices=None) -> str:
     return _lookup(cfg, key, default, parse)
 
 
-def get_int(cfg: dict, key: str, default=None) -> int:
+def get_int(cfg: dict, key: str, default=None, minimum=None) -> int:
     def parse(val):
         try:
             return int(val)
         except ValueError as exc:
             raise ConfigError(f"{key}: expected an integer, got {val!r}") from exc
-    return _lookup(cfg, key, default, parse)
+    value = _lookup(cfg, key, default, parse)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}")
+    return value
 
 
 def get_float(cfg: dict, key: str, default=None) -> float:

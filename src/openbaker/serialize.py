@@ -37,10 +37,9 @@ def write_counts_csv(path, counts) -> None:
 
 def write_profile_csv(path, r_grid, dims, table) -> None:
     """Rescaled counting profiles, one column per dimension."""
-    header = "r," + ",".join(f"N={N}" for N in dims)
-    lines = [header]
+    lines = [",".join(["r"] + [f"N={N}" for N in dims])]
     for i, r in enumerate(r_grid):
-        lines.append(fmt(r) + "," + ",".join(fmt(x) for x in table[i]))
+        lines.append(",".join([fmt(r)] + [fmt(x) for x in table[i]]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -289,10 +289,11 @@ def toy_closed_spectrum(k: int) -> Spectrum:
     eigendirections of G_3^* pi_{0,2} (eigenvalues 1 and i/sqrt(3)).  Each
     cyclic orbit of length d with m minus-symbols per period contributes
     the d d-th roots of 1^(d-m) (i/sqrt 3)^m, which land on the lattice
-    points e^{2 pi i l/k} (i/sqrt 3)^(p/k), rounded to 12 decimals; summing
-    orbit lengths over the words with p minus-symbols recovers the ring
-    total binomial(k, p) on the circle of modulus 3^(-p/2k).  The other
-    3^k - 2^k eigenvalues are exact zeros.
+    points e^{2 pi i l/k} (i/sqrt 3)^(p/k), evaluated in floating point
+    without rounding; summing orbit lengths over the words with p
+    minus-symbols recovers the ring total binomial(k, p) on the circle
+    of modulus 3^(-p/2k).  The other 3^k - 2^k eigenvalues are exact
+    zeros.
     """
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
@@ -314,9 +315,8 @@ def toy_closed_spectrum(k: int) -> Spectrum:
         prod = LAMBDA_PLUS ** (d - m) * LAMBDA_MINUS**m
         mod = abs(prod) ** (1.0 / d)
         base_arg = np.angle(prod) / d
-        for l in range(d):
-            z = mod * np.exp(1j * (base_arg + 2 * np.pi * l / d))
-            points.append(complex(round(z.real, 12), round(z.imag, 12)))
+        points += [mod * np.exp(1j * (base_arg + 2 * np.pi * l / d))
+                   for l in range(d)]
     return Spectrum(np.concatenate([points, np.zeros(3**k - 2**k)]), N=3**k,
                     label=f"toy-closed-k{k}")
 
@@ -382,10 +382,10 @@ def compare_spectra(spectrum: Spectrum, reference: Spectrum,
     reference lattice (`toy_closed_spectrum`), largest moduli first.
 
     Reports the worst matched distance, how many pairs exceed tol, and
-    the reference's per-ring totals, where ring p holds its nonzero
-    points of modulus 3^(-p/2k) for N = 3^k: the matching uses every
-    reference point exactly once, so these are also the per-ring tallies
-    of the matched points.
+    the computed spectrum's per-ring totals: for N = 3^k, ring p counts
+    its nonzero eigenvalues with -2k log_3 |lambda| nearest p, the circle
+    of modulus 3^(-p/2k).  On the lattice these are binomial(k, p); a
+    spectrum off the lattice shows in them as well as in the distances.
     """
     computed = spectrum.values
     ref = reference.values
@@ -403,5 +403,5 @@ def compare_spectra(spectrum: Spectrum, reference: Spectrum,
     unmatched = int(np.count_nonzero(distances > tol))
     k = round(math.log(reference.N, 3))
     rings = Counter(round(-2 * k * math.log(m) / math.log(3.0))
-                    for m in reference.moduli() if m > 0)
+                    for m in spectrum.moduli() if m > 0)
     return MatchReport(float(distances.max()), unmatched, dict(rings))

@@ -12,8 +12,8 @@ import pytest
 from openbaker import cli, quantize
 from openbaker.cli import main
 from openbaker.config import (ConfigError, distinct, get_float, get_float_list,
-                              get_int, get_job_sizes, get_spec, get_str,
-                              parse_config)
+                              get_int, get_int_list, get_job_sizes, get_spec,
+                              get_str, parse_config)
 from openbaker.serialize import fmt, write_spectrum_csv
 from openbaker.spectral import Spectrum
 from openbaker.transforms import MAX_DENSE_DIM
@@ -51,6 +51,18 @@ def test_typed_getters():
         get_str(cfg, "name", choices={"dft"})
     with pytest.raises(ConfigError):
         get_float(cfg, "missing")
+
+
+def test_getters_name_the_key_of_a_bad_value():
+    cfg = parse_config("x = abc\nlist = 1,x\nn = 3\n")
+    with pytest.raises(ConfigError, match="x: expected a number, got 'abc'"):
+        get_float(cfg, "x")
+    with pytest.raises(ConfigError,
+                       match="list: expected comma-separated integers"):
+        get_int_list(cfg, "list")
+    assert get_int(cfg, "n", minimum=3) == 3
+    with pytest.raises(ConfigError, match="n must be >= 4"):
+        get_int(cfg, "n", minimum=4)
 
 
 def test_float_getters_reject_non_finite():
@@ -478,10 +490,25 @@ def test_cli_post_step_over_failed_job_is_partial(tmp_path, capsys, verb, step):
             json.loads((out / "manifest.json").read_text())["jobs"]}
     assert jobs["spectrum-N21"]["status"] == "failed"
     assert jobs[step]["status"] == "partial"
-    assert jobs[step]["missing_N"] == [21]
+    assert jobs[step]["missing_jobs"] == ["spectrum-N21"]
     capsys.readouterr()
     assert main(["manifest", str(out)]) == 2
-    assert "missing N: [21]" in capsys.readouterr().out
+    assert "missing jobs: ['spectrum-N21']" in capsys.readouterr().out
+
+
+def test_cli_profile_without_a_surviving_dimension(tmp_path):
+    # N = 21 fails, so the profile has only its radius column: no
+    # trailing comma and no unnamed empty column
+    cfg = write_cfg(tmp_path, "map.family = dft\nmap.D = 5\nmap.kept = 1,3\n"
+                              "spectrum.N = 21\nspectrum.parity = even\n"
+                              "profile.radii = 0.1,0.3\n")
+    out = tmp_path / "out"
+    assert main(["profile", cfg, "-o", str(out)]) == 2
+    assert (out / "profile.csv").read_text() == "r\n0.1\n0.3\n"
+    jobs = {j["name"]: j for j in
+            json.loads((out / "manifest.json").read_text())["jobs"]}
+    assert jobs["profile"]["status"] == "partial"
+    assert jobs["profile"]["missing_jobs"] == ["spectrum-N21"]
 
 
 def test_cli_failed_weyl_fit_is_recorded(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller that is not a unit test."""
+"""Every public name of the package has a caller that is not a unit test,
+and every private function or class has a caller in the package."""
 
 import ast
 import inspect
@@ -33,3 +34,17 @@ def test_every_public_name_has_a_caller():
               if not inspect.ismodule(getattr(openbaker, name))]
     assert public
     assert sorted(set(public) - used) == []
+
+
+def test_every_private_definition_has_a_caller():
+    # a `_`-prefixed function, method or class that nothing in src/ loads
+    # is dead: a helper that loses its last caller goes in the same change.
+    # Dunder methods are called by Python itself
+    sources = sorted((ROOT / "src" / "openbaker").glob("*.py"))
+    used = set().union(*(loaded_names(p) for p in sources))
+    private = {node.name for p in sources
+               for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    assert private
+    assert sorted(private - used) == []

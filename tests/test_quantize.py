@@ -100,6 +100,11 @@ def test_parity_operator_squares_to_identity():
     assert P[0, 5] == -1.0  # signed reversal
 
 
+def test_parity_operator_rejects_empty():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        parity_operator(0)
+
+
 @pytest.mark.parametrize("spec,N", [(B3, 9), (B5, 20), (B5, 100)])
 def test_symmetric_open_maps_commute_with_parity(spec, N):
     # [PAPER] kept-strip sets symmetric under l -> D-1-l commute with parity

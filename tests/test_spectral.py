@@ -79,6 +79,11 @@ def test_map_spectrum_refuses_oversized_before_building(monkeypatch, parity,
         map_spectrum("dft", B5, N_cap, parity)
 
 
+def test_build_map_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown map family 'fourier'"):
+        build_map("fourier", B5, 20)
+
+
 def test_eigen_spectrum_rejects_bad_input():
     with pytest.raises(ValueError):
         eigen_spectrum(np.ones((2, 3)))
@@ -199,17 +204,18 @@ def test_toy_closed_spectrum_rejects_bad_k():
         toy_closed_spectrum(0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", range(1, 8))
 def test_invariant_spectrum_matches_closed_form(k):
     # [DERIVED] restriction to range(M^k) isolates the 2^k nonzero
-    # eigenvalues exactly, free of kernel scatter
+    # eigenvalues exactly, free of kernel scatter: each lies within a few
+    # ulps of the unrounded lattice (worst 6.7e-15, at k = 7)
     vals, kdim = invariant_nonzero_spectrum(build_toy_diagonal(3**k), k)
     assert len(vals) == 2**k
     assert kdim == 3**k - 2**k
     full = Spectrum(np.concatenate([vals, np.zeros(kdim, dtype=complex)]), N=3**k)
     report = compare_spectra(full, toy_closed_spectrum(k))
     assert report.all_matched
-    assert report.max_distance < 1e-10
+    assert report.max_distance < 1e-13
 
 
 def test_invariant_spectrum_validates_input():
@@ -217,6 +223,21 @@ def test_invariant_spectrum_validates_input():
         invariant_nonzero_spectrum(np.ones((2, 3)), 1)
     with pytest.raises(ValueError):
         invariant_nonzero_spectrum(np.eye(3), 0)
+
+
+def test_invariant_spectrum_of_a_nilpotent_core_is_all_kernel():
+    # no zero row or column to deflate, yet M^2 = 0 exactly: the whole
+    # space is kernel
+    vals, kdim = invariant_nonzero_spectrum(np.array([[1, 1], [-1, -1]]), 2)
+    assert len(vals) == 0
+    assert kdim == 2
+
+
+def test_invariant_spectrum_refuses_a_rank_without_a_gap():
+    # sigma = 1, 2e-8, 5e-9: the cut at RANK_RTOL keeps two, but the
+    # discarded 5e-9 is within 10^3 of the kept 2e-8
+    with pytest.raises(RuntimeError, match="no clean rank gap"):
+        invariant_nonzero_spectrum(np.diag([1.0, 2e-8, 5e-9]), 1)
 
 
 # ------------------------------------------- zero-index deflation
@@ -417,6 +438,19 @@ def test_compare_spectra_detects_perturbation():
     report = compare_spectra(Spectrum(vals, N=9), cf, tol=1e-8)
     assert report.unmatched == 1
     assert report.max_distance == pytest.approx(1e-4, rel=1e-3)
+
+
+def test_compare_spectra_ring_totals_count_the_computed_spectrum():
+    # 16 eigenvalues on the modulus-0.9 circle, which rounds to ring 1 at
+    # k = 4, are not the lattice: the ring totals say so instead of
+    # repeating the reference's binomial(4, p)
+    cf = toy_closed_spectrum(4)
+    wrong = Spectrum(np.concatenate([np.full(16, 0.9), np.zeros(65)]), N=81)
+    report = compare_spectra(wrong, cf, tol=1e-8)
+    assert report.ring_totals == {1: 16}
+    assert report.unmatched == 25
+    assert compare_spectra(cf, cf).ring_totals == {p: math.comb(4, p)
+                                                   for p in range(5)}
 
 
 def test_compare_spectra_rejects_dimension_mismatch():

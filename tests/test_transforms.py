@@ -152,6 +152,15 @@ def test_walsh_tensor_action_reverses_factors(variant):
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
+def test_build_walsh_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        build_walsh(1, 2)
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        build_walsh(2, -1)
+    with pytest.raises(ValueError, match="variant must be 'V' or 'W'"):
+        build_walsh(2, 1, "X")
+
+
 def test_build_walsh_refuses_huge_dimensions():
     with pytest.raises(ValueError):
         build_walsh(2, 15, "V")

@@ -432,6 +432,13 @@ def test_transmission_matrix_validation():
         transmission_matrix(MAX_RESOLVENT_K + 1, method="resolvent")
 
 
+def test_series_that_never_meets_its_tolerance_raises(monkeypatch):
+    # no term norm is below 0: the series stops at its 200 k term limit
+    monkeypatch.setattr(transport, "SERIES_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="did not converge within 400 terms"):
+        transmission_matrix(2, 0.3, "series")
+
+
 def test_series_refuses_oversized_blocks_before_allocating(monkeypatch):
     # the series' N-row blocks are refused above MAX_DENSE_DIM (k = 8),
     # before any is allocated; k = 7 carries an N x 2^6 block
