@@ -13,21 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .classical import OpenBakerSpec
-from .transforms import MAX_DENSE_DIM, build_walsh, check_finite, dft_centered, _seed
+from .transforms import (MAX_DENSE_DIM, _centered_dft_adjoint, _seed, build_walsh,
+                         check_finite, dft_centered)
 
 # parity_restrict refuses a matrix whose parity commutator has a larger
 # entry
 COMMUTATOR_TOL = 1e-10
-
-
-def _kept_block_product(T: np.ndarray, D: int, kept, inner: np.ndarray) -> np.ndarray:
-    """T^* . blockdiag(inner in the kept slots), one kept column block
-    T[b-block rows]^* . inner at a time: s N n^2 flops, not N^3."""
-    n = T.shape[0] // D
-    M = np.zeros_like(T, dtype=complex)
-    for b in kept:
-        M[:, b * n:(b + 1) * n] = T[b * n:(b + 1) * n].conj().T @ inner
-    return M
 
 
 def quantize_closed(D: int, N: int) -> np.ndarray:
@@ -39,11 +30,23 @@ def quantize_closed(D: int, N: int) -> np.ndarray:
 def quantize_open(spec: OpenBakerSpec, N: int) -> np.ndarray:
     """Subunitary quantization of an open baker: the closed propagator
     truncated by the projector onto the kept strips.  Rank s*N/D, all
-    singular values 0 or 1."""
+    singular values 0 or 1.
+
+    G_N^* . blockdiag(G_{N/D} in the kept slots), one kept column block
+    at a time: column block b, holding G_{N/D} in row block b and zeros
+    elsewhere, is replaced by its FFT apply of G_N^*.  G_N is never
+    formed, the only temporaries are two (N, N/D) arrays, and the cost is
+    O(s N^2/D log N), not s N (N/D)^2."""
     if N % spec.D != 0 or N < spec.D:
         raise ValueError(f"dimension {N} must be a positive multiple of {spec.D}")
-    return _kept_block_product(dft_centered(N), spec.D, spec.kept,
-                               dft_centered(N // spec.D))
+    n = N // spec.D
+    inner = dft_centered(n)
+    M = np.zeros((N, N), dtype=complex)
+    for b in spec.kept:
+        block = slice(b * n, (b + 1) * n)
+        M[block, block] = inner
+        M[:, block] = _centered_dft_adjoint(M[:, block])
+    return M
 
 
 def parity_operator(N: int) -> np.ndarray:
@@ -67,21 +70,32 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
     Returns S^* B S, for the isometry S whose columns are the states
     (e_j +/- e_{N-1-j})/sqrt(2) with + for "even", as an index fold of B
     and its reversal R; its nonzero spectrum equals the nonzero spectrum
-    of B (1 +/- Pi)/2.  Requires even N.
+    of B (1 +/- Pi)/2.  Requires even N.  The parity check and the fold
+    read only the top half of B and R, in quarter-size pieces: the
+    temporaries come to half of B's size, not one and a half.
     """
     B = check_finite(B)
     N = B.shape[0]
     sign = _sector_sign(N, sector)
     R = B[::-1, ::-1]
-    # B Pi - Pi B = J (B - R) with J the plain reversal: the same max entry
-    comm = np.max(np.abs(B - R))
+    h = N // 2
+    # B Pi - Pi B = J (B - R) with J the plain reversal: the same max
+    # entry.  Rows h.. of B - R are rows ..h reversed and negated, so the
+    # two top quarters hold every modulus.
+    comm = max(np.max(np.abs(B[:h, :h] - R[:h, :h])),
+               np.max(np.abs(B[:h, h:] - R[:h, h:])))
     if comm > COMMUTATOR_TOL:
         raise ValueError(
             f"matrix does not commute with parity: max commutator entry {comm:.3e}"
         )
-    h = N // 2
+    # 0.5 * (B1 + R1 + sign * (B2 + R2)) in place, in this order, so the
+    # output is the expression's bit for bit
+    out = B[:h, :h] + R[:h, :h]
     mirrored = B[:h, N - 1:h - 1:-1] + R[:h, N - 1:h - 1:-1]
-    return 0.5 * (B[:h, :h] + R[:h, :h] + sign * mirrored)
+    mirrored *= sign
+    out += mirrored
+    out *= 0.5
+    return out
 
 
 def build_toy_diagonal(N: int) -> np.ndarray:
@@ -107,11 +121,17 @@ def walsh_quantize(spec: OpenBakerSpec, k: int, variant: str = "W") -> np.ndarra
     """Walsh quantization of a (possibly open) D-baker at N = D^k:
     S_k^* . blockdiag with S_{k-1} in the kept slots.  Unitary when the
     map is closed; coincides with build_toy_diagonal for the 3-baker with
-    the half-integer variant."""
+    the half-integer variant.  Each kept column block is the dense product
+    S_k[b-block rows]^* . S_{k-1}: s N n^2 flops, not N^3, for n = N/D."""
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
-    return _kept_block_product(build_walsh(spec.D, k, variant), spec.D,
-                               spec.kept, build_walsh(spec.D, k - 1, variant))
+    T = build_walsh(spec.D, k, variant)
+    inner = build_walsh(spec.D, k - 1, variant)
+    n = len(inner)
+    M = np.zeros_like(T, dtype=complex)
+    for b in spec.kept:
+        M[:, b * n:(b + 1) * n] = T[b * n:(b + 1) * n].conj().T @ inner
+    return M
 
 
 def tensor_open_apply_block(X: np.ndarray, spec: OpenBakerSpec,

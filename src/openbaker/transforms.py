@@ -29,6 +29,21 @@ def dft_centered(N: int) -> np.ndarray:
     return roots[np.multiply.outer(odd, odd) % (4 * N)]
 
 
+def _centered_dft_adjoint(X: np.ndarray) -> np.ndarray:
+    """G_N^* X column by column, N = len(X), by one inverse FFT.
+
+    (2j+1)(2j'+1)/4N = jj'/N + j/2N + j'/2N + 1/4N, so G_N^* is the
+    inverse DFT between the twiddles tw_j = exp(i pi j/N), scaled by
+    sqrt(N) exp(i pi/2N): O(N log N) per column, and no N x N matrix.
+    """
+    N = len(X)
+    tw = np.exp(1j * np.pi * np.arange(N) / N).reshape((N,) + (1,) * (X.ndim - 1))
+    Y = np.fft.ifft(tw * X, axis=0)
+    Y *= tw
+    Y *= np.sqrt(N) * np.exp(0.5j * np.pi / N)
+    return Y
+
+
 def dft_plain(N: int) -> np.ndarray:
     """Plain DFT without the half-integer shift: N^(-1/2) exp(-2 pi i j j' / N)."""
     if N < 1:

@@ -1,10 +1,11 @@
 """Reference constructions that only the tests use: the float open-baker
 step and escape time, digit codecs, the digit-reversal permutation,
-product states, the parity-sector isometry, the lead projectors of the
-Walsh cavity, the resolvent solved on the whole interior block, the
-bounce series started from the full lead-1 basis, and a reader for the
-spectrum CSV.  The package computes with faster index folds, slices and
-integer digit sweeps; these spell out what those compute."""
+product states, the parity-sector isometry and the one-expression parity
+fold, the lead projectors of the Walsh cavity, the resolvent solved on
+the whole interior block, the bounce series started from the full lead-1
+basis, and a reader for the spectrum CSV.  The package computes with
+faster index folds, slices and integer digit sweeps; these spell out
+what those compute."""
 
 from __future__ import annotations
 
@@ -115,6 +116,18 @@ def parity_isometry(N: int, sector: str) -> np.ndarray:
         S[j, j] = rt
         S[N - 1 - j, j] = sign * rt
     return S
+
+
+def one_expression_fold(B: np.ndarray, sector: str) -> np.ndarray:
+    """parity_restrict's fold written as one expression,
+    0.5 * (B1 + R1 + sign * (B2 + R2)) on the top quarters of B and its
+    reversal R: the order of operations its in-place fold keeps."""
+    N = B.shape[0]
+    sign = _sector_sign(N, sector)
+    R = B[::-1, ::-1]
+    h = N // 2
+    mirrored = B[:h, N - 1:h - 1:-1] + R[:h, N - 1:h - 1:-1]
+    return 0.5 * (B[:h, :h] + R[:h, :h] + sign * mirrored)
 
 
 def lead_projectors(k: int):

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,8 @@ from openbaker.spectral import Spectrum
 from openbaker.transforms import MAX_DENSE_DIM
 from openbaker.transport import transport_asymptotics, transport_result
 from reference import read_spectrum_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------- config
@@ -221,7 +224,7 @@ def test_cli_transport_post_step_over_failed_job_is_partial(tmp_path, capsys):
     step = jobs["transport-asymptotics"]
     assert step["status"] == "partial"
     assert step["missing_jobs"] == ["transport-k7-theta0"]
-    assert "missing_N" not in step
+    assert set(step) == {"name", "status", "outputs", "seconds", "missing_jobs"}
     rep = json.loads((out / "transport_asymptotics.json").read_text())
     assert [row["k"] for row in rep["rows"]] == [1]
     capsys.readouterr()
@@ -341,6 +344,17 @@ def test_cli_spectrum_jobs_record_eigensolve_diagnostics(tmp_path, capsys):
         assert 0.0 < diag["max_residual_rel"] < 1e-8
     assert "diagnostics" not in jobs["counts"]
     assert len(read_spectrum_csv(out / "spectrum_N2500_even.csv")) == 1250
+    # the exact counts the benchmark gates, at the same 23 entries: the
+    # (2500, 0.001) count includes the defective kernel's pseudospectral
+    # scatter and is recorded but not gated
+    got = {(int(N), float(r)): int(c) for N, r, c in
+           (row.split(",") for row in
+            (out / "counts.csv").read_text().strip().splitlines()[1:])}
+    refs = json.loads((ROOT / "bench" / "references.json").read_text())
+    want = {(N, r): c for N, r, c in refs["count"]["counts"]}
+    assert set(got) == set(want)
+    del got[2500, 0.001], want[2500, 0.001]
+    assert got == want
     capsys.readouterr()
     assert main(["manifest", str(out)]) == 0
     printed = capsys.readouterr().out
@@ -526,7 +540,7 @@ def test_cli_failed_weyl_fit_is_recorded(tmp_path, capsys):
     assert step["status"] == "failed"
     assert step["outputs"] == []
     assert "at least 2 points" in step["error"]
-    assert "missing_N" not in step
+    assert "missing_jobs" not in step
     assert not (out / "weyl_fit.json").exists()
     assert ("step weyl-fit failed: need at least 2 points"
             in capsys.readouterr().err)

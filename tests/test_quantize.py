@@ -1,6 +1,8 @@
 """Quantum propagators: DFT quantizations, parity reduction, the toy
 diagonal matrix, and the Walsh quantizations with their tensor applies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from openbaker.quantize import (build_toy_diagonal, parity_operator,
                                 quantize_open, tensor_open_apply_block,
                                 walsh_quantize)
 from openbaker.transforms import MAX_DENSE_DIM, build_walsh, dft_centered
-from reference import parity_isometry, tensor_state
+from reference import one_expression_fold, parity_isometry, tensor_state
 
 
 def unitarity_defect(M):
@@ -69,9 +71,11 @@ def test_open_map_singular_values_are_zero_or_one(spec, N):
 
 
 @pytest.mark.parametrize("spec,N", [(B3, 9), (B3, 27), (B5, 20), (B5, 100),
-                                    (OPEN_B4, 16), (OpenBakerSpec(4, (0, 3)), 32)])
+                                    (OPEN_B4, 16), (OpenBakerSpec(4, (0, 3)), 32),
+                                    (B5, 500), (B3, 324),
+                                    (OpenBakerSpec(7, (1, 3, 5)), 98)])
 def test_quantize_open_matches_dense_block_stack(spec, N):
-    # [DERIVED] the kept-block product against the dense formula
+    # [DERIVED] the FFT-built kept blocks against the dense formula
     ref = dense_quantization(dft_centered(N), spec.D, spec.kept,
                              dft_centered(N // spec.D))
     assert np.max(np.abs(quantize_open(spec, N) - ref)) < 1e-12
@@ -176,6 +180,45 @@ def test_even_sector_spectrum_matches_dense_parity_path():
     for z in new:
         j = int(np.argmin(np.abs(np.array(pool) - z)))
         assert abs(pool.pop(j) - z) < 1e-9
+
+
+@pytest.mark.parametrize("N", [20, 500])
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_parity_restrict_is_the_one_expression_fold(N, sector):
+    # [DERIVED] the in-place fold does the one-expression fold's
+    # operations in the same order: bitwise the same output
+    B = quantize_open(B5, N)
+    assert np.array_equal(parity_restrict(B, sector), one_expression_fold(B, sector))
+
+
+def test_parity_restrict_refuses_an_asymmetry_in_the_bottom_half():
+    # the commutator is read on the top half only; a defect placed in the
+    # bottom half shows there through its mirror entry
+    N = 20
+    B = quantize_open(B5, N)
+    B[N - 1, 3] += 1e-3
+    with pytest.raises(ValueError, match="max commutator entry 1.000e-03"):
+        parity_restrict(B, "even")
+
+
+def test_open_build_and_fold_allocate_no_square_temporary():
+    # numpy's allocations are traced: measured 1.45 for the build (the
+    # result, two (N, N/5) FFT temporaries, the inner DFT) and 0.52 for
+    # the fold (two quarter-size arrays); one N x N temporary more adds
+    # 1.0 to either ratio
+    N = 1000
+    tracemalloc.start()
+    try:
+        B = quantize_open(B5, N)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        parity_restrict(B, "even")
+        _, fold_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_peak / B.nbytes <= 1.6
+    assert (fold_peak - base) / B.nbytes <= 0.6
 
 
 def test_parity_restrict_rejects_odd_dimension_and_bad_sector():
