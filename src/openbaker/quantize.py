@@ -121,16 +121,26 @@ def walsh_quantize(spec: OpenBakerSpec, k: int, variant: str = "W") -> np.ndarra
     """Walsh quantization of a (possibly open) D-baker at N = D^k:
     S_k^* . blockdiag with S_{k-1} in the kept slots.  Unitary when the
     map is closed; coincides with build_toy_diagonal for the 3-baker with
-    the half-integer variant.  Each kept column block is the dense product
-    S_k[b-block rows]^* . S_{k-1}: s N n^2 flops, not N^3, for n = N/D."""
+    the half-integer variant.
+
+    Row block b of S_k is S_{k-1} (x) F[b, :] (build_walsh), so kept column
+    block b is (S_{k-1}^* S_{k-1}) (x) F[b, :]^*: one Gram product of n^3
+    flops for all blocks, n = N/D, then one broadcast write per kept
+    block.  S_k itself is never formed."""
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
-    T = build_walsh(spec.D, k, variant)
-    inner = build_walsh(spec.D, k - 1, variant)
+    D = spec.D
+    N = D**k
+    if N > MAX_DENSE_DIM:
+        raise ValueError(f"dense dimension {D}**{k} exceeds cap {MAX_DENSE_DIM}")
+    M = np.zeros((N, N), dtype=complex)
+    inner = build_walsh(D, k - 1, variant)
+    gram = inner.conj().T @ inner
+    F = _seed(D, variant)
     n = len(inner)
-    M = np.zeros_like(T, dtype=complex)
     for b in spec.kept:
-        M[:, b * n:(b + 1) * n] = T[b * n:(b + 1) * n].conj().T @ inner
+        np.multiply(gram[:, None, :], F[b, :, None].conj(),
+                    out=M.reshape(n, D, D, n)[:, :, b, :])
     return M
 
 

@@ -89,11 +89,42 @@ def test_quantize_closed_matches_dense_block_stack(D, N):
 
 @pytest.mark.parametrize("spec,k,variant", [(B3, 1, "W"), (B3, 4, "W"),
                                             (OPEN_B4, 3, "V"), (CLOSED_B4, 3, "V"),
-                                            (CLOSED_B4, 2, "W"), (B5, 2, "V")])
+                                            (CLOSED_B4, 2, "W"), (B5, 2, "V"),
+                                            (OpenBakerSpec(2, (0, 1)), 6, "V"),
+                                            (OpenBakerSpec(7, (1, 3, 5)), 2, "W"),
+                                            (B5, 3, "W"), (CLOSED_B4, 5, "V")])
 def test_walsh_quantize_matches_dense_block_stack(spec, k, variant):
+    # [DERIVED] the Gram-built kept blocks against the dense product with
+    # S_k; the largest deviation measured up to k = 6 is 2.2e-15
     ref = dense_quantization(build_walsh(spec.D, k, variant), spec.D, spec.kept,
                              build_walsh(spec.D, k - 1, variant))
     assert np.max(np.abs(walsh_quantize(spec, k, variant) - ref)) < 1e-12
+
+
+def test_walsh_quantize_allocates_no_second_square_matrix():
+    # the traced peak is the result plus three (N/D)^2 temporaries,
+    # S_{k-1}, its conjugate and their Gram matrix: 1.19 times the result
+    # at N = 1024, where a second N x N matrix would put it above 2
+    tracemalloc.start()
+    try:
+        M = walsh_quantize(CLOSED_B4, 5, "V")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / M.nbytes <= 1.3
+
+
+def test_walsh_quantize_refuses_oversized_before_allocating(monkeypatch):
+    # 3^9 exceeds MAX_DENSE_DIM: refused before the dense 3^9 x 3^9 matrix
+    # is allocated; 3^8 still reaches it
+    def zeros(*args, **kwargs):
+        raise RuntimeError("dense Walsh matrix allocated")
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    with pytest.raises(ValueError, match=f"exceeds cap {MAX_DENSE_DIM}"):
+        walsh_quantize(B3, 9)
+    with pytest.raises(RuntimeError, match="allocated"):
+        walsh_quantize(B3, 8)
 
 
 # ---------------------------------------------------------------- parity

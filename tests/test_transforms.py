@@ -167,6 +167,19 @@ def test_walsh_tensor_action_reverses_factors(variant):
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("variant", ["V", "W"])
+def test_walsh_row_block_is_shorter_transform_times_seed_row(D, variant):
+    # [DERIVED] row block b of S_k is S_{k-1} (x) F[b, :], bit for bit;
+    # walsh_quantize builds its kept column blocks from this identity
+    F = dft_plain(D) if variant == "V" else dft_centered(D)
+    for k in (1, 2, 3):
+        S, inner = build_walsh(D, k, variant), build_walsh(D, k - 1, variant)
+        n = len(inner)
+        for b in range(D):
+            assert np.array_equal(S[b * n:(b + 1) * n], np.kron(inner, F[b:b + 1, :]))
+
+
 def test_build_walsh_rejects_bad_arguments():
     with pytest.raises(ValueError, match="base must be >= 2"):
         build_walsh(1, 2)
