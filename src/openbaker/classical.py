@@ -64,19 +64,17 @@ def _leading_run(digits: np.ndarray, kept) -> tuple[np.ndarray, np.ndarray]:
     return run, ends[np.arange(len(digits)), run]
 
 
-def escape_grid(spec: OpenBakerSpec, M: int, direction: str = "forward",
-                t_max: int = 100) -> np.ndarray:
-    """Escape times at the cell centres ((i+1/2)/M, (j+1/2)/M), an M x M
-    int array indexed by position i and momentum j; -1 marks cells still
-    trapped after t_max steps.
+def escape_grid(spec: OpenBakerSpec, M: int, t_max: int = 100) -> np.ndarray:
+    """Forward escape times at the cell centres ((i+1/2)/M, (j+1/2)/M), an
+    M x M int array indexed by position i and momentum j; -1 marks cells
+    still trapped after t_max steps.
 
     A point escapes forward at the first base-D digit of q outside
-    spec.kept and backward at the first such digit of p, so each direction
-    is one vector of M exact orbits: the centre (2i+1)/(2M) is held as the
-    residue r = 2i+1 mod 2M, whose next digit is D r // 2M.
+    spec.kept, which is one vector of M exact orbits: the centre
+    (2i+1)/(2M) is held as the residue r = 2i+1 mod 2M, whose next digit
+    is D r // 2M.  It escapes backward at the first such digit of p, on
+    the same centres, so the backward grid is this one transposed.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     if M < 1:
         raise ValueError(f"resolution must be >= 1, got {M}")
     if t_max < 0:
@@ -86,8 +84,7 @@ def escape_grid(spec: OpenBakerSpec, M: int, direction: str = "forward",
     for n in range(t_max):
         digits[:, n], r = np.divmod(spec.D * r, 2 * M)
     run = _leading_run(digits, spec.kept)[0]
-    grid = np.repeat(np.where(run < t_max, run, -1)[:, None], M, axis=1)
-    return grid if direction == "forward" else grid.T
+    return np.repeat(np.where(run < t_max, run, -1)[:, None], M, axis=1)
 
 
 def fractal_dimensions(spec: OpenBakerSpec) -> dict:

@@ -29,8 +29,8 @@ import scipy
 from . import __version__
 from .classical import (B3, OpenBakerSpec, escape_grid, fractal_dimensions,
                         transfer_matrix)
-from .config import (ConfigError, distinct, get_float, get_float_list, get_int,
-                     get_job_sizes, get_spec, get_str, load_config)
+from .config import (KEYS, ConfigError, distinct, get_float, get_float_list,
+                     get_int, get_job_sizes, get_spec, get_str, load_config)
 from .quantize import (_sector_sign, build_toy_diagonal, parity_restrict,
                        quantize_open, tensor_open_apply_block)
 from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
@@ -113,10 +113,11 @@ def _run_environment() -> dict:
 
 
 class JobRunner:
-    """One verb's run after its config is parsed: resolves the output
-    directory, runs independent jobs in order (BLAS parallelizes within
-    each), isolating per-job failures, and rewrites the run manifest
-    after the jobs and after the step, listing the entries by name.
+    """One verb's run after its config is parsed: refuses a key outside
+    KEYS, resolves the output directory, runs independent jobs in order
+    (BLAS parallelizes within each), isolating per-job failures, and
+    rewrites the run manifest after the jobs and after the step, listing
+    the entries by name.
 
     The runner is the only code that writes an artifact.  A job or step
     returns its artifacts as a dict {file name: writer}, where
@@ -131,6 +132,9 @@ class JobRunner:
     failed jobs as the step's `missing_jobs`."""
 
     def __init__(self, cfg: dict, args):
+        unknown = [key for key in cfg if key not in KEYS]
+        if unknown:  # a misspelt key would silently take its default
+            raise ConfigError(f"{unknown[0]}: unknown key")
         self.outdir = Path(args.output or cfg.get("output.dir", "."))
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.cfg = cfg
@@ -320,9 +324,9 @@ def cmd_classical(cfg, args) -> int:
     runner = JobRunner(cfg, args)
 
     def grids_job():
-        return {f"escape_{direction}.csv": partial(
-            write_escape_grid_csv, times=escape_grid(spec, M, direction, t_max))
-            for direction in ("forward", "backward")}
+        grid = escape_grid(spec, M, t_max)
+        return {"escape_forward.csv": partial(write_escape_grid_csv, times=grid),
+                "escape_backward.csv": partial(write_escape_grid_csv, times=grid.T)}
 
     def dims_job():
         return {"dimensions.json": partial(write_json, obj=fractal_dimensions(spec))}

@@ -14,6 +14,17 @@ from pathlib import Path
 from .classical import OpenBakerSpec
 
 
+# Every key a verb reads.  A config is shared between verbs, so a key
+# that one verb ignores is allowed; any other key is a config error.
+KEYS = frozenset({
+    "map.family", "map.D", "map.kept", "map.variant",
+    "spectrum.N", "spectrum.parity", "count.radii", "sector.theta",
+    "sector.rho", "weyl.r", "profile.radii", "toy.k",
+    "transport.k", "transport.theta", "transport.method",
+    "classical.M", "classical.tmax", "classical.toy_k", "output.dir",
+})
+
+
 class ConfigError(ValueError):
     """Raised for unparseable or inconsistent run configuration."""
 

@@ -36,12 +36,15 @@ def quantize_open(spec: OpenBakerSpec, N: int) -> np.ndarray:
     at a time: column block b, holding G_{N/D} in row block b and zeros
     elsewhere, is replaced by its FFT apply of G_N^*.  G_N is never
     formed, the only temporaries are two (N, N/D) arrays, and the cost is
-    O(s N^2/D log N), not s N (N/D)^2."""
+    O(s N^2/D log N), not s N (N/D)^2.  N above MAX_DENSE_DIM is refused
+    before anything is allocated."""
     if N % spec.D != 0 or N < spec.D:
         raise ValueError(f"dimension {N} must be a positive multiple of {spec.D}")
+    if N > MAX_DENSE_DIM:
+        raise ValueError(f"dense dimension {N} exceeds cap {MAX_DENSE_DIM}")
     n = N // spec.D
-    inner = dft_centered(n)
     M = np.zeros((N, N), dtype=complex)
+    inner = dft_centered(n)
     for b in spec.kept:
         block = slice(b * n, (b + 1) * n)
         M[block, block] = inner
@@ -101,19 +104,18 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
 def build_toy_diagonal(N: int) -> np.ndarray:
     """Toy model of the open 3-baker: only the tilted-diagonal entries
     (n, m) = (3l + eps, l + ell*N/3), ell in {0, 2}, survive, with moduli
-    fixed to 1/sqrt(3) and phases exp((2 pi i/3)(eps+1/2)(ell+1/2))."""
+    fixed to 1/sqrt(3) and phases exp((2 pi i/3)(eps+1/2)(ell+1/2)).
+    Each of the six (eps, ell) diagonals is one write over all l."""
     if N % 3 != 0 or N < 3:
         raise ValueError(f"dimension {N} must be a positive multiple of 3")
     if N > MAX_DENSE_DIM:
         raise ValueError(f"dense dimension {N} exceeds cap {MAX_DENSE_DIM}")
     B = np.zeros((N, N), dtype=complex)
-    for l in range(N // 3):
-        for ell in (0, 2):
-            col = l + ell * N // 3
-            for eps in range(3):
-                B[3 * l + eps, col] = np.exp(
-                    2j * np.pi / 3 * (eps + 0.5) * (ell + 0.5)
-                ) / np.sqrt(3)
+    l = np.arange(N // 3)
+    for ell in (0, 2):
+        for eps in range(3):
+            B[3 * l + eps, l + ell * N // 3] = np.exp(
+                2j * np.pi / 3 * (eps + 0.5) * (ell + 0.5)) / np.sqrt(3)
     return B
 
 

@@ -205,15 +205,17 @@ class TransportResult:
         }
 
 
-def transport_quantities(t: np.ndarray, k: int = 0, theta: float = 0.0) -> TransportResult:
+def transport_quantities(t: np.ndarray) -> TransportResult:
     """Transmission eigenvalues (squared singular values of t, descending)
-    and the Landauer conductance, noise power, and Fano factor."""
+    and the Landauer conductance, noise power, and Fano factor, labelled
+    k = 0, theta = 0.0: t alone does not say its word length or
+    quasi-energy (transport_result labels its own result)."""
     sv = np.linalg.svd(np.asarray(t, dtype=complex), compute_uv=False)
     T = np.sort(sv**2)[::-1]
     g = float(T.sum())
     P = float((T * (1.0 - T)).sum())
     F = P / g if g > 0 else None
-    return TransportResult(k, theta, T, g, P, F)
+    return TransportResult(0, 0.0, T, g, P, F)
 
 
 def transport_result(k: int, theta: float = 0.0,
@@ -229,7 +231,7 @@ def transport_result(k: int, theta: float = 0.0,
     t, diagnostics = transmission_matrix(k, theta, method, return_diagnostics=True)
     end = _leading_runs(k - 1)[1]
     trapped = t[:, end < 0]
-    core = transport_quantities(trapped, k=k, theta=theta)
+    core = transport_quantities(trapped)
     opened, closed = int((end == 3).sum()), int((end == 0).sum())
     # a trapped channel may transmit fully too: T = 1 + 4e-16 at k = 4, theta = 0
     T = np.sort(np.concatenate([np.ones(opened), core.T, np.zeros(closed)]))[::-1]

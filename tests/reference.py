@@ -1,7 +1,7 @@
 """Reference constructions that only the tests use: the float open-baker
 step and escape time, digit codecs, the digit-reversal permutation,
 product states, the parity-sector isometry and the one-expression parity
-fold, the lead projectors of the Walsh cavity, the resolvent solved on
+fold, the toy matrix written entry by entry, the lead projectors of the Walsh cavity, the resolvent solved on
 the whole interior block, the bounce series started from the full lead-1
 basis, and a reader for the spectrum CSV.  The package computes with
 faster index folds, slices and integer digit sweeps; these spell out
@@ -128,6 +128,19 @@ def one_expression_fold(B: np.ndarray, sector: str) -> np.ndarray:
     h = N // 2
     mirrored = B[:h, N - 1:h - 1:-1] + R[:h, N - 1:h - 1:-1]
     return 0.5 * (B[:h, :h] + R[:h, :h] + sign * mirrored)
+
+
+def toy_diagonal_by_entry(N: int) -> np.ndarray:
+    """build_toy_diagonal(N) written one entry at a time."""
+    B = np.zeros((N, N), dtype=complex)
+    for l in range(N // 3):
+        for ell in (0, 2):
+            col = l + ell * N // 3
+            for eps in range(3):
+                B[3 * l + eps, col] = np.exp(
+                    2j * np.pi / 3 * (eps + 0.5) * (ell + 0.5)
+                ) / np.sqrt(3)
+    return B
 
 
 def lead_projectors(k: int):

@@ -133,19 +133,19 @@ def test_escape_grid_is_the_exact_orbit(spec, M, t_max):
     # [DERIVED] forward escape reads the digits of q (rows i), backward
     # those of p (columns j)
     exact = fraction_escape_times(spec, M, t_max)
-    assert np.array_equal(escape_grid(spec, M, "forward", t_max),
-                          np.repeat(exact[:, None], M, axis=1))
-    assert np.array_equal(escape_grid(spec, M, "backward", t_max),
-                          np.repeat(exact[None, :], M, axis=0))
+    grid = escape_grid(spec, M, t_max)
+    assert np.array_equal(grid, np.repeat(exact[:, None], M, axis=1))
+    assert np.array_equal(grid.T, np.repeat(exact[None, :], M, axis=0))
 
 
 def test_escape_grid_matches_exact_two_dimensional_orbits():
     # the reference step on Fraction points is the exact map on the torus,
-    # so it checks that each direction reads only its own coordinate
+    # so it checks that each direction reads only its own coordinate: the
+    # backward grid is the forward one transposed
     M, t_max = 9, 4
     for spec in (B3, B5, OPEN_B4):
-        for direction in ("forward", "backward"):
-            times = escape_grid(spec, M, direction, t_max)
+        grid = escape_grid(spec, M, t_max)
+        for direction, times in (("forward", grid), ("backward", grid.T)):
             for i in range(M):
                 for j in range(M):
                     x = (Fraction(2 * i + 1, 2 * M), Fraction(2 * j + 1, 2 * M))
@@ -157,8 +157,8 @@ def test_escape_grid_keeps_the_digits_a_float_orbit_loses():
     # the float orbit drops about one ternary digit per step: by n = 30-39
     # it sends these eight trapped B3 centres into the middle strip
     drifted = [2, 7, 22, 32, 67, 77, 92, 97]
-    forward = escape_grid(B3, 100, "forward", 60)
-    backward = escape_grid(B3, 100, "backward", 60)
+    forward = escape_grid(B3, 100, 60)
+    backward = forward.T
     assert np.all(forward[drifted] == -1)
     assert np.all(backward[:, drifted] == -1)
     for i in drifted:
@@ -166,16 +166,14 @@ def test_escape_grid_keeps_the_digits_a_float_orbit_loses():
 
 
 def test_escape_grid_with_no_steps_is_all_trapped():
-    for direction in ("forward", "backward"):
-        assert np.all(escape_grid(B5, 7, direction, t_max=0) == -1)
+    grid = escape_grid(B5, 7, t_max=0)
+    assert np.all(grid == -1) and np.all(grid.T == -1)
 
 
-@pytest.mark.parametrize("M, direction, t_max", [
-    (9, "sideways", 4), (0, "forward", 4), (9, "backward", -1),
-], ids=["direction", "M", "t_max"])
-def test_escape_grid_rejects_bad_arguments(M, direction, t_max):
+@pytest.mark.parametrize("M, t_max", [(0, 4), (9, -1)], ids=["M", "t_max"])
+def test_escape_grid_rejects_bad_arguments(M, t_max):
     with pytest.raises(ValueError):
-        escape_grid(B3, M, direction, t_max)
+        escape_grid(B3, M, t_max)
 
 
 # ------------------------------------------------------------ dimensions

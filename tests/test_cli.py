@@ -1,5 +1,6 @@
 """Configuration parsing, on-disk formats, and the batch CLI front end."""
 
+import ast
 import json
 import shutil
 import subprocess
@@ -12,9 +13,9 @@ import pytest
 
 from openbaker import cli, quantize
 from openbaker.cli import main
-from openbaker.config import (ConfigError, distinct, get_float, get_float_list,
-                              get_int, get_int_list, get_job_sizes, get_spec,
-                              get_str, parse_config)
+from openbaker.config import (KEYS, ConfigError, distinct, get_float,
+                              get_float_list, get_int, get_int_list,
+                              get_job_sizes, get_spec, get_str, parse_config)
 from openbaker.serialize import fmt, write_spectrum_csv
 from openbaker.spectral import Spectrum
 from openbaker.transforms import MAX_DENSE_DIM
@@ -644,6 +645,56 @@ def test_cli_rejects_lengths_below_one(tmp_path, capsys, verb, text, message):
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,text,key", [
+    ("transport", "transport.k = 3\ntransport.methd = series\n",
+     "transport.methd"),
+    ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+              "spectrum.N = 9\nspectrum.parit = even\ncount.radii = 0.5\n",
+     "spectrum.parit"),
+], ids=["transport-method", "spectrum-parity"])
+def test_cli_rejects_an_unknown_key(tmp_path, capsys, verb, text, key):
+    # a misspelt key would otherwise be ignored: the resolvent would run in
+    # place of the series, and the full spectrum be counted in place of its
+    # even sector
+    out = tmp_path / "out"
+    assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
+    assert f"config error: {key}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _keys_read(path):
+    """The config keys a module reads: the constant keys passed to a get_*
+    getter or to distinct, tested with `in cfg` or read with `cfg.get`."""
+    keys = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        fn = getattr(node, "func", None)
+        if isinstance(fn, ast.Name) and fn.id.startswith("get_"):
+            args = node.args[1:2]
+        elif isinstance(fn, ast.Name) and fn.id == "distinct":
+            args = node.args[:1]
+        elif (isinstance(fn, ast.Attribute) and fn.attr == "get"
+              and getattr(fn.value, "id", None) == "cfg"):
+            args = node.args[:1]
+        elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In)
+              and getattr(node.comparators[0], "id", None) == "cfg"):
+            args = [node.left]
+        else:
+            continue
+        keys |= {a.value for a in args if isinstance(a, ast.Constant)}
+    return keys
+
+
+def test_known_keys_are_the_keys_read():
+    # KEYS is what a config may hold: a key the verbs read but KEYS lacks
+    # would be refused, a key KEYS holds but no verb reads silently ignored
+    src = ROOT / "src" / "openbaker"
+    assert KEYS == _keys_read(src / "cli.py") | _keys_read(src / "config.py")
+    readme = (ROOT / "README.md").read_text()
+    reference = readme[readme.index("Example config:"):readme.index("## Tests")]
+    assert [k for k in sorted(KEYS)
+            if f"`{k}`" not in reference and f"\n{k} =" not in reference] == []
 
 
 @pytest.mark.parametrize("verb,text,job", [

@@ -12,7 +12,8 @@ from openbaker.quantize import (build_toy_diagonal, parity_operator,
                                 quantize_open, tensor_open_apply_block,
                                 walsh_quantize)
 from openbaker.transforms import MAX_DENSE_DIM, build_walsh, dft_centered
-from reference import one_expression_fold, parity_isometry, tensor_state
+from reference import (one_expression_fold, parity_isometry, tensor_state,
+                       toy_diagonal_by_entry)
 
 
 def unitarity_defect(M):
@@ -112,6 +113,23 @@ def test_walsh_quantize_allocates_no_second_square_matrix():
     finally:
         tracemalloc.stop()
     assert peak / M.nbytes <= 1.3
+
+
+@pytest.mark.parametrize("build", [
+    lambda N: quantize_open(OpenBakerSpec(2, (1,)), N),
+    lambda N: quantize_closed(2, N),
+], ids=["open", "closed"])
+def test_dft_quantize_refuses_oversized_before_allocating(monkeypatch, build):
+    # 2^14 + 2 exceeds MAX_DENSE_DIM: refused before the dense N x N matrix
+    # is allocated; 2^14 still reaches it
+    def zeros(*args, **kwargs):
+        raise RuntimeError("dense DFT matrix allocated")
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    with pytest.raises(ValueError, match=f"exceeds cap {MAX_DENSE_DIM}"):
+        build(MAX_DENSE_DIM + 2)
+    with pytest.raises(RuntimeError, match="allocated"):
+        build(MAX_DENSE_DIM)
 
 
 def test_walsh_quantize_refuses_oversized_before_allocating(monkeypatch):
@@ -292,6 +310,12 @@ def test_toy_diagonal_structure():
     col_counts = nz.sum(axis=0)
     assert sorted(col_counts) == [0, 0, 0, 3, 3, 3, 3, 3, 3]
     assert np.allclose(np.abs(B[nz]), 1 / np.sqrt(3))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_toy_diagonal_equals_its_entry_loop(k):
+    # the six diagonal writes give the per-entry construction bit for bit
+    assert np.array_equal(build_toy_diagonal(3**k), toy_diagonal_by_entry(3**k))
 
 
 def test_toy_diagonal_rejects_bad_dimension():
