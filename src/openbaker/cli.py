@@ -29,8 +29,8 @@ import scipy
 from . import __version__
 from .classical import (B3, OpenBakerSpec, escape_grid, fractal_dimensions,
                         transfer_matrix)
-from .config import (KEYS, ConfigError, distinct, get_float, get_float_list,
-                     get_int, get_job_sizes, get_spec, get_str, load_config)
+from .config import (KEYS, ConfigError, get_float, get_float_list, get_int,
+                     get_int_list, get_spec, get_str, load_config)
 from .quantize import (_sector_sign, build_toy_diagonal, parity_restrict,
                        quantize_open, tensor_open_apply_block)
 from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
@@ -77,12 +77,18 @@ def _blas_threads() -> dict:
     by library file name; empty where /proc/self/maps is not readable."""
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+            # the path is the sixth field and may hold spaces; /proc marks
+            # a library replaced on disk with a " (deleted)" suffix
+            paths = sorted({line.split(maxsplit=5)[5].rstrip().removesuffix(" (deleted)")
+                            for line in fh if "openblas" in line})
     except OSError:
         return {}
     threads = {}
     for path in paths:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # gone from disk or not loadable: report nothing
+            continue
         for symbol in ("scipy_openblas_get_num_threads64_",
                        "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
             fn = getattr(lib, symbol, None)
@@ -136,7 +142,10 @@ class JobRunner:
         if unknown:  # a misspelt key would silently take its default
             raise ConfigError(f"{unknown[0]}: unknown key")
         self.outdir = Path(args.output or cfg.get("output.dir", "."))
-        self.outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or no write permission
+            raise ConfigError(f"output directory {self.outdir}: {exc.strerror}") from exc
         self.cfg = cfg
         self.jobs = []
 
@@ -189,7 +198,6 @@ class JobRunner:
         return entry
 
     def write_manifest(self):
-        outputs = sorted({f for j in self.jobs for f in j["outputs"]})
         manifest = {
             "tool": "openbaker",
             "version": __version__,
@@ -197,7 +205,7 @@ class JobRunner:
             # read at each write: scipy.linalg's BLAS loads with its first call
             "environment": _run_environment(),
             "jobs": sorted(self.jobs, key=lambda j: j["name"]),
-            "outputs": outputs,
+            "outputs": sorted({f for j in self.jobs for f in j["outputs"]}),
         }
         write_json(self.outdir / "manifest.json", manifest)
 
@@ -215,7 +223,7 @@ def _run_spectra(cfg: dict, args):
                           "and map.variant = W")
     if family == "dft" and "map.variant" in cfg:
         raise ConfigError("map.variant: the dft family has no variant")
-    dims = get_job_sizes(cfg, "spectrum.N")
+    dims = get_int_list(cfg, "spectrum.N", minimum=1)
     parity = get_str(cfg, "spectrum.parity", default="full",
                      choices={"even", "odd", "full"})
     runner = JobRunner(cfg, args)
@@ -235,7 +243,7 @@ def cmd_spectrum(cfg, args) -> int:
 
 
 def cmd_count(cfg, args) -> int:
-    radii = distinct("count.radii", get_float_list(cfg, "count.radii"))
+    radii = get_float_list(cfg, "count.radii")
     theta = get_float(cfg, "sector.theta", default=0.0)
     rho = get_float(cfg, "sector.rho", default=math.pi)
     if "sector.theta" in cfg and rho == math.pi:  # the angle would select nothing
@@ -257,10 +265,7 @@ def cmd_weyl(cfg, args) -> int:
 
 def cmd_profile(cfg, args) -> int:
     radii = get_float_list(cfg, "profile.radii")
-    try:
-        check_profile_radii(radii)
-    except ValueError as exc:  # "radii must be ...": prefix the section
-        raise ConfigError(f"profile.{exc}") from exc
+    check_profile_radii(radii, "profile.radii")
     runner, spec, spectra = _run_spectra(cfg, args)
     return runner.step("profile", lambda: {"profile.csv": partial(
         write_profile_csv, r_grid=radii, dims=[s.N for s in spectra],
@@ -268,7 +273,7 @@ def cmd_profile(cfg, args) -> int:
 
 
 def cmd_toy_check(cfg, args) -> int:
-    ks = get_job_sizes(cfg, "toy.k")
+    ks = get_int_list(cfg, "toy.k", minimum=1)
     runner = JobRunner(cfg, args)
 
     def job(k):
@@ -293,9 +298,8 @@ def cmd_toy_check(cfg, args) -> int:
 
 
 def cmd_transport(cfg, args) -> int:
-    ks = get_job_sizes(cfg, "transport.k")
-    thetas = distinct("transport.theta",
-                      get_float_list(cfg, "transport.theta", default=[0.0]))
+    ks = get_int_list(cfg, "transport.k", minimum=1)
+    thetas = get_float_list(cfg, "transport.theta", default=[0.0])
     method = get_str(cfg, "transport.method", default="resolvent",
                      choices={"resolvent", "series"})
     runner = JobRunner(cfg, args)
@@ -410,7 +414,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
     m = sub.add_parser("manifest")
     m.add_argument("rundir", help="directory of a previous run")
-    m.set_defaults(fn=None)
     return parser
 
 
@@ -421,9 +424,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.fn(cfg, args)
-    except (ValueError, FileNotFoundError) as exc:
-        # every ValueError that reaches here is a bad config value: each
-        # verb parses its config before its JobRunner makes the output
+    except ValueError as exc:
+        # every ValueError that reaches here is a bad config value or a
+        # config file or output directory that cannot be used: each verb
+        # parses its config before its JobRunner makes the output
         # directory, and the runner isolates every job and step
         print(f"config error: {exc}", file=sys.stderr)
         return 1

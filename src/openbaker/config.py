@@ -48,7 +48,10 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    return parse_config(Path(path).read_text())
+    try:
+        return parse_config(Path(path).read_text())
+    except OSError as exc:  # missing, a directory, or not readable
+        raise ConfigError(f"config file {path}: {exc.strerror}") from exc
 
 
 def _lookup(cfg: dict, key: str, default, parse):
@@ -100,34 +103,36 @@ def _parse_float(token: str, key: str) -> float:
     return value
 
 
-def get_int_list(cfg: dict, key: str, default=None) -> list:
+def get_int_list(cfg: dict, key: str, default=None, minimum=None) -> list:
     def parse(val):
         try:
             return [int(tok) for tok in val.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"{key}: expected comma-separated integers") from exc
-    return _lookup(cfg, key, default, parse)
+    values = _distinct(key, _lookup(cfg, key, default, parse))
+    if minimum is not None and any(v < minimum for v in values):
+        raise ConfigError(f"{key} values must be >= {minimum}")
+    return values
 
 
 def get_float_list(cfg: dict, key: str, default=None) -> list:
-    return _lookup(cfg, key, default, lambda val: [
-        _parse_float(tok, key) for tok in val.split(",") if tok.strip()])
+    return _distinct(key, _lookup(cfg, key, default, lambda val: [
+        _parse_float(tok, key) for tok in val.split(",") if tok.strip()]))
 
 
-def distinct(key: str, values: list) -> list:
-    """`values` unchanged, for a list key whose values each name one job
-    (spectrum.N, toy.k, transport.k, transport.theta) or one count per
-    spectrum (count.radii): an empty list would run no job or write no
-    counts and report success, and a repeated value would run the same
-    job twice under one name or count the same radius twice, so both
-    are rejected."""
+def _distinct(key: str, values: list) -> list:
+    """`values` unchanged.  Every list key names one job per value
+    (spectrum.N, toy.k, transport.k, transport.theta), one count or
+    profile row per value (count.radii, profile.radii) or one kept branch
+    per value (map.kept): an empty list would run no job or write an
+    empty artifact and report success, and a repeated value would run the
+    same job twice under one name or count the same radius twice, so
+    both are rejected."""
     if not values:
         raise ConfigError(f"{key}: expected at least one value")
-    seen = set()
-    for v in values:
-        if v in seen:
+    for i, v in enumerate(values):
+        if v in values[:i]:
             raise ConfigError(f"{key}: repeated value {v!r}")
-        seen.add(v)
     return values
 
 
@@ -140,11 +145,3 @@ def get_spec(cfg: dict) -> OpenBakerSpec:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def get_job_sizes(cfg: dict, key: str) -> list:
-    """Integer job list such as `spectrum.N = 20,100,500`, `toy.k` or
-    `transport.k`, one job per value: `distinct`, and each value >= 1."""
-    values = distinct(key, get_int_list(cfg, key))
-    if any(v < 1 for v in values):
-        raise ConfigError(f"{key} values must be >= 1")
-    return values

@@ -1,9 +1,13 @@
 """Configuration parsing, on-disk formats, and the batch CLI front end."""
 
 import ast
+import importlib
+import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,11 +15,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import openbaker
 from openbaker import cli, quantize
 from openbaker.cli import main
-from openbaker.config import (KEYS, ConfigError, distinct, get_float,
-                              get_float_list, get_int, get_int_list,
-                              get_job_sizes, get_spec, get_str, parse_config)
+from openbaker.config import (KEYS, ConfigError, get_float, get_float_list,
+                              get_int, get_int_list, get_spec, get_str,
+                              parse_config)
 from openbaker.serialize import fmt, write_spectrum_csv
 from openbaker.spectral import Spectrum
 from openbaker.transforms import MAX_DENSE_DIM
@@ -82,30 +87,41 @@ def test_get_spec_and_dimensions():
     cfg = parse_config("map.D = 5\nmap.kept = 1,3\nspectrum.N = 20,100,500\n")
     spec = get_spec(cfg)
     assert spec.D == 5 and spec.kept == (1, 3)
-    assert get_job_sizes(cfg, "spectrum.N") == [20, 100, 500]
+    assert get_int_list(cfg, "spectrum.N", minimum=1) == [20, 100, 500]
     cfg2 = parse_config("spectrum.N = 9, 27\n")
-    assert get_job_sizes(cfg2, "spectrum.N") == [9, 27]
+    assert get_int_list(cfg2, "spectrum.N", minimum=1) == [9, 27]
     with pytest.raises(ConfigError, match="spectrum.N"):
-        get_job_sizes(parse_config("x = 1\n"), "spectrum.N")
+        get_int_list(parse_config("x = 1\n"), "spectrum.N", minimum=1)
     with pytest.raises(ConfigError, match="spectrum.N values must be >= 1"):
-        get_job_sizes(parse_config("spectrum.N = 9, 0\n"), "spectrum.N")
+        get_int_list(parse_config("spectrum.N = 9, 0\n"), "spectrum.N",
+                     minimum=1)
     with pytest.raises(ConfigError):
         get_spec(parse_config("map.D = 3\nmap.kept = 5\n"))
 
 
 def test_distinct_rejects_a_repeated_value_by_key():
-    assert distinct("toy.k", [3, 1, 2]) == [3, 1, 2]
-    with pytest.raises(ConfigError, match="transport.theta"):
-        distinct("transport.theta", [0.0, 0.3, 0.3])
-    with pytest.raises(ConfigError, match="spectrum.N: repeated value"):
-        get_job_sizes(parse_config("spectrum.N = 9, 27, 9\n"), "spectrum.N")
+    # both list getters refuse a repeat, for every key they read
+    cfg = parse_config("toy.k = 3, 1, 2\ntransport.theta = 0.0, 0.3, 0.30\n"
+                       "spectrum.N = 9, 27, 9\nmap.kept = 1, 1\n")
+    assert get_int_list(cfg, "toy.k") == [3, 1, 2]
+    with pytest.raises(ConfigError, match="transport.theta: repeated value 0.3"):
+        get_float_list(cfg, "transport.theta")
+    with pytest.raises(ConfigError, match="spectrum.N: repeated value 9"):
+        get_int_list(cfg, "spectrum.N", minimum=1)
+    with pytest.raises(ConfigError, match="map.kept: repeated value 1"):
+        get_spec(parse_config("map.D = 3\nmap.kept = 1, 1\n"))
 
 
 def test_distinct_rejects_an_empty_list_by_key():
+    cfg = parse_config("toy.k =\nspectrum.N = ,\nprofile.radii =\n")
     with pytest.raises(ConfigError, match="toy.k: expected at least one value"):
-        distinct("toy.k", [])
+        get_int_list(cfg, "toy.k")
     with pytest.raises(ConfigError, match="spectrum.N: expected at least one"):
-        get_job_sizes(parse_config("spectrum.N =\n"), "spectrum.N")
+        get_int_list(cfg, "spectrum.N", minimum=1)
+    with pytest.raises(ConfigError, match="profile.radii: expected at least one"):
+        get_float_list(cfg, "profile.radii")
+    with pytest.raises(ConfigError, match="map.kept: expected at least one"):
+        get_spec(parse_config("map.D = 3\nmap.kept =\n"))
 
 
 # ------------------------------------------------------------- serialize
@@ -453,6 +469,26 @@ def test_cli_invalid_config_exits_1(tmp_path):
                  "-o", str(tmp_path / "o")]) == 1
 
 
+def test_cli_refuses_a_directory_as_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["count", str(tmp_path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {tmp_path}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_refuses_an_existing_file_as_output(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "toy.k = 2\n")
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert main(["toy-check", cfg, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output directory {out}: ")
+    assert "Traceback" not in err
+    assert out.read_text() == "kept\n"
+
+
 def test_cli_failing_job_exits_2(tmp_path, capsys):
     # N = 10 is not a power of 3: the walsh job fails, siblings succeed
     cfg = write_cfg(tmp_path, "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
@@ -601,6 +637,9 @@ def test_cli_classical_rejects_bad_map_before_running(tmp_path, capsys):
      "transport.theta"),
     ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
               "spectrum.N = 9\ncount.radii = 0.5,0.50\n", "count.radii"),
+    ("profile", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+                "spectrum.N = 9\nprofile.radii = 0.1,0.1\n", "profile.radii"),
+    ("classical", "map.D = 5\nmap.kept = 1,1\n", "map.kept"),
 ])
 def test_cli_rejects_repeated_job_values(tmp_path, capsys, verb, text, key):
     out = tmp_path / "out"
@@ -617,10 +656,14 @@ def test_cli_rejects_repeated_job_values(tmp_path, capsys, verb, text, key):
     ("transport", "transport.k = 2\ntransport.theta =\n", "transport.theta"),
     ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
               "spectrum.N = 9\ncount.radii =\n", "count.radii"),
-], ids=["spectrum-N", "toy-k", "transport-k", "transport-theta", "count-radii"])
+    ("profile", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+                "spectrum.N = 9\nprofile.radii =\n", "profile.radii"),
+    ("classical", "map.D = 5\nmap.kept =\n", "map.kept"),
+], ids=["spectrum-N", "toy-k", "transport-k", "transport-theta", "count-radii",
+        "profile-radii", "map-kept"])
 def test_cli_rejects_empty_job_lists(tmp_path, capsys, verb, text, key):
-    # a list key with no values would run no job (or write no counts.csv)
-    # and exit 0
+    # a list key with no values would run no job (or write a profile.csv or
+    # counts.csv of its header alone) and exit 0
     out = tmp_path / "out"
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
     assert f"{key}: expected at least one value" in capsys.readouterr().err
@@ -666,14 +709,12 @@ def test_cli_rejects_an_unknown_key(tmp_path, capsys, verb, text, key):
 
 def _keys_read(path):
     """The config keys a module reads: the constant keys passed to a get_*
-    getter or to distinct, tested with `in cfg` or read with `cfg.get`."""
+    getter, tested with `in cfg` or read with `cfg.get`."""
     keys = set()
     for node in ast.walk(ast.parse(path.read_text())):
         fn = getattr(node, "func", None)
         if isinstance(fn, ast.Name) and fn.id.startswith("get_"):
             args = node.args[1:2]
-        elif isinstance(fn, ast.Name) and fn.id == "distinct":
-            args = node.args[:1]
         elif (isinstance(fn, ast.Attribute) and fn.attr == "get"
               and getattr(fn.value, "id", None) == "cfg"):
             args = node.args[:1]
@@ -800,6 +841,29 @@ def test_cli_manifest_records_the_environment(tmp_path, capsys):
     assert f"    numpy: {np.__version__}\n" in printed
 
 
+def test_blas_threads_reads_a_spaced_or_deleted_library_path(monkeypatch):
+    # the path is the sixth maps field and may hold spaces; /proc appends
+    # " (deleted)" to a library replaced on disk, which then cannot load
+    spaced = "/opt/sp ace/numpy.libs/libscipy_openblas64_-x.so"
+    deleted = "/opt/old/libopenblas.so"
+    maps = (f"7f00-7f01 r-xp 00000000 08:01 42     {spaced}\n"
+            f"7f02-7f03 r-xp 00000000 08:01 43     {deleted} (deleted)\n"
+            "7f04-7f05 rw-p 00000000 00:00 0 \n")
+    monkeypatch.setattr(cli, "open", lambda path: io.StringIO(maps),
+                        raising=False)
+    loaded = []
+
+    def cdll(path):
+        loaded.append(path)
+        if path == deleted:
+            raise OSError(f"{path}: cannot open shared object file")
+        return SimpleNamespace(scipy_openblas_get_num_threads64_=lambda: 3)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._blas_threads() == {"libscipy_openblas64_-x.so": 3}
+    assert sorted(loaded) == [deleted, spaced]
+
+
 def test_cli_runs_are_deterministic(tmp_path):
     cfg = write_cfg(tmp_path, "map.family = dft\nmap.D = 5\nmap.kept = 1,3\n"
                               "spectrum.N = 20\nspectrum.parity = even\n")
@@ -829,6 +893,22 @@ def test_cli_ignores_workers_environment_variable(tmp_path, monkeypatch):
     assert main(["toy-check", cfg, "-o", str(tmp_path / "env")]) == 0
     assert ((tmp_path / "plain" / "toy_check_k2.json").read_bytes()
             == (tmp_path / "env" / "toy_check_k2.json").read_bytes())
+
+
+def test_module_entry_point_reports_version():
+    # the benchmark launches the CLI as `python3 -m openbaker.cli`
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-m", "openbaker.cli", "--version"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == openbaker.__version__
+
+
+def test_console_script_entry_names_a_callable():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"openbaker": "openbaker.cli:main"}
+    module, name = project["scripts"]["openbaker"].split(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 @pytest.mark.skipif(shutil.which("openbaker") is None,

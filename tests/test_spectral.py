@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from openbaker.classical import B3, B5, transfer_matrix
 from openbaker import cli
 from openbaker.cli import build_map, map_spectrum
-from openbaker.quantize import build_toy_diagonal, parity_restrict, walsh_quantize
+from openbaker.quantize import (build_toy_diagonal, parity_restrict,
+                                quantize_open, walsh_quantize)
 from openbaker.spectral import (SectorQuery, Spectrum, canonical_order,
                                 compare_spectra, count_sector, eigen_spectrum,
                                 invariant_nonzero_spectrum, profile_curve,
                                 toy_closed_spectrum, weyl_fit)
+from openbaker.spectral import _deflate_zero_indices
 
 
 # -------------------------------------------------------------- ordering
@@ -374,6 +376,24 @@ def test_deflated_eigen_spectrum_matches_dense_reference(N, parity):
     assert max_matched_distance(big, ref[np.abs(ref) > 0.01]) < 1e-9
     # the kept strips are the core: s of D columns, halved by parity
     assert s.eig_dim == (2 * N // 5 if parity == "full" else N // 5)
+
+
+def test_table_counts_at_N100_hold_at_30_digits():
+    # [PAPER] supplementary: the N = 100 row of the even-parity table is
+    # no double-precision artifact.  The 20 x 20 even core, eigensolved at
+    # 30 digits, gives the double counts at every table radius (the same
+    # at 60 digits; the nearest eigenvalue is 6.0e-5 from a radius)
+    mpmath = pytest.importorskip("mpmath")
+    M = parity_restrict(quantize_open(B5, 100), "even")
+    core = _deflate_zero_indices(M)
+    assert core.shape == (20, 20)
+    with mpmath.workdps(30):
+        vals = mpmath.eig(mpmath.matrix(core.tolist()), left=False, right=False)
+        moduli = [abs(v) for v in vals]
+    s = eigen_spectrum(M, N=100)
+    for r, expected in zip(WEYL_COUNT_RADII, (4, 10, 10, 13, 14, 16)):
+        assert sum(m > r for m in moduli) == expected
+        assert count_sector(s, SectorQuery(r)) == expected
 
 
 @pytest.mark.parametrize("zeros", ["rows", "columns"])
