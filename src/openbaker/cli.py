@@ -66,10 +66,11 @@ def map_spectrum(family: str, spec: OpenBakerSpec, N: int, parity: str,
         _sector_sign(N, parity)  # an odd N fails before the N x N build
     check_eig_dim(N if parity == "full" else N // 2)
     M = build_map(family, spec, N, variant)
+    if parity != "full":
+        # rebinding frees the N x N map before the eigensolve
+        M = parity_restrict(M, parity)
     label = f"{family}-D{spec.D}-kept{''.join(map(str, spec.kept))}-N{N}-{parity}"
-    if parity == "full":
-        return eigen_spectrum(M, N=N, label=label)
-    return eigen_spectrum(parity_restrict(M, parity), N=N, label=label)
+    return eigen_spectrum(M, N=N, label=label)
 
 
 def _blas_threads() -> dict:
@@ -242,13 +243,24 @@ def cmd_spectrum(cfg, args) -> int:
     return _run_spectra(cfg, args)[0].exit_code
 
 
+def _sector_query(key: str, r: float, theta: float = 0.0,
+                  rho: float = math.pi) -> SectorQuery:
+    """SectorQuery(r, theta, rho), whose error is a config error that
+    names `key`."""
+    try:
+        return SectorQuery(r, theta, rho)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def cmd_count(cfg, args) -> int:
     radii = get_float_list(cfg, "count.radii")
     theta = get_float(cfg, "sector.theta", default=0.0)
     rho = get_float(cfg, "sector.rho", default=math.pi)
     if "sector.theta" in cfg and rho == math.pi:  # the angle would select nothing
         raise ConfigError("sector.theta: a full annulus (sector.rho = pi) has no angle")
-    queries = [SectorQuery(r, theta, rho) for r in radii]
+    _sector_query("sector.rho", 0.0, theta, rho)  # radius 0 is valid: only rho can fail
+    queries = [_sector_query("count.radii", r, theta, rho) for r in radii]
     runner, _, spectra = _run_spectra(cfg, args)
     return runner.step("counts", lambda: {"counts.csv": partial(
         write_counts_csv, counts=[(s.N, q.r, count_sector(s, q))
@@ -256,7 +268,7 @@ def cmd_count(cfg, args) -> int:
 
 
 def cmd_weyl(cfg, args) -> int:
-    query = SectorQuery(get_float(cfg, "weyl.r"))
+    query = _sector_query("weyl.r", get_float(cfg, "weyl.r"))
     runner, _, spectra = _run_spectra(cfg, args)
     return runner.step("weyl-fit", lambda: {"weyl_fit.json": partial(
         write_json, obj=asdict(weyl_fit([(s.N, count_sector(s, query))

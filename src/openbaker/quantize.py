@@ -19,6 +19,10 @@ from .transforms import (MAX_DENSE_DIM, _centered_dft_adjoint, _seed, build_wals
 # parity_restrict refuses a matrix whose parity commutator has a larger
 # entry
 COMMUTATOR_TOL = 1e-10
+# quantize_open's FFT and parity_restrict's fold take this many columns
+# or rows at a time, so their temporaries are N x _CHUNK, not N x N/D or
+# N/2 x N/2
+_CHUNK = 64
 
 
 def quantize_closed(D: int, N: int) -> np.ndarray:
@@ -34,21 +38,28 @@ def quantize_open(spec: OpenBakerSpec, N: int) -> np.ndarray:
 
     G_N^* . blockdiag(G_{N/D} in the kept slots), one kept column block
     at a time: column block b, holding G_{N/D} in row block b and zeros
-    elsewhere, is replaced by its FFT apply of G_N^*.  G_N is never
-    formed, the only temporaries are two (N, N/D) arrays, and the cost is
-    O(s N^2/D log N), not s N (N/D)^2.  N above MAX_DENSE_DIM is refused
-    before anything is allocated."""
+    elsewhere, is replaced by its FFT apply of G_N^*, _CHUNK columns at a
+    time.  G_N is never formed, the only temporaries are two (N, _CHUNK)
+    arrays, and the cost is O(s N^2/D log N), not s N (N/D)^2.  N above
+    MAX_DENSE_DIM is refused before anything is allocated.
+
+    The result is column-major, so each kept block is one contiguous
+    slice and the removed strips are never written.  Where fresh zeroed
+    pages are mapped lazily (calloc of a large array on Linux), those
+    strips take no resident memory; elsewhere the result is the same and
+    only the chunked temporaries save memory."""
     if N % spec.D != 0 or N < spec.D:
         raise ValueError(f"dimension {N} must be a positive multiple of {spec.D}")
     if N > MAX_DENSE_DIM:
         raise ValueError(f"dense dimension {N} exceeds cap {MAX_DENSE_DIM}")
     n = N // spec.D
-    M = np.zeros((N, N), dtype=complex)
+    M = np.zeros((N, N), dtype=complex, order="F")
     inner = dft_centered(n)
     for b in spec.kept:
-        block = slice(b * n, (b + 1) * n)
-        M[block, block] = inner
-        M[:, block] = _centered_dft_adjoint(M[:, block])
+        for c in range(0, n, _CHUNK):
+            cols = slice(b * n + c, b * n + min(c + _CHUNK, n))
+            M[b * n:(b + 1) * n, cols] = inner[:, c:c + _CHUNK]
+            M[:, cols] = _centered_dft_adjoint(M[:, cols])
     return M
 
 
@@ -74,30 +85,39 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
     (e_j +/- e_{N-1-j})/sqrt(2) with + for "even", as an index fold of B
     and its reversal R; its nonzero spectrum equals the nonzero spectrum
     of B (1 +/- Pi)/2.  Requires even N.  The parity check and the fold
-    read only the top half of B and R, in quarter-size pieces: the
-    temporaries come to half of B's size, not one and a half.
+    read only the top half of B and R, _CHUNK rows at a time, into one
+    C-ordered (N/2, N/2) output: the temporaries are (_CHUNK, N), not
+    quarter-size.
+
+    Reading B maps no new memory for pages B never wrote (the removed
+    strips of quantize_open and build_toy_diagonal read as the shared
+    zero page); where pages are not lazily zeroed, the output is the same
+    and only the chunked temporaries save memory.
     """
     B = check_finite(B)
     N = B.shape[0]
     sign = _sector_sign(N, sector)
     R = B[::-1, ::-1]
     h = N // 2
-    # B Pi - Pi B = J (B - R) with J the plain reversal: the same max
-    # entry.  Rows h.. of B - R are rows ..h reversed and negated, so the
-    # two top quarters hold every modulus.
-    comm = max(np.max(np.abs(B[:h, :h] - R[:h, :h])),
-               np.max(np.abs(B[:h, h:] - R[:h, h:])))
+    out = np.empty((h, h), dtype=complex)
+    comm = 0.0
+    for i in range(0, h, _CHUNK):
+        rows = slice(i, min(i + _CHUNK, h))
+        # B Pi - Pi B = J (B - R) with J the plain reversal: the same max
+        # entry.  Rows h.. of B - R are rows ..h reversed and negated, so
+        # the top half holds every modulus.
+        comm = max(comm, np.max(np.abs(B[rows] - R[rows])))
+        # 0.5 * (B1 + R1 + sign * (B2 + R2)) in place, in this order, so
+        # the output is the expression's bit for bit
+        fold = np.add(B[rows, :h], R[rows, :h], out=out[rows])
+        mirrored = B[rows, N - 1:h - 1:-1] + R[rows, N - 1:h - 1:-1]
+        mirrored *= sign
+        fold += mirrored
+        fold *= 0.5
     if comm > COMMUTATOR_TOL:
         raise ValueError(
             f"matrix does not commute with parity: max commutator entry {comm:.3e}"
         )
-    # 0.5 * (B1 + R1 + sign * (B2 + R2)) in place, in this order, so the
-    # output is the expression's bit for bit
-    out = B[:h, :h] + R[:h, :h]
-    mirrored = B[:h, N - 1:h - 1:-1] + R[:h, N - 1:h - 1:-1]
-    mirrored *= sign
-    out += mirrored
-    out *= 0.5
     return out
 
 
@@ -105,12 +125,14 @@ def build_toy_diagonal(N: int) -> np.ndarray:
     """Toy model of the open 3-baker: only the tilted-diagonal entries
     (n, m) = (3l + eps, l + ell*N/3), ell in {0, 2}, survive, with moduli
     fixed to 1/sqrt(3) and phases exp((2 pi i/3)(eps+1/2)(ell+1/2)).
-    Each of the six (eps, ell) diagonals is one write over all l."""
+    Each of the six (eps, ell) diagonals is one write over all l.  The
+    result is column-major, so the removed middle strip is one contiguous
+    slice that is never written (see quantize_open)."""
     if N % 3 != 0 or N < 3:
         raise ValueError(f"dimension {N} must be a positive multiple of 3")
     if N > MAX_DENSE_DIM:
         raise ValueError(f"dense dimension {N} exceeds cap {MAX_DENSE_DIM}")
-    B = np.zeros((N, N), dtype=complex)
+    B = np.zeros((N, N), dtype=complex, order="F")
     l = np.arange(N // 3)
     for ell in (0, 2):
         for eps in range(3):

@@ -125,7 +125,10 @@ def _deflate_zero_indices(M: np.ndarray) -> np.ndarray:
     matching block of M^j and no norm grows.
 
     The rounds run on the boolean support of M, and M is copied once, to
-    the core; M itself is returned when nothing is deleted.
+    the core.  The core is C-ordered, so the matrix products on it sum in
+    the same order whatever M's layout: M itself is returned when nothing
+    is deleted and M is C-ordered, and a column-major M (quantize_open's
+    closed map) is copied.
     """
     support = M != 0
     idx = np.arange(M.shape[0])
@@ -133,7 +136,9 @@ def _deflate_zero_indices(M: np.ndarray) -> np.ndarray:
     while not keep.all():
         idx, support = idx[keep], support[np.ix_(keep, keep)]
         keep = support.any(axis=0) & support.any(axis=1)
-    return M if len(idx) == M.shape[0] else M[np.ix_(idx, idx)]
+    if len(idx) == M.shape[0]:
+        return np.ascontiguousarray(M)
+    return M[np.ix_(idx, idx)]
 
 
 def check_eig_dim(dim: int) -> None:

@@ -796,13 +796,15 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, verb, text, key):
 
 
 @pytest.mark.parametrize("verb,text,message", [
-    ("count", "count.radii = 0.5, 1.5\n", "inner radius must be in [0, 1)"),
-    ("count", "count.radii = 0.5\nsector.rho = 4\n", "half-width must be in"),
+    ("count", "count.radii = 0.5, 1.5\n",
+     "count.radii: inner radius must be in [0, 1), got 1.5"),
+    ("count", "count.radii = 0.5\nsector.rho = 4\n",
+     "sector.rho: half-width must be in (0, pi], got 4.0"),
     ("count", "count.radii = 0.5\nsector.theta = 1.0\n",
      "sector.theta: a full annulus (sector.rho = pi) has no angle"),
     ("count", "count.radii = 0.5\nsector.theta = 0\nsector.rho = pi\n",
      "sector.theta: a full annulus (sector.rho = pi) has no angle"),
-    ("weyl", "weyl.r = -0.1\n", "inner radius must be in [0, 1)"),
+    ("weyl", "weyl.r = -0.1\n", "weyl.r: inner radius must be in [0, 1), got -0.1"),
     ("profile", "profile.radii = 0.1, 1.5\n",
      "profile.radii must be strictly increasing and lie in [0, 1)"),
     ("profile", "profile.radii = 0.5, 0.1\n",
@@ -819,7 +821,8 @@ def test_cli_rejects_bad_sector_before_running(tmp_path, capsys, verb, text,
                               "spectrum.N = 9,27\n" + text)
     out = tmp_path / "out"
     assert main([verb, cfg, "-o", str(out)]) == 1
-    assert message in capsys.readouterr().err
+    # the message starts with the key it blames, as every config error does
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

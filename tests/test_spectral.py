@@ -15,7 +15,7 @@ from openbaker.classical import B3, B5, transfer_matrix
 from openbaker import cli
 from openbaker.cli import build_map, map_spectrum
 from openbaker.quantize import (build_toy_diagonal, parity_restrict,
-                                quantize_open, walsh_quantize)
+                                quantize_closed, quantize_open, walsh_quantize)
 from openbaker.spectral import (SectorQuery, Spectrum, canonical_order,
                                 compare_spectra, count_sector, eigen_spectrum,
                                 invariant_nonzero_spectrum, profile_curve,
@@ -376,6 +376,20 @@ def test_deflated_eigen_spectrum_matches_dense_reference(N, parity):
     assert max_matched_distance(big, ref[np.abs(ref) > 0.01]) < 1e-9
     # the kept strips are the core: s of D columns, halved by parity
     assert s.eig_dim == (2 * N // 5 if parity == "full" else N // 5)
+
+
+def test_eigen_spectrum_of_an_undeflated_column_major_map_is_layout_free():
+    # [DERIVED] the closed map has no zero strip, so its core is the
+    # column-major matrix itself; the eigensolve and the residual check
+    # run on a C-ordered core, so the diagnostics are the row-major
+    # matrix's bit for bit (M @ v on the column-major one sums in
+    # another order)
+    M = quantize_closed(5, 100)
+    assert M.flags.f_contiguous
+    s, ref = eigen_spectrum(M), eigen_spectrum(np.ascontiguousarray(M))
+    assert s.eig_dim == 100
+    assert np.array_equal(s.values, ref.values)
+    assert s.max_residual_rel == ref.max_residual_rel
 
 
 def test_table_counts_at_N100_hold_at_30_digits():
