@@ -27,12 +27,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .classical import (B3, OpenBakerSpec, escape_grid, fractal_dimensions,
+from .classical import (OpenBakerSpec, escape_grid, fractal_dimensions,
                         transfer_matrix)
 from .config import (KEYS, ConfigError, get_float, get_float_list, get_int,
                      get_int_list, get_spec, get_str, load_config)
-from .quantize import (_sector_sign, build_toy_diagonal, parity_restrict,
-                       quantize_open, tensor_open_apply_block)
+from .quantize import (_sector_sign, _walsh_diagonal, build_toy_diagonal,
+                       parity_restrict, quantize_open)
 from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
                         write_profile_csv, write_spectrum_csv,
                         write_transmission_csv)
@@ -47,15 +47,13 @@ def build_map(family: str, spec: OpenBakerSpec, N: int, variant: str = "W") -> n
     """Dense propagator for one (family, spec, N) combination."""
     if family == "dft":
         return quantize_open(spec, N)
-    if family == "toy":
-        return build_toy_diagonal(N)
     if family == "walsh":
         k = round(math.log(N) / math.log(spec.D))
         if spec.D**k != N:
             raise ValueError(f"walsh family needs N = {spec.D}^k, got {N}")
-        # walsh_quantize's matrix, applied to the identity: each entry is
-        # one seed entry or an exact zero, so the kernel deflates exactly
-        return tensor_open_apply_block(np.eye(N, dtype=complex), spec, variant)
+        # each entry is one seed entry or an exact zero, so the kernel
+        # deflates exactly
+        return _walsh_diagonal(spec, N, variant)
     raise ValueError(f"unknown map family {family!r}")
 
 
@@ -215,13 +213,9 @@ def _run_spectra(cfg: dict, args):
     """Read the map and spectrum keys and run one spectrum job per
     `spectrum.N` value.  Returns the runner, the map's spec and the
     spectra of the jobs that succeeded, in dimension order."""
-    family = get_str(cfg, "map.family", choices={"dft", "toy", "walsh"})
+    family = get_str(cfg, "map.family", choices={"dft", "walsh"})
     spec = get_spec(cfg)
     variant = get_str(cfg, "map.variant", default="W", choices={"V", "W"})
-    # the toy is the "W" Walsh 3-baker B3 and reads no other map
-    if family == "toy" and (spec != B3 or variant != "W"):
-        raise ConfigError("toy family requires map.D = 3, map.kept = 0,2 "
-                          "and map.variant = W")
     if family == "dft" and "map.variant" in cfg:
         raise ConfigError("map.variant: the dft family has no variant")
     dims = get_int_list(cfg, "spectrum.N", minimum=1)
@@ -351,7 +345,7 @@ def cmd_classical(cfg, args) -> int:
         # the k-th-power factorization keeps the defective kernel's
         # scatter out of the nonzero eigenvalues
         T = transfer_matrix(build_toy_diagonal(3**k))
-        vals, kdim = invariant_nonzero_spectrum(T.astype(complex), k)
+        vals, kdim = invariant_nonzero_spectrum(T, k)
         return {"transfer_report.json": partial(write_json, obj={
             "k": k,
             "nontrivial_eigenvalues": [[z.real, z.imag] for z in vals],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classical import OpenBakerSpec
+from .classical import B3, OpenBakerSpec
 from .transforms import (MAX_DENSE_DIM, _centered_dft_adjoint, _seed, build_walsh,
                          check_finite, dft_centered)
 
@@ -121,31 +121,43 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
     return out
 
 
+def _walsh_diagonal(spec: OpenBakerSpec, N: int, variant: str) -> np.ndarray:
+    """The Walsh quantization of an open D-baker as its tilted diagonals:
+    entry (D l + eps, l + ell*N/D), ell kept, is the seed-adjoint entry
+    exp((2 pi i/D)(eps+c)(ell+c))/sqrt(D), with c = 1/2 for variant "W"
+    and 0 for "V"; every other entry is an exact zero.  Each of the s*D
+    (eps, ell) diagonals is one write over all l.  The result is
+    column-major, so each removed strip is one contiguous slice that is
+    never written (see quantize_open)."""
+    D = spec.D
+    if N % D != 0 or N < D:
+        raise ValueError(f"dimension {N} must be a positive multiple of {D}")
+    if N > MAX_DENSE_DIM:
+        raise ValueError(f"dense dimension {N} exceeds cap {MAX_DENSE_DIM}")
+    c = {"W": 0.5, "V": 0.0}[variant]
+    B = np.zeros((N, N), dtype=complex, order="F")
+    l = np.arange(N // D)
+    for ell in spec.kept:
+        for eps in range(D):
+            B[D * l + eps, l + ell * N // D] = np.exp(
+                2j * np.pi / D * (eps + c) * (ell + c)) / np.sqrt(D)
+    return B
+
+
 def build_toy_diagonal(N: int) -> np.ndarray:
     """Toy model of the open 3-baker: only the tilted-diagonal entries
     (n, m) = (3l + eps, l + ell*N/3), ell in {0, 2}, survive, with moduli
-    fixed to 1/sqrt(3) and phases exp((2 pi i/3)(eps+1/2)(ell+1/2)).
-    Each of the six (eps, ell) diagonals is one write over all l.  The
-    result is column-major, so the removed middle strip is one contiguous
-    slice that is never written (see quantize_open)."""
-    if N % 3 != 0 or N < 3:
-        raise ValueError(f"dimension {N} must be a positive multiple of 3")
-    if N > MAX_DENSE_DIM:
-        raise ValueError(f"dense dimension {N} exceeds cap {MAX_DENSE_DIM}")
-    B = np.zeros((N, N), dtype=complex, order="F")
-    l = np.arange(N // 3)
-    for ell in (0, 2):
-        for eps in range(3):
-            B[3 * l + eps, l + ell * N // 3] = np.exp(
-                2j * np.pi / 3 * (eps + 0.5) * (ell + 0.5)) / np.sqrt(3)
-    return B
+    fixed to 1/sqrt(3) and phases exp((2 pi i/3)(eps+1/2)(ell+1/2)).  At
+    N = 3^k it is the "W" Walsh quantization of B3."""
+    return _walsh_diagonal(B3, N, "W")
 
 
 def walsh_quantize(spec: OpenBakerSpec, k: int, variant: str = "W") -> np.ndarray:
     """Walsh quantization of a (possibly open) D-baker at N = D^k:
     S_k^* . blockdiag with S_{k-1} in the kept slots.  Unitary when the
-    map is closed; coincides with build_toy_diagonal for the 3-baker with
-    the half-integer variant.
+    map is closed; equals _walsh_diagonal's tilted diagonals up to
+    rounding, and so build_toy_diagonal for the 3-baker with the
+    half-integer variant.
 
     Row block b of S_k is S_{k-1} (x) F[b, :] (build_walsh), so kept column
     block b is (S_{k-1}^* S_{k-1}) (x) F[b, :]^*: one Gram product of n^3

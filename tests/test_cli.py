@@ -161,7 +161,7 @@ def assert_lists_what_it_wrote(out):
 
 
 def test_cli_spectrum_writes_artifacts(tmp_path):
-    cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    cfg = write_cfg(tmp_path, "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9,27\n")
     out = tmp_path / "out"
     assert main(["spectrum", cfg, "-o", str(out)]) == 0
@@ -390,7 +390,7 @@ def test_cli_post_step_seconds_cover_the_step(tmp_path, monkeypatch):
         return real_count(*args)
 
     monkeypatch.setattr(cli, "count_sector", slow_count)
-    cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    cfg = write_cfg(tmp_path, "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9,27\ncount.radii = 0.5\n")
     out = tmp_path / "out"
     assert main(["count", cfg, "-o", str(out)]) == 0
@@ -400,7 +400,7 @@ def test_cli_post_step_seconds_cover_the_step(tmp_path, monkeypatch):
 
 
 def test_cli_manifest_inspection(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    cfg = write_cfg(tmp_path, "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9\n")
     out = tmp_path / "out"
     assert main(["spectrum", cfg, "-o", str(out)]) == 0
@@ -414,7 +414,7 @@ def test_cli_manifest_inspection(tmp_path, capsys):
 
 @pytest.mark.parametrize("damage", ["truncated", "job-without-status"])
 def test_cli_manifest_reports_an_unreadable_manifest(tmp_path, capsys, damage):
-    cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    cfg = write_cfg(tmp_path, "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9\n")
     out = tmp_path / "out"
     assert main(["spectrum", cfg, "-o", str(out)]) == 0
@@ -434,21 +434,6 @@ def test_cli_manifest_reports_an_unreadable_manifest(tmp_path, capsys, damage):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("text", [
-    "map.D = 5\nmap.kept = 1,3\n",
-    "map.D = 3\nmap.kept = 1\n",
-    "map.D = 3\nmap.kept = 0,2\nmap.variant = V\n",
-], ids=["D5", "kept1", "variant-V"])
-def test_cli_toy_family_rejects_other_maps(tmp_path, capsys, text):
-    # the toy is B3 with the "W" variant; any other map.D, map.kept or
-    # map.variant would be ignored and its spectra written under its name
-    cfg = write_cfg(tmp_path, "map.family = toy\nspectrum.N = 9\n" + text)
-    out = tmp_path / "out"
-    assert main(["spectrum", cfg, "-o", str(out)]) == 1
-    assert "toy family requires map.D = 3" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("variant", ["V", "W"])
 def test_cli_dft_family_rejects_a_variant(tmp_path, capsys, variant):
     # the DFT quantization has no variant: a map.variant would be ignored
@@ -461,10 +446,15 @@ def test_cli_dft_family_rejects_a_variant(tmp_path, capsys, variant):
     assert not out.exists()
 
 
-def test_cli_invalid_config_exits_1(tmp_path):
-    cfg = write_cfg(tmp_path, "map.family = warp\nmap.D = 3\nmap.kept = 0,2\n"
-                              "spectrum.N = 9\n")
-    assert main(["spectrum", cfg, "-o", str(tmp_path / "o")]) == 1
+def test_cli_invalid_config_exits_1(tmp_path, capsys):
+    # "toy" named the B3 "W" walsh map a second time and is gone
+    for family in ("warp", "toy"):
+        cfg = write_cfg(tmp_path, f"map.family = {family}\nmap.D = 3\n"
+                                  "map.kept = 0,2\nspectrum.N = 9\n")
+        assert main(["spectrum", cfg, "-o", str(tmp_path / "o")]) == 1
+        assert ("config error: map.family: expected one of ['dft', 'walsh']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
     assert main(["spectrum", str(tmp_path / "missing.cfg"),
                  "-o", str(tmp_path / "o")]) == 1
 
@@ -518,7 +508,7 @@ def test_cli_dimensions_are_given_only_by_spectrum_N(tmp_path, capsys):
 
 def test_cli_count_requires_radii(tmp_path, capsys):
     # without count.radii the count verb would write no counts.csv
-    cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    cfg = write_cfg(tmp_path, "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9\n")
     out = tmp_path / "out"
     assert main(["count", cfg, "-o", str(out)]) == 1
@@ -594,9 +584,9 @@ def _raise(*args):
 
 
 @pytest.mark.parametrize("verb,step,target,text", [
-    ("count", "counts", "count_sector", "map.family = toy\nmap.D = 3\n"
+    ("count", "counts", "count_sector", "map.family = walsh\nmap.D = 3\n"
      "map.kept = 0,2\nspectrum.N = 9,27\ncount.radii = 0.5\n"),
-    ("profile", "profile", "profile_curve", "map.family = toy\nmap.D = 3\n"
+    ("profile", "profile", "profile_curve", "map.family = walsh\nmap.D = 3\n"
      "map.kept = 0,2\nspectrum.N = 9,27\nprofile.radii = 0.5\n"),
     ("transport", "transport-asymptotics", "transport_asymptotics",
      "transport.k = 1,2\n"),
@@ -629,15 +619,15 @@ def test_cli_classical_rejects_bad_map_before_running(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("verb,text,key", [
-    ("spectrum", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    ("spectrum", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                  "spectrum.N = 9,9\n", "spectrum.N"),
     ("toy-check", "toy.k = 3,1,3\n", "toy.k"),
     ("transport", "transport.k = 2,2\n", "transport.k"),
     ("transport", "transport.k = 2\ntransport.theta = 0.3,0.30\n",
      "transport.theta"),
-    ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    ("count", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
               "spectrum.N = 9\ncount.radii = 0.5,0.50\n", "count.radii"),
-    ("profile", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    ("profile", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                 "spectrum.N = 9\nprofile.radii = 0.1,0.1\n", "profile.radii"),
     ("classical", "map.D = 5\nmap.kept = 1,1\n", "map.kept"),
 ])
@@ -649,14 +639,14 @@ def test_cli_rejects_repeated_job_values(tmp_path, capsys, verb, text, key):
 
 
 @pytest.mark.parametrize("verb,text,key", [
-    ("spectrum", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    ("spectrum", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                  "spectrum.N =\n", "spectrum.N"),
     ("toy-check", "toy.k =\n", "toy.k"),
     ("transport", "transport.k =\n", "transport.k"),
     ("transport", "transport.k = 2\ntransport.theta =\n", "transport.theta"),
-    ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    ("count", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
               "spectrum.N = 9\ncount.radii =\n", "count.radii"),
-    ("profile", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    ("profile", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                 "spectrum.N = 9\nprofile.radii =\n", "profile.radii"),
     ("classical", "map.D = 5\nmap.kept =\n", "map.kept"),
 ], ids=["spectrum-N", "toy-k", "transport-k", "transport-theta", "count-radii",
@@ -672,7 +662,7 @@ def test_cli_rejects_empty_job_lists(tmp_path, capsys, verb, text, key):
 
 @pytest.mark.parametrize("verb,text,message", [
     ("toy-check", "toy.k = 2,0\n", "toy.k values must be >= 1"),
-    ("spectrum", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    ("spectrum", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                  "spectrum.N = 9,0\n", "spectrum.N values must be >= 1"),
     ("classical", "map.D = 3\nmap.kept = 0,2\nclassical.toy_k = 0\n",
      "classical.toy_k must be >= 1"),
@@ -693,7 +683,7 @@ def test_cli_rejects_lengths_below_one(tmp_path, capsys, verb, text, message):
 @pytest.mark.parametrize("verb,text,key", [
     ("transport", "transport.k = 3\ntransport.methd = series\n",
      "transport.methd"),
-    ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    ("count", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
               "spectrum.N = 9\nspectrum.parit = even\ncount.radii = 0.5\n",
      "spectrum.parit"),
 ], ids=["transport-method", "spectrum-parity"])
@@ -781,9 +771,9 @@ def test_cli_refuses_odd_parity_dimension_before_building(tmp_path, monkeypatch,
 @pytest.mark.parametrize("verb,text,key", [
     ("transport", "transport.k = 2\ntransport.theta = 0.0, nan\n",
      "transport.theta"),
-    ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    ("count", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
               "spectrum.N = 9\ncount.radii = 0.5, nan\n", "count.radii"),
-    ("count", "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    ("count", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
               "spectrum.N = 9\ncount.radii = 0.5\nsector.rho = nan\n",
      "sector.rho"),
 ], ids=["theta-nan", "radii-nan", "rho-nan"])
@@ -817,7 +807,7 @@ def test_cli_rejects_bad_sector_before_running(tmp_path, capsys, verb, text,
     # config, not after the spectra: no job runs and no output directory
     # is made.  An angle with a full annulus would select nothing and
     # write the counts of the run without it
-    cfg = write_cfg(tmp_path, "map.family = toy\nmap.D = 3\nmap.kept = 0,2\n"
+    cfg = write_cfg(tmp_path, "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N = 9,27\n" + text)
     out = tmp_path / "out"
     assert main([verb, cfg, "-o", str(out)]) == 1

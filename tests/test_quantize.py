@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from openbaker.classical import B3, B5, CLOSED_B4, OPEN_B4, OpenBakerSpec
+from openbaker.cli import build_map
 from openbaker.quantize import (_CHUNK, build_toy_diagonal, parity_operator,
                                 parity_restrict, quantize_closed,
                                 quantize_open, tensor_open_apply_block,
@@ -307,7 +308,8 @@ def test_open_build_and_fold_allocate_no_square_temporary():
 
 RSS_GROWTH = """
 import sys
-from openbaker.classical import B5
+from openbaker.classical import B5, OPEN_B4
+from openbaker.cli import build_map
 from openbaker.quantize import build_toy_diagonal, parity_restrict, quantize_open
 
 def peak_kib():
@@ -320,21 +322,26 @@ base = peak_kib()
 if sys.argv[1] == "open":
     B = quantize_open(B5, 2500)
     parity_restrict(B, "even")
-else:
+elif sys.argv[1] == "toy":
     B = build_toy_diagonal(3**7)
+else:
+    B = build_map("walsh", OPEN_B4, 4**6, "V")
 print((peak_kib() - base) * 1024 / B.nbytes)
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="needs Linux's lazily zeroed pages and /proc/self/status")
-@pytest.mark.parametrize("build,bound", [("open", 1.0), ("toy", 0.8)])
+@pytest.mark.parametrize("build,bound", [("open", 1.0), ("toy", 0.8),
+                                         ("walsh", 0.6)])
 def test_removed_strips_take_no_resident_memory(build, bound):
     # growth of a fresh interpreter's peak resident set over the matrix's
     # size.  Measured 0.73-0.77 for the open 5-baker at N = 2500 and its
     # even fold (1.50 with a row-major build that writes every page and
-    # quarter-size fold temporaries), and 0.67 for the toy at 3^7, whose
-    # two kept strips fill their huge pages (0.97 row-major)
+    # quarter-size fold temporaries), 0.67 for the toy at 3^7, whose
+    # two kept strips fill their huge pages (0.97 row-major), and 0.51
+    # for the walsh map of OPEN_B4 "V" at 4^6, two kept strips of four
+    # (2.0 as the block apply to an N x N identity)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     run = subprocess.run([sys.executable, "-c", RSS_GROWTH, build], env=env,
                          capture_output=True, text=True, check=True)
@@ -415,6 +422,29 @@ def test_toy_equals_walsh_quantization(k):
 
 
 # ----------------------------------------------------------------- walsh
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_walsh_family_b3_w_map_is_the_toy(k):
+    # the spectrum verbs' walsh map and the toy are one writer's output
+    assert np.array_equal(build_map("walsh", B3, 3**k, "W"),
+                          build_toy_diagonal(3**k))
+
+
+@pytest.mark.parametrize("variant", ["V", "W"])
+@pytest.mark.parametrize("spec", [B3, B5, OPEN_B4, OpenBakerSpec(7, (1, 3, 5))],
+                         ids=["B3", "B5", "OPEN_B4", "D7"])
+def test_walsh_family_map_is_the_kernel_on_the_identity(spec, variant):
+    # [DERIVED] the tilted diagonals are the block apply's columns: the
+    # same exact zeros, and each entry one seed entry up to rounding
+    # (measured at most 6 machine epsilons, at D = 7 "V", whose phase
+    # argument 2 pi eps ell/7 reaches 2 pi 30/7 unreduced)
+    for k in (1, 2, 3):
+        N = spec.D**k
+        M = build_map("walsh", spec, N, variant)
+        ref = tensor_open_apply_block(np.eye(N, dtype=complex), spec, variant)
+        assert np.array_equal(M != 0, ref != 0)
+        assert np.max(np.abs(M - ref)) <= 8 * np.finfo(float).eps
+
 
 @pytest.mark.parametrize("k,variant", [(2, "V"), (3, "W"), (4, "V")])
 def test_walsh_quantized_closed_4baker_is_unitary(k, variant):

@@ -84,6 +84,9 @@ def test_map_spectrum_refuses_oversized_before_building(monkeypatch, parity,
 def test_build_map_rejects_an_unknown_family():
     with pytest.raises(ValueError, match="unknown map family 'fourier'"):
         build_map("fourier", B5, 20)
+    # the toy is the walsh family's B3 "W" map, under no second name
+    with pytest.raises(ValueError, match="unknown map family 'toy'"):
+        build_map("toy", B3, 9)
 
 
 def test_eigen_spectrum_rejects_bad_input():
@@ -445,7 +448,7 @@ def test_eigen_spectrum_of_zero_matrix_skips_the_eigensolve(monkeypatch):
 def test_toy_spectrum_through_the_dense_verb_path(k):
     # [PAPER] supplementary: the spectrum verbs' dense route, on the
     # toy's 2^k core, reproduces the closed-form lattice and its kernel
-    s = map_spectrum("toy", B3, 3**k, "full")
+    s = map_spectrum("walsh", B3, 3**k, "full")
     assert s.eig_dim == 2**k
     report = compare_spectra(s, toy_closed_spectrum(k), tol=1e-8)
     assert report.unmatched == 0
