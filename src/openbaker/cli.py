@@ -29,8 +29,8 @@ import scipy
 from . import __version__
 from .classical import (OpenBakerSpec, escape_grid, fractal_dimensions,
                         transfer_matrix)
-from .config import (KEYS, ConfigError, get_float, get_float_list, get_int,
-                     get_int_list, get_spec, get_str, load_config)
+from .config import (KEYS, ConfigError, _keyed, get_float, get_float_list,
+                     get_int, get_int_list, get_spec, get_str, load_config)
 from .quantize import (_sector_sign, _walsh_diagonal, build_toy_diagonal,
                        parity_restrict, quantize_open)
 from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
@@ -67,8 +67,7 @@ def map_spectrum(family: str, spec: OpenBakerSpec, N: int, parity: str,
     if parity != "full":
         # rebinding frees the N x N map before the eigensolve
         M = parity_restrict(M, parity)
-    label = f"{family}-D{spec.D}-kept{''.join(map(str, spec.kept))}-N{N}-{parity}"
-    return eigen_spectrum(M, N=N, label=label)
+    return eigen_spectrum(M, N=N)
 
 
 def _blas_threads() -> dict:
@@ -118,11 +117,10 @@ def _run_environment() -> dict:
 
 
 class JobRunner:
-    """One verb's run after its config is parsed: refuses a key outside
-    KEYS, resolves the output directory, runs independent jobs in order
-    (BLAS parallelizes within each), isolating per-job failures, and
-    rewrites the run manifest after the jobs and after the step, listing
-    the entries by name.
+    """One verb's run after its config is parsed: makes the output
+    directory, runs independent jobs in order (BLAS parallelizes within
+    each), isolating per-job failures, and rewrites the run manifest
+    after the jobs and after the step, listing the entries by name.
 
     The runner is the only code that writes an artifact.  A job or step
     returns its artifacts as a dict {file name: writer}, where
@@ -131,16 +129,13 @@ class JobRunner:
     `diagnostics`.  The runner calls each writer on `outdir / name`, in
     dict order, inside the entry's timed and isolated block, and lists
     the names as the entry's `outputs`; so the manifest lists exactly the
-    files written.  After `run`, a verb calls `step` at most once,
+    files written.  After `run`, `main` calls `step` at most once,
     always, even when every job failed: the step builds the one artifact
     it names from the jobs that succeeded, and the runner records the
     failed jobs as the step's `missing_jobs`."""
 
-    def __init__(self, cfg: dict, args):
-        unknown = [key for key in cfg if key not in KEYS]
-        if unknown:  # a misspelt key would silently take its default
-            raise ConfigError(f"{unknown[0]}: unknown key")
-        self.outdir = Path(args.output or cfg.get("output.dir", "."))
+    def __init__(self, cfg: dict, outdir: Path):
+        self.outdir = outdir
         try:
             self.outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # an existing file, or no write permission
@@ -153,13 +148,12 @@ class JobRunner:
         """2 when a job or step so far failed or is partial, else 0."""
         return 2 if any(j["status"] != "ok" for j in self.jobs) else 0
 
-    def run(self, named_jobs) -> int:
+    def run(self, named_jobs):
         for name, fn in named_jobs:
             self._record("job", name, fn)
         self.write_manifest()
-        return self.exit_code
 
-    def step(self, name: str, fn) -> int:
+    def step(self, name: str, fn):
         """Run `fn`, a step on the finished jobs' results, as a job, and
         rewrite the manifest.  The names of the failed jobs, whose results
         the step lacks, are recorded as its `missing_jobs`; a nonempty
@@ -171,7 +165,6 @@ class JobRunner:
             if entry["status"] == "ok":
                 entry["status"] = "partial"
         self.write_manifest()
-        return self.exit_code
 
     def _record(self, kind: str, name: str, fn) -> dict:
         """Run and time `fn`, write the artifacts it returns, and append
@@ -209,10 +202,10 @@ class JobRunner:
         write_json(self.outdir / "manifest.json", manifest)
 
 
-def _run_spectra(cfg: dict, args):
-    """Read the map and spectrum keys and run one spectrum job per
-    `spectrum.N` value.  Returns the runner, the map's spec and the
-    spectra of the jobs that succeeded, in dimension order."""
+def _spectrum_jobs(cfg: dict):
+    """Read the map and spectrum keys.  Returns one spectrum job per
+    `spectrum.N` value, the map's spec and the dict {N: spectrum} that
+    the jobs which succeed fill, in dimension order."""
     family = get_str(cfg, "map.family", choices={"dft", "walsh"})
     spec = get_spec(cfg)
     variant = get_str(cfg, "map.variant", default="W", choices={"V", "W"})
@@ -221,74 +214,65 @@ def _run_spectra(cfg: dict, args):
     dims = get_int_list(cfg, "spectrum.N", minimum=1)
     parity = get_str(cfg, "spectrum.parity", default="full",
                      choices={"even", "odd", "full"})
-    runner = JobRunner(cfg, args)
-    store: dict = {}
+    spectra: dict = {}
 
     def job(N):
-        s = store[N] = map_spectrum(family, spec, N, parity, variant)
+        s = spectra[N] = map_spectrum(family, spec, N, parity, variant)
         return ({f"spectrum_N{N}_{parity}.csv": partial(write_spectrum_csv, spectrum=s)},
                 {"eig_dim": s.eig_dim, "max_residual_rel": s.max_residual_rel})
 
-    runner.run([(f"spectrum-N{N}", partial(job, N)) for N in dims])
-    return runner, spec, list(store.values())
+    return [(f"spectrum-N{N}", partial(job, N)) for N in dims], spec, spectra
 
 
-def cmd_spectrum(cfg, args) -> int:
-    return _run_spectra(cfg, args)[0].exit_code
+# Each verb reads and checks every key it uses and returns its plan
+# (jobs, step): the (name, fn) jobs `main` runs, then the (name, fn) step
+# it runs on their results, or None.
+
+def cmd_spectrum(cfg):
+    return _spectrum_jobs(cfg)[0], None
 
 
-def _sector_query(key: str, r: float, theta: float = 0.0,
-                  rho: float = math.pi) -> SectorQuery:
-    """SectorQuery(r, theta, rho), whose error is a config error that
-    names `key`."""
-    try:
-        return SectorQuery(r, theta, rho)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def cmd_count(cfg, args) -> int:
+def cmd_count(cfg):
     radii = get_float_list(cfg, "count.radii")
     theta = get_float(cfg, "sector.theta", default=0.0)
     rho = get_float(cfg, "sector.rho", default=math.pi)
     if "sector.theta" in cfg and rho == math.pi:  # the angle would select nothing
         raise ConfigError("sector.theta: a full annulus (sector.rho = pi) has no angle")
-    _sector_query("sector.rho", 0.0, theta, rho)  # radius 0 is valid: only rho can fail
-    queries = [_sector_query("count.radii", r, theta, rho) for r in radii]
-    runner, _, spectra = _run_spectra(cfg, args)
-    return runner.step("counts", lambda: {"counts.csv": partial(
+    # radius 0 is valid: only rho can fail
+    _keyed("sector.rho", SectorQuery, 0.0, theta, rho)
+    queries = [_keyed("count.radii", SectorQuery, r, theta, rho) for r in radii]
+    jobs, _, spectra = _spectrum_jobs(cfg)
+    return jobs, ("counts", lambda: {"counts.csv": partial(
         write_counts_csv, counts=[(s.N, q.r, count_sector(s, q))
-                                  for s in spectra for q in queries])})
+                                  for s in spectra.values() for q in queries])})
 
 
-def cmd_weyl(cfg, args) -> int:
-    query = _sector_query("weyl.r", get_float(cfg, "weyl.r"))
-    runner, _, spectra = _run_spectra(cfg, args)
-    return runner.step("weyl-fit", lambda: {"weyl_fit.json": partial(
+def cmd_weyl(cfg):
+    query = _keyed("weyl.r", SectorQuery, get_float(cfg, "weyl.r"))
+    jobs, _, spectra = _spectrum_jobs(cfg)
+    return jobs, ("weyl-fit", lambda: {"weyl_fit.json": partial(
         write_json, obj=asdict(weyl_fit([(s.N, count_sector(s, query))
-                                         for s in spectra])))})
+                                         for s in spectra.values()])))})
 
 
-def cmd_profile(cfg, args) -> int:
+def cmd_profile(cfg):
     radii = get_float_list(cfg, "profile.radii")
-    check_profile_radii(radii, "profile.radii")
-    runner, spec, spectra = _run_spectra(cfg, args)
-    return runner.step("profile", lambda: {"profile.csv": partial(
-        write_profile_csv, r_grid=radii, dims=[s.N for s in spectra],
-        table=profile_curve(spectra, spec.mu, radii, spec.D))})
+    _keyed("profile.radii", check_profile_radii, radii)
+    jobs, spec, spectra = _spectrum_jobs(cfg)
+    return jobs, ("profile", lambda: {"profile.csv": partial(
+        write_profile_csv, r_grid=radii, dims=list(spectra),
+        table=profile_curve(list(spectra.values()), spec.mu, radii, spec.D))})
 
 
-def cmd_toy_check(cfg, args) -> int:
+def cmd_toy_check(cfg):
     ks = get_int_list(cfg, "toy.k", minimum=1)
-    runner = JobRunner(cfg, args)
 
     def job(k):
         # the toy's kernel is all exact zero rows and columns: the k-th-power
         # factorization runs on the 2^k-dimensional core and returns the
         # kernel dimension exactly
         vals, kdim = invariant_nonzero_spectrum(build_toy_diagonal(3**k), k)
-        s = Spectrum(np.concatenate([vals, np.zeros(kdim, dtype=complex)]),
-                     N=3**k, label=f"toy-k{k}")
+        s = Spectrum(np.concatenate([vals, np.zeros(kdim, dtype=complex)]), N=3**k)
         report = compare_spectra(s, toy_closed_spectrum(k))
         return {f"toy_check_k{k}.json": partial(write_json, obj={
             "k": k,
@@ -300,15 +284,14 @@ def cmd_toy_check(cfg, args) -> int:
             "expected_kernel_dimension": 3**k - 2**k,
         })}
 
-    return runner.run([(f"toy-check-k{k}", partial(job, k)) for k in ks])
+    return [(f"toy-check-k{k}", partial(job, k)) for k in ks], None
 
 
-def cmd_transport(cfg, args) -> int:
+def cmd_transport(cfg):
     ks = get_int_list(cfg, "transport.k", minimum=1)
     thetas = get_float_list(cfg, "transport.theta", default=[0.0])
     method = get_str(cfg, "transport.method", default="resolvent",
                      choices={"resolvent", "series"})
-    runner = JobRunner(cfg, args)
     results = {}
 
     def job(k, i):
@@ -318,20 +301,18 @@ def cmd_transport(cfg, args) -> int:
                  f"{base}_T.csv": partial(write_transmission_csv, T=res.T)},
                 res.diagnostics)
 
-    runner.run([(f"transport-k{k}-theta{i}", partial(job, k, i))
-                for k in ks for i in range(len(thetas))])
-    return runner.step(
-        "transport-asymptotics", lambda: {"transport_asymptotics.json": partial(
-            write_json, obj=transport_asymptotics(list(results.values())))})
+    return ([(f"transport-k{k}-theta{i}", partial(job, k, i))
+             for k in ks for i in range(len(thetas))],
+            ("transport-asymptotics", lambda: {"transport_asymptotics.json": partial(
+                write_json, obj=transport_asymptotics(list(results.values())))}))
 
 
-def cmd_classical(cfg, args) -> int:
+def cmd_classical(cfg):
     spec = get_spec(cfg)
     M = get_int(cfg, "classical.M", default=81, minimum=1)
     t_max = get_int(cfg, "classical.tmax", default=20, minimum=0)
     k = (get_int(cfg, "classical.toy_k", minimum=1)
          if "classical.toy_k" in cfg else None)
-    runner = JobRunner(cfg, args)
 
     def grids_job():
         grid = escape_grid(spec, M, t_max)
@@ -355,7 +336,7 @@ def cmd_classical(cfg, args) -> int:
     jobs = [("escape-grids", grids_job), ("dimensions", dims_job)]
     if k is not None:
         jobs.append(("transfer-spectrum", transfer_job))
-    return runner.run(jobs)
+    return jobs, None
 
 
 def _describe_manifest(rundir: Path, manifest: dict):
@@ -382,8 +363,7 @@ def _describe_manifest(rundir: Path, manifest: dict):
     return lines, unfinished, missing
 
 
-def cmd_manifest(args) -> int:
-    rundir = Path(args.rundir)
+def cmd_manifest(rundir: Path) -> int:
     path = rundir / "manifest.json"
     if not path.exists():
         print(f"no manifest at {path}", file=sys.stderr)
@@ -426,17 +406,22 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     if args.command == "manifest":
-        return cmd_manifest(args)
+        return cmd_manifest(Path(args.rundir))
     try:
         cfg = load_config(args.config)
-        return args.fn(cfg, args)
+        unknown = [key for key in cfg if key not in KEYS]
+        if unknown:  # a misspelt key would silently take its default
+            raise ConfigError(f"{unknown[0]}: unknown key")
+        jobs, step = args.fn(cfg)
+        runner = JobRunner(cfg, Path(args.output or cfg.get("output.dir", ".")))
     except ValueError as exc:
-        # every ValueError that reaches here is a bad config value or a
-        # config file or output directory that cannot be used: each verb
-        # parses its config before its JobRunner makes the output
-        # directory, and the runner isolates every job and step
+        # a verb only reads its keys, so its ValueError is the config's
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    runner.run(jobs)
+    if step:
+        runner.step(*step)
+    return runner.exit_code
 
 
 if __name__ == "__main__":

@@ -54,73 +54,77 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {path}: {exc.strerror}") from exc
 
 
+def _keyed(key: str, check, *args):
+    """`check(*args)`, whose ValueError is re-raised as a config error
+    that names `key`."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _lookup(cfg: dict, key: str, default, parse):
     """`parse(cfg[key])`, or `default` for a missing key; a missing key
-    without a default is a config error."""
+    without a default, or a value `parse` refuses, is a config error."""
     if key not in cfg:
         if default is not None:
             return default
-        raise ConfigError(f"missing required key {key!r}")
-    return parse(cfg[key])
+        raise ConfigError(f"{key}: missing required key")
+    return _keyed(key, parse, cfg[key])
 
 
 def get_str(cfg: dict, key: str, default=None, choices=None) -> str:
     def parse(val):
         if choices and val not in choices:
-            raise ConfigError(f"{key}: expected one of {sorted(choices)}, got {val!r}")
+            raise ValueError(f"expected one of {sorted(choices)}, got {val!r}")
         return val
     return _lookup(cfg, key, default, parse)
 
 
 def get_int(cfg: dict, key: str, default=None, minimum=None) -> int:
-    def parse(val):
-        try:
-            return int(val)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {val!r}") from exc
-    value = _lookup(cfg, key, default, parse)
+    return _lookup(cfg, key, default, lambda val: _parse_int(val, minimum))
+
+
+def _parse_int(token: str, minimum) -> int:
+    try:
+        value = int(token)
+    except ValueError as exc:
+        raise ValueError(f"expected an integer, got {token.strip()!r}") from exc
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}")
+        raise ValueError(f"must be >= {minimum}, got {value}")
     return value
 
 
 def get_float(cfg: dict, key: str, default=None) -> float:
-    return _lookup(cfg, key, default, lambda val: _parse_float(val, key))
+    return _lookup(cfg, key, default, _parse_float)
 
 
-def _parse_float(token: str, key: str) -> float:
+def _parse_float(token: str) -> float:
     token = token.strip()
     if token == "pi":
         return math.pi
     try:
         value = float(token)
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {token!r}") from exc
+        raise ValueError(f"expected a number, got {token!r}") from exc
     # nan and inf parse as floats but no key means them: a non-finite
     # quasi-energy gives an all-NaN transmission matrix
     if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {token!r}")
+        raise ValueError(f"expected a finite number, got {token!r}")
     return value
 
 
 def get_int_list(cfg: dict, key: str, default=None, minimum=None) -> list:
-    def parse(val):
-        try:
-            return [int(tok) for tok in val.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected comma-separated integers") from exc
-    values = _distinct(key, _lookup(cfg, key, default, parse))
-    if minimum is not None and any(v < minimum for v in values):
-        raise ConfigError(f"{key} values must be >= {minimum}")
-    return values
+    return _lookup(cfg, key, default, lambda val: _distinct(
+        [_parse_int(tok, minimum) for tok in val.split(",") if tok.strip()]))
 
 
 def get_float_list(cfg: dict, key: str, default=None) -> list:
-    return _distinct(key, _lookup(cfg, key, default, lambda val: [
-        _parse_float(tok, key) for tok in val.split(",") if tok.strip()]))
+    return _lookup(cfg, key, default, lambda val: _distinct(
+        [_parse_float(tok) for tok in val.split(",") if tok.strip()]))
 
 
-def _distinct(key: str, values: list) -> list:
+def _distinct(values: list) -> list:
     """`values` unchanged.  Every list key names one job per value
     (spectrum.N, toy.k, transport.k, transport.theta), one count or
     profile row per value (count.radii, profile.radii) or one kept branch
@@ -129,19 +133,15 @@ def _distinct(key: str, values: list) -> list:
     same job twice under one name or count the same radius twice, so
     both are rejected."""
     if not values:
-        raise ConfigError(f"{key}: expected at least one value")
+        raise ValueError("expected at least one value")
     for i, v in enumerate(values):
         if v in values[:i]:
-            raise ConfigError(f"{key}: repeated value {v!r}")
+            raise ValueError(f"repeated value {v!r}")
     return values
 
 
 def get_spec(cfg: dict) -> OpenBakerSpec:
-    """Build the baker spec from map.D and map.kept."""
-    D = get_int(cfg, "map.D")
-    kept = get_int_list(cfg, "map.kept")
-    try:
-        return OpenBakerSpec(D, tuple(kept))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    """Build the baker spec from map.D and map.kept; with D checked here,
+    every error of the spec is one of map.kept."""
+    D = get_int(cfg, "map.D", minimum=2)
+    return _keyed("map.kept", OpenBakerSpec, D, get_int_list(cfg, "map.kept"))

@@ -264,12 +264,11 @@ def weyl_fit(series) -> WeylFit:
     return WeylFit(float(slope), float(intercept), points, ratios)
 
 
-def check_profile_radii(radii, name: str = "radii") -> None:
-    """Refuse profile radii that are not strictly increasing in [0, 1);
-    the error names them `name`."""
+def check_profile_radii(radii) -> None:
+    """Refuse profile radii that are not strictly increasing in [0, 1)."""
     if (any(not 0.0 <= r < 1.0 for r in radii)
             or any(b <= a for a, b in zip(radii, radii[1:]))):
-        raise ValueError(f"{name} must be strictly increasing and lie in [0, 1)")
+        raise ValueError("radii must be strictly increasing and lie in [0, 1)")
 
 
 def profile_curve(spectra, mu: float, r_grid, D: int) -> np.ndarray:

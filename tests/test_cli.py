@@ -66,11 +66,10 @@ def test_getters_name_the_key_of_a_bad_value():
     cfg = parse_config("x = abc\nlist = 1,x\nn = 3\n")
     with pytest.raises(ConfigError, match="x: expected a number, got 'abc'"):
         get_float(cfg, "x")
-    with pytest.raises(ConfigError,
-                       match="list: expected comma-separated integers"):
+    with pytest.raises(ConfigError, match="list: expected an integer, got 'x'"):
         get_int_list(cfg, "list")
     assert get_int(cfg, "n", minimum=3) == 3
-    with pytest.raises(ConfigError, match="n must be >= 4"):
+    with pytest.raises(ConfigError, match="n: must be >= 4, got 3"):
         get_int(cfg, "n", minimum=4)
 
 
@@ -92,7 +91,7 @@ def test_get_spec_and_dimensions():
     assert get_int_list(cfg2, "spectrum.N", minimum=1) == [9, 27]
     with pytest.raises(ConfigError, match="spectrum.N"):
         get_int_list(parse_config("x = 1\n"), "spectrum.N", minimum=1)
-    with pytest.raises(ConfigError, match="spectrum.N values must be >= 1"):
+    with pytest.raises(ConfigError, match="spectrum.N: must be >= 1, got 0"):
         get_int_list(parse_config("spectrum.N = 9, 0\n"), "spectrum.N",
                      minimum=1)
     with pytest.raises(ConfigError):
@@ -497,12 +496,13 @@ def test_cli_failing_job_exits_2(tmp_path, capsys):
 
 
 def test_cli_dimensions_are_given_only_by_spectrum_N(tmp_path, capsys):
-    # spectrum.N0 + spectrum.kmax is no second spelling of the list
+    # spectrum.N0 + spectrum.kmax is no second spelling of the list: its
+    # first key is refused before the missing spectrum.N is noticed
     cfg = write_cfg(tmp_path, "map.family = dft\nmap.D = 3\nmap.kept = 0,2\n"
                               "spectrum.N0 = 9\nspectrum.kmax = 1\n")
     out = tmp_path / "out"
     assert main(["spectrum", cfg, "-o", str(out)]) == 1
-    assert "missing required key 'spectrum.N'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: spectrum.N0: unknown key\n"
     assert not out.exists()
 
 
@@ -512,7 +512,7 @@ def test_cli_count_requires_radii(tmp_path, capsys):
                               "spectrum.N = 9\n")
     out = tmp_path / "out"
     assert main(["count", cfg, "-o", str(out)]) == 1
-    assert "missing required key 'count.radii'" in capsys.readouterr().err
+    assert "config error: count.radii: missing required key" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -610,12 +610,16 @@ def test_cli_failing_post_step_is_recorded(tmp_path, capsys, monkeypatch,
 
 
 def test_cli_classical_rejects_bad_map_before_running(tmp_path, capsys):
-    # the map keys are parsed before the output directory is made
+    # the map keys are parsed before the output directory is made, and the
+    # spec's error names the key it blames
     out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, "map.D = 1\nmap.kept = 0\n")
-    assert main(["classical", cfg, "-o", str(out)]) == 1
-    assert "branch count must be >= 2" in capsys.readouterr().err
-    assert not out.exists()
+    for text, message in [
+            ("map.D = 1\nmap.kept = 0\n", "map.D: must be >= 2, got 1"),
+            ("map.D = 5\nmap.kept = 1,5\n",
+             "map.kept: kept branches (1, 5) out of range for D=5")]:
+        assert main(["classical", write_cfg(tmp_path, text), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("verb,text,key", [
@@ -661,22 +665,22 @@ def test_cli_rejects_empty_job_lists(tmp_path, capsys, verb, text, key):
 
 
 @pytest.mark.parametrize("verb,text,message", [
-    ("toy-check", "toy.k = 2,0\n", "toy.k values must be >= 1"),
+    ("toy-check", "toy.k = 2,0\n", "toy.k: must be >= 1, got 0"),
     ("spectrum", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
-                 "spectrum.N = 9,0\n", "spectrum.N values must be >= 1"),
+                 "spectrum.N = 9,0\n", "spectrum.N: must be >= 1, got 0"),
     ("classical", "map.D = 3\nmap.kept = 0,2\nclassical.toy_k = 0\n",
-     "classical.toy_k must be >= 1"),
-    ("transport", "transport.k = 0\n", "transport.k values must be >= 1"),
+     "classical.toy_k: must be >= 1, got 0"),
+    ("transport", "transport.k = 0\n", "transport.k: must be >= 1, got 0"),
     ("classical", "map.D = 3\nmap.kept = 0,2\nclassical.M = 0\n",
-     "classical.M must be >= 1"),
+     "classical.M: must be >= 1, got 0"),
     ("classical", "map.D = 3\nmap.kept = 0,2\nclassical.tmax = -1\n",
-     "classical.tmax must be >= 0"),
+     "classical.tmax: must be >= 0, got -1"),
 ], ids=["toy-k", "spectrum-N", "classical-toy-k", "transport-k",
         "classical-M", "classical-tmax"])
 def test_cli_rejects_lengths_below_one(tmp_path, capsys, verb, text, message):
     out = tmp_path / "out"
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -686,11 +690,15 @@ def test_cli_rejects_lengths_below_one(tmp_path, capsys, verb, text, message):
     ("count", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
               "spectrum.N = 9\nspectrum.parit = even\ncount.radii = 0.5\n",
      "spectrum.parit"),
-], ids=["transport-method", "spectrum-parity"])
+    ("count", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
+              "spectrum.N = 9\ncount.radius = 0.5\n", "count.radius"),
+    ("transport", "transport.ks = 3\n", "transport.ks"),
+], ids=["transport-method", "spectrum-parity", "count-radii", "transport-k"])
 def test_cli_rejects_an_unknown_key(tmp_path, capsys, verb, text, key):
     # a misspelt key would otherwise be ignored: the resolvent would run in
     # place of the series, and the full spectrum be counted in place of its
-    # even sector
+    # even sector.  A misspelt required key is reported as itself, not as
+    # the required key it fails to give
     out = tmp_path / "out"
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
     assert f"config error: {key}: unknown key" in capsys.readouterr().err
@@ -796,9 +804,9 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, verb, text, key):
      "sector.theta: a full annulus (sector.rho = pi) has no angle"),
     ("weyl", "weyl.r = -0.1\n", "weyl.r: inner radius must be in [0, 1), got -0.1"),
     ("profile", "profile.radii = 0.1, 1.5\n",
-     "profile.radii must be strictly increasing and lie in [0, 1)"),
+     "profile.radii: radii must be strictly increasing and lie in [0, 1)"),
     ("profile", "profile.radii = 0.5, 0.1\n",
-     "profile.radii must be strictly increasing and lie in [0, 1)"),
+     "profile.radii: radii must be strictly increasing and lie in [0, 1)"),
 ], ids=["radius", "rho", "theta-without-rho", "theta-with-rho-pi", "weyl-radius",
         "profile-radius", "profile-order"])
 def test_cli_rejects_bad_sector_before_running(tmp_path, capsys, verb, text,

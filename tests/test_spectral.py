@@ -447,23 +447,15 @@ def test_eigen_spectrum_of_zero_matrix_skips_the_eigensolve(monkeypatch):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_toy_spectrum_through_the_dense_verb_path(k):
     # [PAPER] supplementary: the spectrum verbs' dense route, on the
-    # toy's 2^k core, reproduces the closed-form lattice and its kernel
+    # toy's 2^k core, reproduces the closed-form lattice and its kernel:
+    # the walsh family's B3 "W" map is the toy, whose 3^k - 2^k kernel
+    # eigenvalues are exact zeros, not eigensolver scatter
     s = map_spectrum("walsh", B3, 3**k, "full")
     assert s.eig_dim == 2**k
+    assert np.count_nonzero(s.values == 0) == 3**k - 2**k
     report = compare_spectra(s, toy_closed_spectrum(k), tol=1e-8)
     assert report.unmatched == 0
     assert report.ring_totals == {p: math.comb(k, p) for p in range(k + 1)}
-
-
-@pytest.mark.parametrize("k", [5, 6])
-def test_walsh_family_kernel_is_exact_zeros(k):
-    # [PAPER] the walsh family's B3 "W" map is the toy: its 3^k - 2^k
-    # kernel eigenvalues are exact zeros, not eigensolver scatter, and
-    # only the 2^k core is eigensolved
-    s = map_spectrum("walsh", B3, 3**k, "full", "W")
-    assert s.eig_dim == 2**k
-    assert np.count_nonzero(s.values == 0) == 3**k - 2**k
-    assert compare_spectra(s, toy_closed_spectrum(k), tol=1e-8).unmatched == 0
 
 
 # --------------------------------------------------------------- matching
