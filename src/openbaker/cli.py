@@ -36,10 +36,11 @@ from .quantize import (_sector_sign, _walsh_diagonal, build_toy_diagonal,
 from .serialize import (write_counts_csv, write_escape_grid_csv, write_json,
                         write_profile_csv, write_spectrum_csv,
                         write_transmission_csv)
-from .spectral import (SectorQuery, Spectrum, check_eig_dim,
-                       check_profile_radii, compare_spectra, count_sector,
-                       eigen_spectrum, invariant_nonzero_spectrum,
-                       profile_curve, toy_closed_spectrum, weyl_fit)
+from .spectral import (SectorQuery, Spectrum, _deflate_zero_indices,
+                       check_eig_dim, check_profile_radii, compare_spectra,
+                       count_sector, eigen_spectrum,
+                       invariant_nonzero_spectrum, profile_curve,
+                       toy_closed_spectrum, weyl_fit)
 from .transport import transport_asymptotics, transport_result
 
 
@@ -324,13 +325,15 @@ def cmd_classical(cfg):
 
     def transfer_job():
         # the k-th-power factorization keeps the defective kernel's
-        # scatter out of the nonzero eigenvalues
-        T = transfer_matrix(build_toy_diagonal(3**k))
-        vals, kdim = invariant_nonzero_spectrum(T, k)
+        # scatter out of the nonzero eigenvalues.  |b|^2 is zero exactly
+        # where b is, so T's zero rows and columns are the toy's: only the
+        # toy's core is squared, and its deleted indices are kernel
+        core = _deflate_zero_indices(build_toy_diagonal(3**k))
+        vals, kdim = invariant_nonzero_spectrum(transfer_matrix(core), k)
         return {"transfer_report.json": partial(write_json, obj={
             "k": k,
             "nontrivial_eigenvalues": [[z.real, z.imag] for z in vals],
-            "kernel_dimension": kdim,
+            "kernel_dimension": kdim + 3**k - len(core),
         })}
 
     jobs = [("escape-grids", grids_job), ("dimensions", dims_job)]

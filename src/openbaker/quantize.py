@@ -19,9 +19,9 @@ from .transforms import (MAX_DENSE_DIM, _centered_dft_adjoint, _seed, build_wals
 # parity_restrict refuses a matrix whose parity commutator has a larger
 # entry
 COMMUTATOR_TOL = 1e-10
-# quantize_open's FFT and parity_restrict's fold take this many columns
-# or rows at a time, so their temporaries are N x _CHUNK, not N x N/D or
-# N/2 x N/2
+# quantize_open's FFT takes this many columns at a time and
+# parity_restrict's fold this many column pairs, so their temporaries are
+# N x _CHUNK and N/2 x _CHUNK, not N x N/D or N/2 x N/2
 _CHUNK = 64
 
 
@@ -84,33 +84,53 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
     Returns S^* B S, for the isometry S whose columns are the states
     (e_j +/- e_{N-1-j})/sqrt(2) with + for "even", as an index fold of B
     and its reversal R; its nonzero spectrum equals the nonzero spectrum
-    of B (1 +/- Pi)/2.  Requires even N.  The parity check and the fold
-    read only the top half of B and R, _CHUNK rows at a time, into one
-    C-ordered (N/2, N/2) output: the temporaries are (_CHUNK, N), not
-    quarter-size.
+    of B (1 +/- Pi)/2.  Requires even N.
 
-    Reading B maps no new memory for pages B never wrote (the removed
-    strips of quantize_open and build_toy_diagonal read as the shared
-    zero page); where pages are not lazily zeroed, the output is the same
-    and only the chunked temporaries save memory.
+    Output column j < N/2 reads only columns j and N-1-j of B, so the
+    parity check and the fold walk these column pairs, _CHUNK pairs at a
+    time, into one (N/2, N/2) output; the one temporary is an
+    (N/2, _CHUNK) scratch block.  A block of pairs whose columns of B are
+    all zero is skipped: its commutator entries are zero and its output
+    columns keep their fresh zeros, the +0.0 that the fold gives for
+    +0.0 entries.  The removed strips of quantize_open and _walsh_diagonal
+    are such columns.  Reading them maps no new memory (pages B never
+    wrote read as the shared zero page), and when a block is skipped the
+    output is column-major, so the columns it folds onto are never
+    written and, where fresh zeroed pages are mapped lazily, take no
+    resident memory.  A fold that skips nothing (a closed map's) is
+    C-ordered, the layout of eigen_spectrum's core, which then needs no
+    copy of it.
     """
     B = check_finite(B)
     N = B.shape[0]
     sign = _sector_sign(N, sector)
-    R = B[::-1, ::-1]
     h = N // 2
-    out = np.empty((h, h), dtype=complex)
+    blocks = range(0, h, _CHUNK)
+    live = []
+    for j in blocks:
+        cols = slice(j, min(j + _CHUNK, h))
+        # columns j.. of B and their mirrors N-1-j.., pair by pair
+        B1, B2 = B[:, cols], B[:, N - 1 - j:N - 1 - cols.stop:-1]
+        if B1.any() or B2.any():
+            live.append((cols, B1, B2))
+    out = np.zeros((h, h), dtype=complex, order="F" if len(live) < len(blocks) else "C")
+    scratch = np.empty((h, _CHUNK), dtype=complex, order="F")
     comm = 0.0
-    for i in range(0, h, _CHUNK):
-        rows = slice(i, min(i + _CHUNK, h))
+    for cols, B1, B2 in live:
+        tmp = scratch[:, :cols.stop - cols.start]
+        # with R the reversal of B, R1 = R[:h, cols] is the bottom half of
+        # the mirrors reversed, and R2 that of the columns
+        R1, R2 = B2[N - 1:h - 1:-1], B1[N - 1:h - 1:-1]
+        B1, B2 = B1[:h], B2[:h]
         # B Pi - Pi B = J (B - R) with J the plain reversal: the same max
         # entry.  Rows h.. of B - R are rows ..h reversed and negated, so
-        # the top half holds every modulus.
-        comm = max(comm, np.max(np.abs(B[rows] - R[rows])))
+        # the top half of both columns of each pair holds every modulus.
+        for top, mirror in ((B1, R1), (B2, R2)):
+            comm = max(comm, np.max(np.abs(np.subtract(top, mirror, out=tmp))))
         # 0.5 * (B1 + R1 + sign * (B2 + R2)) in place, in this order, so
         # the output is the expression's bit for bit
-        fold = np.add(B[rows, :h], R[rows, :h], out=out[rows])
-        mirrored = B[rows, N - 1:h - 1:-1] + R[rows, N - 1:h - 1:-1]
+        fold = np.add(B1, R1, out=out[:, cols])
+        mirrored = np.add(B2, R2, out=tmp)
         mirrored *= sign
         fold += mirrored
         fold *= 0.5

@@ -72,8 +72,9 @@ def _opnorm_estimate(M: np.ndarray) -> float:
     v = rng.standard_normal(M.shape[1]) + 1j * rng.standard_normal(M.shape[1])
     v /= np.linalg.norm(v)
     est = 0.0
+    MH = M.conj().T
     for _ in range(OPNORM_ITERS):
-        w = M.conj().T @ (M @ v)
+        w = MH @ (M @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
@@ -127,8 +128,9 @@ def _deflate_zero_indices(M: np.ndarray) -> np.ndarray:
     The rounds run on the boolean support of M, and M is copied once, to
     the core.  The core is C-ordered, so the matrix products on it sum in
     the same order whatever M's layout: M itself is returned when nothing
-    is deleted and M is C-ordered, and a column-major M (quantize_open's
-    closed map) is copied.
+    is deleted and M is C-ordered, and an undeflated column-major M
+    (quantize_open's closed map) is copied.  A column-major parity fold
+    has the zero columns it skipped, so it is always deflated.
     """
     support = M != 0
     idx = np.arange(M.shape[0])

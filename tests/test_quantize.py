@@ -262,14 +262,84 @@ def test_chunked_fold_is_the_one_expression_fold(N, order, sector):
     # either memory layout: every entry sees the same operations
     B = np.asarray(parity_commuting(N), order=order)
     out = parity_restrict(B, sector)
-    assert out.flags.c_contiguous
+    assert out.flags.c_contiguous  # no column pair is skipped
     assert np.array_equal(out, one_expression_fold(B, sector))
 
 
 def test_chunked_fold_checks_the_last_chunk():
     N = 2 * _CHUNK + 2
+    # the last row of the top half, and the last block's one column pair
+    for row, col in ((N // 2 - 1, 5), (5, N // 2 - 1)):
+        B = parity_commuting(N)
+        B[row, col] += 1e-3
+        with pytest.raises(ValueError, match="max commutator entry 1.000e-03"):
+            parity_restrict(B, "even")
+
+
+def test_fold_is_column_major_only_when_it_skips_a_pair_block():
+    # the open 5-baker's pairs j < 64 fold its removed strips 0 and 4 and
+    # are skipped; the closed map's fold writes every column, C-ordered,
+    # as the eigensolver's core is
+    assert parity_restrict(quantize_open(B5, 500), "even").flags.f_contiguous
+    assert parity_restrict(quantize_closed(5, 500), "even").flags.c_contiguous
+
+
+def bits(a):
+    """The bytes of a, row by row: equal bits tell +0.0 from -0.0."""
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+FOLD_CASES = {
+    **{f"B3-{N}": (lambda N=N: quantize_open(B3, N))
+       for N in (36, 108, 324, 972, 2916)},
+    **{f"D7-{N}": (lambda N=N: quantize_open(OpenBakerSpec(7, (1, 3, 5)), N))
+       for N in (98, 686, 2058)},
+    "closed-B5-500": lambda: quantize_closed(5, 500),
+    "walsh-OPEN_B4-W-4096": lambda: build_map("walsh", OPEN_B4, 4**6, "W"),
+}
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("case", list(FOLD_CASES))
+def test_fold_of_built_maps_is_bitwise_the_one_expression_fold(case, sector):
+    # [DERIVED] built maps, signed zeros included: from one block of
+    # pairs (B3 at N = 36, 108) to many with skipped zero pairs (B3,
+    # D = 7 kept 1, 3, 5, the walsh map's pairs j < 1024), and the closed
+    # map, which skips none.  OPEN_B4's "V" map does not commute with
+    # parity (max commutator entry 1.0), so its "W" map is folded
+    B = FOLD_CASES[case]()
+    assert np.array_equal(bits(parity_restrict(B, sector)),
+                          bits(one_expression_fold(B, sector)))
+
+
+def half_zero_pairs(N, side):
+    """A matrix within 1e-10 of commuting with parity whose first block
+    of column pairs is nonzero on one side only: columns j < _CHUNK and
+    N-1-j are zero except for 1e-11 entries in column 3 or N-4."""
     B = parity_commuting(N)
-    B[N // 2 - 1, 5] += 1e-3  # the last chunk's one row
+    B[:, :_CHUNK] = B[:, N - _CHUNK:] = 0.0
+    rng = np.random.default_rng(1)
+    B[:, 3 if side == "left" else N - 4] = 1e-11 * rng.standard_normal(N)
+    return B
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_fold_reads_both_columns_of_a_pair(side, sector):
+    # a skip that tests only one column of each pair zeroes the 1e-11
+    # entries' fold instead of folding them
+    B = half_zero_pairs(4 * _CHUNK, side)
+    out = parity_restrict(B, sector)
+    assert np.any(out[:, 3])
+    assert np.array_equal(bits(out), bits(one_expression_fold(B, sector)))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_fold_checks_both_columns_of_a_pair(side):
+    # a defect in the nonzero column of a half-zero pair still raises
+    N = 4 * _CHUNK
+    B = half_zero_pairs(N, side)
+    B[5, 3 if side == "left" else N - 4] = 1e-3
     with pytest.raises(ValueError, match="max commutator entry 1.000e-03"):
         parity_restrict(B, "even")
 
@@ -286,11 +356,12 @@ def test_parity_restrict_refuses_an_asymmetry_in_the_bottom_half():
 
 def test_open_build_and_fold_allocate_no_square_temporary():
     # numpy's allocations are traced: measured 1.18 for the build (the
-    # result, two (N, _CHUNK) FFT temporaries, the inner DFT) and 0.38
-    # for the fold (the quarter-size output, (_CHUNK, N) temporaries and
-    # check_finite's boolean mask).  Unchunked (N, N/5) FFT temporaries
-    # read 1.45 and quarter-size fold temporaries 0.52; one N x N
-    # temporary more adds 1.0 to either ratio
+    # result, two (N, _CHUNK) FFT temporaries, the inner DFT) and 0.30
+    # for the fold (the quarter-size output, its (N/2, _CHUNK) scratch
+    # block and that block's moduli; check_finite's boolean mask is freed
+    # first).  Unchunked (N, N/5) FFT temporaries read 1.45, a fold by
+    # (_CHUNK, N) row blocks 0.38 and quarter-size fold temporaries 0.52;
+    # one N x N temporary more adds 1.0 to either ratio
     N = 1000
     tracemalloc.start()
     try:
@@ -324,24 +395,30 @@ if sys.argv[1] == "open":
     parity_restrict(B, "even")
 elif sys.argv[1] == "toy":
     B = build_toy_diagonal(3**7)
-else:
+elif sys.argv[1] == "walsh":
     B = build_map("walsh", OPEN_B4, 4**6, "V")
+else:
+    B = build_map("walsh", OPEN_B4, 4**6, "W")
+    parity_restrict(B, "even")
 print((peak_kib() - base) * 1024 / B.nbytes)
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="needs Linux's lazily zeroed pages and /proc/self/status")
-@pytest.mark.parametrize("build,bound", [("open", 1.0), ("toy", 0.8),
-                                         ("walsh", 0.6)])
+@pytest.mark.parametrize("build,bound", [("open", 0.7), ("toy", 0.8),
+                                         ("walsh", 0.6), ("walsh-fold", 0.7)])
 def test_removed_strips_take_no_resident_memory(build, bound):
     # growth of a fresh interpreter's peak resident set over the matrix's
-    # size.  Measured 0.73-0.77 for the open 5-baker at N = 2500 and its
-    # even fold (1.50 with a row-major build that writes every page and
-    # quarter-size fold temporaries), 0.67 for the toy at 3^7, whose
-    # two kept strips fill their huge pages (0.97 row-major), and 0.51
+    # size.  Measured 0.60-0.66 for the open 5-baker at N = 2500 and its
+    # even fold (0.73-0.77 with a fold that writes all of its
+    # quarter-size output, 1.50 with a row-major build that writes every
+    # page and quarter-size fold temporaries), 0.67 for the toy at 3^7,
+    # whose two kept strips fill their huge pages (0.97 row-major), 0.51
     # for the walsh map of OPEN_B4 "V" at 4^6, two kept strips of four
-    # (2.0 as the block apply to an N x N identity)
+    # (2.0 as the block apply to an N x N identity), and 0.65 for the
+    # "W" map's even fold, whose pairs j < 1024 are all zero (0.79 with
+    # every output column written)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     run = subprocess.run([sys.executable, "-c", RSS_GROWTH, build], env=env,
                          capture_output=True, text=True, check=True)
