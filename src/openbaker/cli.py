@@ -215,6 +215,12 @@ def _spectrum_jobs(cfg: dict):
     dims = get_int_list(cfg, "spectrum.N", minimum=1)
     parity = get_str(cfg, "spectrum.parity", default="full",
                      choices={"even", "odd", "full"})
+    # parity sends strip l to strip D-1-l: a map commutes with it only if
+    # that mirror maps the kept strips onto themselves, and no "V" (walsh)
+    # map commutes with it at all
+    if parity != "full" and (variant == "V" or sorted(
+            spec.D - 1 - l for l in spec.kept) != list(spec.kept)):
+        raise ConfigError("spectrum.parity: the map never commutes with parity")
     spectra: dict = {}
 
     def job(N):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classical import B3, OpenBakerSpec
-from .transforms import (MAX_DENSE_DIM, _centered_dft_adjoint, _seed, build_walsh,
+from .transforms import (_centered_dft_adjoint, _seed, build_walsh, check_dense_dim,
                          check_finite, dft_centered)
 
 # parity_restrict refuses a matrix whose parity commutator has a larger
@@ -29,6 +29,16 @@ def quantize_closed(D: int, N: int) -> np.ndarray:
     """Unitary quantization of the closed D-baker (Balazs-Voros style):
     G_N^* . blockdiag(G_{N/D}, ..., G_{N/D})."""
     return quantize_open(OpenBakerSpec(D, tuple(range(D))), N)
+
+
+def _open_zeros(D: int, N: int) -> np.ndarray:
+    """The column-major N x N zeros an open D-baker's map is written into,
+    once N is checked: a positive multiple of D, and at most
+    MAX_DENSE_DIM."""
+    if N % D != 0 or N < D:
+        raise ValueError(f"dimension {N} must be a positive multiple of {D}")
+    check_dense_dim(N)
+    return np.zeros((N, N), dtype=complex, order="F")
 
 
 def quantize_open(spec: OpenBakerSpec, N: int) -> np.ndarray:
@@ -48,12 +58,8 @@ def quantize_open(spec: OpenBakerSpec, N: int) -> np.ndarray:
     pages are mapped lazily (calloc of a large array on Linux), those
     strips take no resident memory; elsewhere the result is the same and
     only the chunked temporaries save memory."""
-    if N % spec.D != 0 or N < spec.D:
-        raise ValueError(f"dimension {N} must be a positive multiple of {spec.D}")
-    if N > MAX_DENSE_DIM:
-        raise ValueError(f"dense dimension {N} exceeds cap {MAX_DENSE_DIM}")
+    M = _open_zeros(spec.D, N)
     n = N // spec.D
-    M = np.zeros((N, N), dtype=complex, order="F")
     inner = dft_centered(n)
     for b in spec.kept:
         for c in range(0, n, _CHUNK):
@@ -141,26 +147,38 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
     return out
 
 
+def _walsh_factor(spec: OpenBakerSpec, variant: str) -> np.ndarray:
+    """The Walsh map's one-digit factor: the D x D seed adjoint with the
+    removed columns zeroed.  Column ell, ell kept, holds
+    exp((2 pi i/D)(eps+c)(ell+c))/sqrt(D) over eps = 0..D-1, with c = 1/2
+    for variant "W" and 0 for "V"; every other column is exact zeros.
+    The single source of the entries of _walsh_diagonal,
+    tensor_open_apply_block and the cavity's closed form; the
+    transform-built walsh_quantize reads the seed instead.  Column-major,
+    so the block apply's column range is one contiguous block: a strided
+    factor sends a one-column product through another BLAS kernel, which
+    rounds differently."""
+    D, c, ell = spec.D, {"W": 0.5, "V": 0.0}.get(variant), np.array(spec.kept)
+    if c is None:
+        raise ValueError(f"variant must be 'V' or 'W', got {variant!r}")
+    f = np.zeros((D, D), dtype=complex, order="F")
+    f[:, ell] = np.exp(2j * np.pi / D * (np.arange(D)[:, None] + c) * (ell + c))
+    return f / np.sqrt(D)
+
+
 def _walsh_diagonal(spec: OpenBakerSpec, N: int, variant: str) -> np.ndarray:
     """The Walsh quantization of an open D-baker as its tilted diagonals:
-    entry (D l + eps, l + ell*N/D), ell kept, is the seed-adjoint entry
-    exp((2 pi i/D)(eps+c)(ell+c))/sqrt(D), with c = 1/2 for variant "W"
-    and 0 for "V"; every other entry is an exact zero.  Each of the s*D
-    (eps, ell) diagonals is one write over all l.  The result is
+    entry (D l + eps, l + ell*N/D), ell kept, is entry (eps, ell) of the
+    one-digit factor _walsh_factor; every other entry is an exact zero.
+    Each kept ell's D diagonals are one write over all l.  The result is
     column-major, so each removed strip is one contiguous slice that is
     never written (see quantize_open)."""
     D = spec.D
-    if N % D != 0 or N < D:
-        raise ValueError(f"dimension {N} must be a positive multiple of {D}")
-    if N > MAX_DENSE_DIM:
-        raise ValueError(f"dense dimension {N} exceeds cap {MAX_DENSE_DIM}")
-    c = {"W": 0.5, "V": 0.0}[variant]
-    B = np.zeros((N, N), dtype=complex, order="F")
+    B = _open_zeros(D, N)
+    f = _walsh_factor(spec, variant)
     l = np.arange(N // D)
     for ell in spec.kept:
-        for eps in range(D):
-            B[D * l + eps, l + ell * N // D] = np.exp(
-                2j * np.pi / D * (eps + c) * (ell + c)) / np.sqrt(D)
+        B[D * l + np.arange(D)[:, None], l + ell * N // D] = f[:, ell, None]
     return B
 
 
@@ -185,10 +203,8 @@ def walsh_quantize(spec: OpenBakerSpec, k: int, variant: str = "W") -> np.ndarra
     block.  S_k itself is never formed."""
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
-    D = spec.D
-    N = D**k
-    if N > MAX_DENSE_DIM:
-        raise ValueError(f"dense dimension {D}**{k} exceeds cap {MAX_DENSE_DIM}")
+    D, N = spec.D, spec.D**k
+    check_dense_dim(N)
     M = np.zeros((N, N), dtype=complex)
     inner = build_walsh(D, k - 1, variant)
     gram = inner.conj().T @ inner
@@ -204,21 +220,19 @@ def tensor_open_apply_block(X: np.ndarray, spec: OpenBakerSpec,
                             variant: str = "W") -> np.ndarray:
     """Matrix-free application of the Walsh-quantized baker to each column
     of an (N, m) array:
-    v_1 x ... x v_k  ->  v_2 x ... x v_k x (S pi_kept v_1),
-    with seed S = G_D^* (variant W) or F_D^* (variant V).
+    v_1 x ... x v_k  ->  v_2 x ... x v_k x (f v_1),
+    with f the one-digit factor _walsh_factor, whose entries
+    _walsh_diagonal writes: on an identity the apply is that map bit for
+    bit.
 
-    One batched product Y[r, b, :] = sum_a S[b, a] X[a, r, :] over the
+    One batched product Y[r, b, :] = sum_a f[b, a] X[a, r, :] over the
     first digits a from the smallest to the largest kept one, which is
     the new (N, m) array in natural order.  Only those digit blocks of X
-    are read; removed digits inside that range enter through zeroed seed
-    columns."""
-    X = np.asarray(X, dtype=complex)
+    are read; removed digits inside that range enter through the
+    factor's zero columns."""
     N, m = X.shape
-    D = spec.D
-    if N % D != 0:
-        raise ValueError(f"state length {N} is not divisible by {D}")
+    if N % spec.D != 0:
+        raise ValueError(f"state length {N} is not divisible by {spec.D}")
     lo, hi = spec.kept[0], spec.kept[-1] + 1
-    seed = _seed(D, variant).conj().T[:, lo:hi]
-    seed[:, [a - lo for a in range(lo, hi) if a not in spec.kept]] = 0.0
-    return np.matmul(seed, X.reshape(D, N // D, m)[lo:hi].transpose(1, 0, 2)
-                     ).reshape(N, m)
+    return np.matmul(_walsh_factor(spec, variant)[:, lo:hi],
+                     X.reshape(spec.D, -1, m)[lo:hi].transpose(1, 0, 2)).reshape(N, m)

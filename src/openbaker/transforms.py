@@ -15,6 +15,12 @@ import numpy as np
 MAX_DENSE_DIM = 2 ** 14
 
 
+def check_dense_dim(n: int) -> None:
+    """Refuse a dense matrix of dimension above MAX_DENSE_DIM."""
+    if n > MAX_DENSE_DIM:
+        raise ValueError(f"dense dimension {n} exceeds cap {MAX_DENSE_DIM}")
+
+
 def dft_centered(N: int) -> np.ndarray:
     """Centered DFT: entries N^(-1/2) exp(-2 pi i (j+1/2)(j'+1/2) / N).
 
@@ -73,8 +79,7 @@ def build_walsh(D: int, k: int, variant: str = "V") -> np.ndarray:
         raise ValueError(f"base must be >= 2, got {D}")
     if k < 0:
         raise ValueError(f"length must be >= 0, got {k}")
-    if D**k > MAX_DENSE_DIM:
-        raise ValueError(f"dense dimension {D}**{k} exceeds cap {MAX_DENSE_DIM}")
+    check_dense_dim(D**k)
     if k == 0:
         return np.ones((1, 1), dtype=complex)
     F = _seed(D, variant)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import CLOSED_B4, OPEN_B4, _leading_run
-from .quantize import tensor_open_apply_block, walsh_quantize
-from .transforms import MAX_DENSE_DIM, _seed
+from .quantize import _walsh_factor, tensor_open_apply_block, walsh_quantize
+from .transforms import check_dense_dim
 
 # Dense resolvent solves are refused above 4^6 = 4096 (memory budget);
 # the truncated series with the tensor-structured apply remains available.
@@ -68,10 +68,11 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     series: the sum over bounce numbers n of
     e^{i n theta} Pi_L2 U (Pi_I U)^(n-1) Pi_L1, truncated when the
     Frobenius norm of the next term drops below SERIES_TOL.  U sends
-    lead-1 basis column c to the seed's first column on rows 4c..4c+3,
-    which starts the N x 2^(k-1) block.  Pi_I keeps the interior first
-    digits {1, 2}, so U Pi_I is the matrix-free OPEN_B4 tensor apply; each
-    later term is one such apply to the block of the term before it.  A
+    lead-1 basis column c to column 0 of the one-digit factor
+    _walsh_factor(CLOSED_B4, "V") on rows 4c..4c+3, which starts the
+    N x 2^(k-1) block.  Pi_I keeps the interior first digits {1, 2}, so
+    U Pi_I is the matrix-free OPEN_B4 tensor apply; each later term is
+    one such apply to the block of the term before it.  A
     trapped channel's first k - 1 terms are exactly zero, so the stop test
     starts at term k.  t itself is N/4 x N/4, so
     k <= 7 (MAX_DENSE_DIM): at k = 8, t alone is 4 GiB.
@@ -93,8 +94,7 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
             )
         trapped_columns = _trapped_resolvent
     elif method == "series":
-        if 4**k > MAX_DENSE_DIM:
-            raise ValueError(f"dense dimension 4**{k} exceeds cap {MAX_DENSE_DIM}")
+        check_dense_dim(4**k)
         trapped_columns = _bounce_series
     else:
         raise ValueError(f"method must be 'resolvent' or 'series', got {method!r}")
@@ -120,10 +120,11 @@ def _closed_form(k: int, phase: complex) -> np.ndarray:
     the trapped ones left zero.  After a run c_1 ... c_j in {1, 2}, bounce
     j + 1 sends the channel whole into lead 2 as
     phase^(j+1) e_{c_{j+2} ... c_{k-1}} (x) s_0 (x) s_{c_1} (x) ... (x) s_{c_j}
-    if c_{j+1} = 3, with s_a the seed's column a, and back into lead 1,
-    a zero column, if c_{j+1} = 0."""
+    if c_{j+1} = 3, with s_a column a of the one-digit factor
+    _walsh_factor(CLOSED_B4, "V"), and back into lead 1, a zero column,
+    if c_{j+1} = 0."""
     n4 = 4 ** (k - 1)
-    s = _seed(4, "V").conj()  # row a: s_a, column a of the seed F_4^*
+    s = _walsh_factor(CLOSED_B4, "V").T  # row a: s_a
     run, end = _leading_runs(k - 1)
     t = np.zeros((n4, n4), dtype=complex)
     V = s[None, 0]  # s_0 (x) s_{c_1} (x) ... (x) s_{c_j}, one row per c_1 ... c_j
@@ -159,15 +160,15 @@ def _bounce_series(k: int, phase: complex,
                    cols: np.ndarray) -> tuple[np.ndarray, dict]:
     """The bounce series' trapped columns `cols` of t, and its diagnostics."""
     N = 4**k
-    n4 = N // 4
+    n4, m = N // 4, len(cols)
     n_max = 200 * k
     # C holds U (Pi_I U)^(n-1) Pi_L1 applied to the trapped lead-1 basis
     # columns.  U Pi_I is the OPEN_B4 apply, which reads only the
     # interior rows of C, so its lead rows need no zeroing and the lead-2
     # rows can be phased in place.
-    C = np.zeros((N, len(cols)), dtype=complex)
-    C.reshape(n4, 4, len(cols))[cols, :, np.arange(len(cols))] = _seed(4, "V").conj()[0]
-    t = np.zeros((n4, len(cols)), dtype=complex)
+    C = np.zeros((N, m), dtype=complex)
+    C.reshape(n4, 4, m)[cols, :, np.arange(m)] = _walsh_factor(CLOSED_B4, "V")[:, 0]
+    t = np.zeros((n4, m), dtype=complex)
     for n in range(1, n_max + 1):
         term = C[3 * n4:]
         term *= phase**n

@@ -17,6 +17,7 @@ import pytest
 
 import openbaker
 from openbaker import cli, quantize
+from openbaker.classical import OpenBakerSpec
 from openbaker.cli import main
 from openbaker.config import (KEYS, ConfigError, get_float, get_float_list,
                               get_int, get_int_list, get_spec, get_str,
@@ -774,6 +775,62 @@ def test_cli_refuses_odd_parity_dimension_before_building(tmp_path, monkeypatch,
     job = json.loads((out / "manifest.json").read_text())["jobs"][0]
     assert job["status"] == "failed"
     assert job["error"] == "parity reduction requires even N, got 15"
+
+
+def _folds(family, spec, variant, N):
+    M = (quantize.quantize_open(spec, N) if family == "dft"
+         else quantize._walsh_diagonal(spec, N, variant))
+    try:
+        quantize.parity_restrict(M, "even")
+    except ValueError as exc:
+        assert "does not commute with parity" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+def test_plan_refuses_exactly_the_maps_that_never_fold(D):
+    # [DERIVED] over every kept set, family and variant, a parity sector
+    # is refused in the plan exactly when the map's fold refuses it, at
+    # N = 2D and 4D (a Walsh map at odd D has no even N = D^k, so its
+    # writer is folded at these multiples of D)
+    wrong = []
+    for mask in range(1, 2**D):
+        spec = OpenBakerSpec(D, tuple(b for b in range(D) if mask >> b & 1))
+        for family, variant in (("dft", None), ("walsh", "W"), ("walsh", "V")):
+            cfg = {"map.family": family, "map.D": str(D),
+                   "map.kept": ",".join(map(str, spec.kept)),
+                   "spectrum.N": "16", "spectrum.parity": "even"}
+            if variant:
+                cfg["map.variant"] = variant
+            try:
+                cli.cmd_spectrum(cfg)
+                refused = False
+            except ConfigError as exc:
+                assert str(exc) == "spectrum.parity: the map never commutes with parity"
+                refused = True
+            if any(_folds(family, spec, variant, N) == refused for N in (2 * D, 4 * D)):
+                wrong.append((spec.kept, family, variant, refused))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_cli_refuses_a_parity_sector_of_a_v_map_before_building(tmp_path, monkeypatch,
+                                                               capsys, parity):
+    # the "V" Walsh maps never commute with parity (max commutator entry
+    # 1.0 for OPEN_B4): a config error, with no N x N build and no output
+    def build(*args):
+        raise RuntimeError("dense map built")
+
+    monkeypatch.setattr(cli, "_walsh_diagonal", build)
+    cfg = write_cfg(tmp_path, "map.family = walsh\nmap.D = 4\nmap.kept = 1,2\n"
+                              "map.variant = V\nspectrum.N = 64\n"
+                              f"spectrum.parity = {parity}\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", cfg, "-o", str(out)]) == 1
+    assert ("config error: spectrum.parity: the map never commutes with parity"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb,text,key", [

@@ -12,11 +12,11 @@ import pytest
 
 from openbaker.classical import B3, B5, CLOSED_B4, OPEN_B4, OpenBakerSpec
 from openbaker.cli import build_map
-from openbaker.quantize import (_CHUNK, build_toy_diagonal, parity_operator,
-                                parity_restrict, quantize_closed,
-                                quantize_open, tensor_open_apply_block,
-                                walsh_quantize)
-from openbaker.transforms import MAX_DENSE_DIM, build_walsh, dft_centered
+from openbaker.quantize import (_CHUNK, _walsh_factor, build_toy_diagonal,
+                                parity_operator, parity_restrict,
+                                quantize_closed, quantize_open,
+                                tensor_open_apply_block, walsh_quantize)
+from openbaker.transforms import MAX_DENSE_DIM, _seed, build_walsh, dft_centered
 from reference import (one_expression_fold, parity_isometry, tensor_state,
                        toy_diagonal_by_entry)
 
@@ -511,16 +511,52 @@ def test_walsh_family_b3_w_map_is_the_toy(k):
 @pytest.mark.parametrize("spec", [B3, B5, OPEN_B4, OpenBakerSpec(7, (1, 3, 5))],
                          ids=["B3", "B5", "OPEN_B4", "D7"])
 def test_walsh_family_map_is_the_kernel_on_the_identity(spec, variant):
-    # [DERIVED] the tilted diagonals are the block apply's columns: the
-    # same exact zeros, and each entry one seed entry up to rounding
-    # (measured at most 6 machine epsilons, at D = 7 "V", whose phase
-    # argument 2 pi eps ell/7 reaches 2 pi 30/7 unreduced)
+    # [DERIVED] the tilted diagonals are the block apply's columns: both
+    # read their entries from _walsh_factor, so they are the same map
     for k in (1, 2, 3):
         N = spec.D**k
         M = build_map("walsh", spec, N, variant)
         ref = tensor_open_apply_block(np.eye(N, dtype=complex), spec, variant)
-        assert np.array_equal(M != 0, ref != 0)
-        assert np.max(np.abs(M - ref)) <= 8 * np.finfo(float).eps
+        assert np.array_equal(M, ref)
+
+
+WALSH_SPECS = [B3, B5, OPEN_B4, OpenBakerSpec(7, (1, 3, 5))]
+
+
+@pytest.mark.parametrize("variant", ["V", "W"])
+@pytest.mark.parametrize("spec", WALSH_SPECS + [CLOSED_B4, OpenBakerSpec(2, (0,))],
+                         ids=["B3", "B5", "OPEN_B4", "D7", "CLOSED_B4", "D2"])
+def test_walsh_factor_is_the_entry_expression(spec, variant):
+    # [DERIVED] the removed columns are exact zeros, and the one np.exp
+    # over the D x s block is the per-entry expression bit for bit
+    D, c = spec.D, {"W": 0.5, "V": 0.0}[variant]
+    f = _walsh_factor(spec, variant)
+    removed = [a for a in range(D) if a not in spec.kept]
+    assert f.shape == (D, D)
+    assert f[:, removed].tobytes() == bytes(16 * D * len(removed))  # +0.0
+    by_entry = np.array([[np.exp(2j * np.pi / D * (eps + c) * (ell + c)) / np.sqrt(D)
+                          for ell in spec.kept] for eps in range(D)])
+    assert f[:, list(spec.kept)].tobytes() == by_entry.tobytes()
+
+
+def test_walsh_factor_is_the_cavity_seed():
+    # [DERIVED] the cavity's closed form and the series' first term read
+    # the factor where they read F_4^* before: equal entry for entry (the
+    # factor's zero imaginary parts are +0.0 where the seed's are -0.0)
+    assert np.array_equal(_walsh_factor(CLOSED_B4, "V"), _seed(4, "V").conj())
+
+
+@pytest.mark.parametrize("variant", ["V", "W"])
+@pytest.mark.parametrize("spec", WALSH_SPECS, ids=["B3", "B5", "OPEN_B4", "D7"])
+def test_walsh_factor_is_the_seed_up_to_rounding(spec, variant):
+    # [DERIVED] the factor and the transform's seed are two evaluations of
+    # one phase: the seed's "W" phases come from a table of 4D-th roots and
+    # the factor's from its unreduced argument, which at D = 7 "V" reaches
+    # 2 pi 36/7.  Measured: real and imaginary parts within 5.875 machine
+    # epsilons (D = 7 "V"), the modulus of the difference within 6.01
+    seed = _seed(spec.D, variant).conj()[:, list(spec.kept)]
+    diff = _walsh_factor(spec, variant)[:, list(spec.kept)] - seed
+    assert max(np.abs(diff.real).max(), np.abs(diff.imag).max()) <= 6 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("k,variant", [(2, "V"), (3, "W"), (4, "V")])

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openbaker.transforms import (MAX_DENSE_DIM, _centered_dft_adjoint,
-                                  build_walsh, dft_centered, dft_plain)
+                                  build_walsh, check_dense_dim, dft_centered,
+                                  dft_plain)
 from reference import (digit_decode, digit_encode, digit_reversal_permutation,
                        tensor_state)
 
@@ -193,6 +194,14 @@ def test_build_walsh_refuses_huge_dimensions():
     with pytest.raises(ValueError):
         build_walsh(2, 15, "V")
     assert 2**15 > MAX_DENSE_DIM
+
+
+def test_check_dense_dim_refuses_above_the_cap_only():
+    # the one message of every dense-size refusal
+    check_dense_dim(MAX_DENSE_DIM)
+    with pytest.raises(ValueError, match=f"^dense dimension {MAX_DENSE_DIM + 1} "
+                                         f"exceeds cap {MAX_DENSE_DIM}$"):
+        check_dense_dim(MAX_DENSE_DIM + 1)
 
 
 # --------------------------------------------------------- tensor states
