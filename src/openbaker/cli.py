@@ -221,6 +221,8 @@ def _spectrum_jobs(cfg: dict):
     if parity != "full" and (variant == "V" or sorted(
             spec.D - 1 - l for l in spec.kept) != list(spec.kept)):
         raise ConfigError("spectrum.parity: the map never commutes with parity")
+    if parity != "full" and family == "walsh" and spec.D % 2:
+        raise ConfigError(f"spectrum.parity: every walsh dimension N = {spec.D}^k is odd")
     spectra: dict = {}
 
     def job(N):

@@ -10,6 +10,9 @@ solvable; at D = 3 with the half-integer variant it reproduces the
 
 from __future__ import annotations
 
+import math
+import mmap
+
 import numpy as np
 
 from .classical import B3, OpenBakerSpec
@@ -31,14 +34,37 @@ def quantize_closed(D: int, N: int) -> np.ndarray:
     return quantize_open(OpenBakerSpec(D, tuple(range(D))), N)
 
 
-def _open_zeros(D: int, N: int) -> np.ndarray:
-    """The column-major N x N zeros an open D-baker's map is written into,
+def _lazy_zeros(shape, dtype, order) -> np.ndarray:
+    """np.zeros(shape, dtype, order) on 4 KiB pages, for an array whose
+    pages are mostly never written.
+
+    numpy advises 2 MiB huge pages for every array of 4 MiB or more, so a
+    single write faults in all of its 2 MiB page.  These zeros come from
+    a private anonymous map with huge pages advised off: each 4 KiB page
+    becomes resident at its first write, and a read of an untouched page
+    maps the shared zero page.  (A shared map is shmem, where a read
+    allocates the page.)  Where mmap has no MAP_PRIVATE, this is
+    np.zeros."""
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(shape, dtype, order)
+    dtype = np.dtype(dtype)
+    buf = mmap.mmap(-1, math.prod(shape) * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    # a kernel whose transparent huge pages are "always" backs every
+    # anonymous map with them unless advised off
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype).reshape(shape, order=order)
+
+
+def _open_zeros(D: int, N: int, zeros) -> np.ndarray:
+    """The column-major N x N complex zeros an open D-baker's map is
+    written into, from the allocator `zeros` (np.zeros or _lazy_zeros),
     once N is checked: a positive multiple of D, and at most
     MAX_DENSE_DIM."""
     if N % D != 0 or N < D:
         raise ValueError(f"dimension {N} must be a positive multiple of {D}")
     check_dense_dim(N)
-    return np.zeros((N, N), dtype=complex, order="F")
+    return zeros((N, N), complex, "F")
 
 
 def quantize_open(spec: OpenBakerSpec, N: int) -> np.ndarray:
@@ -54,11 +80,12 @@ def quantize_open(spec: OpenBakerSpec, N: int) -> np.ndarray:
     MAX_DENSE_DIM is refused before anything is allocated.
 
     The result is column-major, so each kept block is one contiguous
-    slice and the removed strips are never written.  Where fresh zeroed
-    pages are mapped lazily (calloc of a large array on Linux), those
-    strips take no resident memory; elsewhere the result is the same and
-    only the chunked temporaries save memory."""
-    M = _open_zeros(spec.D, N)
+    slice and the removed strips are never written.  It comes from
+    np.zeros: where numpy advises huge pages for it (Linux), the kept
+    strips, written densely, fill whole 2 MiB pages and the removed strips
+    stay unwritten pages that take no resident memory; elsewhere the
+    result is the same and only the chunked temporaries save memory."""
+    M = _open_zeros(spec.D, N, np.zeros)
     n = N // spec.D
     inner = dft_centered(n)
     for b in spec.kept:
@@ -100,10 +127,11 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
     columns keep their fresh zeros, the +0.0 that the fold gives for
     +0.0 entries.  The removed strips of quantize_open and _walsh_diagonal
     are such columns.  Reading them maps no new memory (pages B never
-    wrote read as the shared zero page), and when a block is skipped the
+    wrote read as the shared zero page).  When a block is skipped the
     output is column-major, so the columns it folds onto are never
-    written and, where fresh zeroed pages are mapped lazily, take no
-    resident memory.  A fold that skips nothing (a closed map's) is
+    written, and it comes from _lazy_zeros, so the 4 KiB pages that hold
+    only those columns take no resident memory.  A fold that skips
+    nothing (a closed map's) writes every page of an np.zeros output,
     C-ordered, the layout of eigen_spectrum's core, which then needs no
     copy of it.
     """
@@ -119,7 +147,9 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
         B1, B2 = B[:, cols], B[:, N - 1 - j:N - 1 - cols.stop:-1]
         if B1.any() or B2.any():
             live.append((cols, B1, B2))
-    out = np.zeros((h, h), dtype=complex, order="F" if len(live) < len(blocks) else "C")
+    # a fold that skips nothing writes every page of its output
+    skips = len(live) < len(blocks)
+    out = (_lazy_zeros if skips else np.zeros)((h, h), complex, "F" if skips else "C")
     scratch = np.empty((h, _CHUNK), dtype=complex, order="F")
     comm = 0.0
     for cols, B1, B2 in live:
@@ -172,9 +202,11 @@ def _walsh_diagonal(spec: OpenBakerSpec, N: int, variant: str) -> np.ndarray:
     one-digit factor _walsh_factor; every other entry is an exact zero.
     Each kept ell's D diagonals are one write over all l.  The result is
     column-major, so each removed strip is one contiguous slice that is
-    never written (see quantize_open)."""
+    never written (see quantize_open).  It comes from _lazy_zeros: a kept
+    column holds D entries in D consecutive rows, so about one 4 KiB page
+    per kept column becomes resident, not the whole kept strip."""
     D = spec.D
-    B = _open_zeros(D, N)
+    B = _open_zeros(D, N, _lazy_zeros)
     f = _walsh_factor(spec, variant)
     l = np.arange(N // D)
     for ell in spec.kept:

@@ -750,7 +750,7 @@ def test_cli_refuses_oversized_toy_before_allocating(tmp_path, monkeypatch,
     def zeros(*args, **kwargs):
         raise RuntimeError("dense toy matrix allocated")
 
-    monkeypatch.setattr(quantize, "np", SimpleNamespace(zeros=zeros))
+    monkeypatch.setattr(quantize, "_lazy_zeros", zeros)
     out = tmp_path / "out"
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 2
     jobs = {j["name"]: j for j in
@@ -791,9 +791,10 @@ def _folds(family, spec, variant, N):
 @pytest.mark.parametrize("D", [2, 3, 4, 5])
 def test_plan_refuses_exactly_the_maps_that_never_fold(D):
     # [DERIVED] over every kept set, family and variant, a parity sector
-    # is refused in the plan exactly when the map's fold refuses it, at
-    # N = 2D and 4D (a Walsh map at odd D has no even N = D^k, so its
-    # writer is folded at these multiples of D)
+    # is refused as a map that never commutes exactly when the map's fold
+    # refuses it, at N = 2D and 4D (a Walsh map at odd D has no even
+    # N = D^k, so its writer is folded at these multiples of D, and the
+    # plan refuses its sectors for that after this check)
     wrong = []
     for mask in range(1, 2**D):
         spec = OpenBakerSpec(D, tuple(b for b in range(D) if mask >> b & 1))
@@ -807,8 +808,10 @@ def test_plan_refuses_exactly_the_maps_that_never_fold(D):
                 cli.cmd_spectrum(cfg)
                 refused = False
             except ConfigError as exc:
-                assert str(exc) == "spectrum.parity: the map never commutes with parity"
-                refused = True
+                refused = str(exc) == "spectrum.parity: the map never commutes with parity"
+                if not refused:
+                    assert family == "walsh" and D % 2
+                    assert str(exc) == f"spectrum.parity: every walsh dimension N = {D}^k is odd"
             if any(_folds(family, spec, variant, N) == refused for N in (2 * D, 4 * D)):
                 wrong.append((spec.kept, family, variant, refused))
     assert wrong == []
@@ -829,6 +832,19 @@ def test_cli_refuses_a_parity_sector_of_a_v_map_before_building(tmp_path, monkey
     out = tmp_path / "out"
     assert main(["spectrum", cfg, "-o", str(out)]) == 1
     assert ("config error: spectrum.parity: the map never commutes with parity"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_cli_refuses_a_parity_sector_of_an_odd_walsh_dimension(tmp_path, capsys, parity):
+    # every N = 5^k is odd, so no job could fold: a config error with no
+    # output, not one failed job per N and exit 2
+    cfg = write_cfg(tmp_path, "map.family = walsh\nmap.D = 5\nmap.kept = 1,3\n"
+                              f"spectrum.N = 5,25,125\nspectrum.parity = {parity}\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", cfg, "-o", str(out)]) == 1
+    assert ("config error: spectrum.parity: every walsh dimension N = 5^k is odd"
             in capsys.readouterr().err)
     assert not out.exists()
 

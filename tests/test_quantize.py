@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from openbaker import quantize
 from openbaker.classical import B3, B5, CLOSED_B4, OPEN_B4, OpenBakerSpec
 from openbaker.cli import build_map
 from openbaker.quantize import (_CHUNK, _walsh_factor, build_toy_diagonal,
@@ -355,13 +356,14 @@ def test_parity_restrict_refuses_an_asymmetry_in_the_bottom_half():
 
 
 def test_open_build_and_fold_allocate_no_square_temporary():
-    # numpy's allocations are traced: measured 1.18 for the build (the
-    # result, two (N, _CHUNK) FFT temporaries, the inner DFT) and 0.30
-    # for the fold (the quarter-size output, its (N/2, _CHUNK) scratch
-    # block and that block's moduli; check_finite's boolean mask is freed
-    # first).  Unchunked (N, N/5) FFT temporaries read 1.45, a fold by
-    # (_CHUNK, N) row blocks 0.38 and quarter-size fold temporaries 0.52;
-    # one N x N temporary more adds 1.0 to either ratio
+    # numpy's allocations are traced, maps from _lazy_zeros are not:
+    # measured 1.18 for the build (the result, two (N, _CHUNK) FFT
+    # temporaries, the inner DFT) and 0.063 for the fold, which is
+    # check_finite's N x N boolean mask; the (N/2, _CHUNK) scratch block
+    # and its moduli that follow it take 0.048, and the quarter-size
+    # output is a _lazy_zeros map.  Unchunked (N, N/5) FFT temporaries
+    # read 1.45 for the build; a quarter-size fold temporary adds 0.25
+    # to the fold and one N x N temporary 1.0 to either ratio
     N = 1000
     tracemalloc.start()
     try:
@@ -374,7 +376,22 @@ def test_open_build_and_fold_allocate_no_square_temporary():
     finally:
         tracemalloc.stop()
     assert build_peak / B.nbytes <= 1.25
-    assert (fold_peak - base) / B.nbytes <= 0.45
+    assert (fold_peak - base) / B.nbytes <= 0.1
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_lazy_zeros_are_writable_complex_zeros_in_the_requested_layout(
+        monkeypatch, order):
+    a = quantize._lazy_zeros((3, 5), complex, order)
+    assert a.shape == (3, 5) and a.dtype == complex and not a.any()
+    assert a.flags.c_contiguous if order == "C" else a.flags.f_contiguous
+    a[1, 2] = 1j
+    assert a.sum() == 1j
+    # without a private anonymous map, the same zeros come from np.zeros
+    monkeypatch.delattr(quantize.mmap, "MAP_PRIVATE")
+    b = quantize._lazy_zeros((3, 5), complex, order)
+    assert b.flags.owndata and b.flags.writeable and not b.any()
+    assert b.flags.c_contiguous if order == "C" else b.flags.f_contiguous
 
 
 RSS_GROWTH = """
@@ -393,8 +410,8 @@ base = peak_kib()
 if sys.argv[1] == "open":
     B = quantize_open(B5, 2500)
     parity_restrict(B, "even")
-elif sys.argv[1] == "toy":
-    B = build_toy_diagonal(3**7)
+elif sys.argv[1].startswith("toy"):
+    B = build_toy_diagonal(3**int(sys.argv[1][3:]))
 elif sys.argv[1] == "walsh":
     B = build_map("walsh", OPEN_B4, 4**6, "V")
 else:
@@ -406,19 +423,24 @@ print((peak_kib() - base) * 1024 / B.nbytes)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="needs Linux's lazily zeroed pages and /proc/self/status")
-@pytest.mark.parametrize("build,bound", [("open", 0.7), ("toy", 0.8),
-                                         ("walsh", 0.6), ("walsh-fold", 0.7)])
+@pytest.mark.parametrize("build,bound", [("open", 0.7), ("toy7", 0.12), ("toy8", 0.05),
+                                         ("walsh", 0.05), ("walsh-fold", 0.22)])
 def test_removed_strips_take_no_resident_memory(build, bound):
     # growth of a fresh interpreter's peak resident set over the matrix's
     # size.  Measured 0.60-0.66 for the open 5-baker at N = 2500 and its
     # even fold (0.73-0.77 with a fold that writes all of its
     # quarter-size output, 1.50 with a row-major build that writes every
-    # page and quarter-size fold temporaries), 0.67 for the toy at 3^7,
-    # whose two kept strips fill their huge pages (0.97 row-major), 0.51
-    # for the walsh map of OPEN_B4 "V" at 4^6, two kept strips of four
-    # (2.0 as the block apply to an N x N identity), and 0.65 for the
-    # "W" map's even fold, whose pairs j < 1024 are all zero (0.79 with
-    # every output column written)
+    # page and quarter-size fold temporaries): its kept strips are
+    # written densely into np.zeros' huge pages.  The Walsh writer's
+    # tilted diagonals hold D entries per kept column, and on _lazy_zeros'
+    # 4 KiB pages about one page per kept column becomes resident:
+    # measured 0.086 for the toy at 3^7 and 0.027 at 3^8 (0.67 on huge
+    # pages, 0.97 row-major), 0.033 for the walsh map of OPEN_B4 "V" at
+    # 4^6, two kept strips of four (0.51 on huge pages, 2.0 as the block
+    # apply to an N x N identity), and 0.17 for the "W" map's even fold,
+    # whose pairs j < 1024 are all zero and whose output's skipped
+    # columns are never written (0.65 on huge pages, 0.79 with every
+    # output column written)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     run = subprocess.run([sys.executable, "-c", RSS_GROWTH, build], env=env,
                          capture_output=True, text=True, check=True)
@@ -484,7 +506,7 @@ def test_toy_diagonal_refuses_oversized_before_allocating(monkeypatch):
     def zeros(*args, **kwargs):
         raise RuntimeError("dense toy matrix allocated")
 
-    monkeypatch.setattr(np, "zeros", zeros)
+    monkeypatch.setattr(quantize, "_lazy_zeros", zeros)
     with pytest.raises(ValueError, match=f"exceeds cap {MAX_DENSE_DIM}"):
         build_toy_diagonal(3**9)
     with pytest.raises(RuntimeError, match="allocated"):
