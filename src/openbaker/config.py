@@ -115,25 +115,27 @@ def _parse_float(token: str) -> float:
 
 
 def get_int_list(cfg: dict, key: str, default=None, minimum=None) -> list:
-    return _lookup(cfg, key, default, lambda val: _distinct(
-        [_parse_int(tok, minimum) for tok in val.split(",") if tok.strip()]))
+    return _lookup(cfg, key, default,
+                   lambda val: _parse_list(val, lambda tok: _parse_int(tok, minimum)))
 
 
 def get_float_list(cfg: dict, key: str, default=None) -> list:
-    return _lookup(cfg, key, default, lambda val: _distinct(
-        [_parse_float(tok) for tok in val.split(",") if tok.strip()]))
+    return _lookup(cfg, key, default, lambda val: _parse_list(val, _parse_float))
 
 
-def _distinct(values: list) -> list:
-    """`values` unchanged.  Every list key names one job per value
-    (spectrum.N, toy.k, transport.k, transport.theta), one count or
-    profile row per value (count.radii, profile.radii) or one kept branch
-    per value (map.kept): an empty list would run no job or write an
-    empty artifact and report success, and a repeated value would run the
-    same job twice under one name or count the same radius twice, so
-    both are rejected."""
-    if not values:
-        raise ValueError("expected at least one value")
+def _parse_list(val: str, parse) -> list:
+    """The comma-separated items of `val`, each read by `parse`.  Every
+    list key names one job per value (spectrum.N, toy.k, transport.k,
+    transport.theta), one count or profile row per value (count.radii,
+    profile.radii) or one kept branch per value (map.kept): an empty list
+    would run no job or write an empty artifact and report success, an
+    empty item among others (`20,,100`, `20,100,`) is a mistyped list,
+    and a repeated value would run the same job twice under one name or
+    count the same radius twice, so all three are rejected."""
+    tokens = [tok.strip() for tok in val.split(",")]
+    if not all(tokens):
+        raise ValueError("empty list item" if any(tokens) else "expected at least one value")
+    values = [parse(tok) for tok in tokens]
     for i, v in enumerate(values):
         if v in values[:i]:
             raise ValueError(f"repeated value {v!r}")

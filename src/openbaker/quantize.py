@@ -121,38 +121,29 @@ def parity_restrict(B: np.ndarray, sector: str) -> np.ndarray:
 
     Output column j < N/2 reads only columns j and N-1-j of B, so the
     parity check and the fold walk these column pairs, _CHUNK pairs at a
-    time, into one (N/2, N/2) output; the one temporary is an
-    (N/2, _CHUNK) scratch block.  A block of pairs whose columns of B are
-    all zero is skipped: its commutator entries are zero and its output
-    columns keep their fresh zeros, the +0.0 that the fold gives for
-    +0.0 entries.  The removed strips of quantize_open and _walsh_diagonal
-    are such columns.  Reading them maps no new memory (pages B never
-    wrote read as the shared zero page).  When a block is skipped the
-    output is column-major, so the columns it folds onto are never
-    written, and it comes from _lazy_zeros, so the 4 KiB pages that hold
-    only those columns take no resident memory.  A fold that skips
-    nothing (a closed map's) writes every page of an np.zeros output,
-    C-ordered, the layout of eigen_spectrum's core, which then needs no
-    copy of it.
+    time, into one column-major (N/2, N/2) output from _lazy_zeros; the
+    one temporary is an (N/2, _CHUNK) scratch block.  A block of pairs
+    whose columns of B are all zero is skipped: its commutator entries
+    are zero and its output columns keep their fresh zeros, the +0.0
+    that the fold gives for +0.0 entries.  The removed strips of
+    quantize_open and _walsh_diagonal are such columns.  Reading them
+    maps no new memory (pages B never wrote read as the shared zero
+    page), and the 4 KiB pages that hold only the output columns they
+    fold onto are never written, so they take no resident memory.
     """
     B = check_finite(B)
     N = B.shape[0]
     sign = _sector_sign(N, sector)
     h = N // 2
-    blocks = range(0, h, _CHUNK)
-    live = []
-    for j in blocks:
+    out = _lazy_zeros((h, h), complex, "F")
+    scratch = np.empty((h, _CHUNK), dtype=complex, order="F")
+    comm = 0.0
+    for j in range(0, h, _CHUNK):
         cols = slice(j, min(j + _CHUNK, h))
         # columns j.. of B and their mirrors N-1-j.., pair by pair
         B1, B2 = B[:, cols], B[:, N - 1 - j:N - 1 - cols.stop:-1]
-        if B1.any() or B2.any():
-            live.append((cols, B1, B2))
-    # a fold that skips nothing writes every page of its output
-    skips = len(live) < len(blocks)
-    out = (_lazy_zeros if skips else np.zeros)((h, h), complex, "F" if skips else "C")
-    scratch = np.empty((h, _CHUNK), dtype=complex, order="F")
-    comm = 0.0
-    for cols, B1, B2 in live:
+        if not (B1.any() or B2.any()):
+            continue
         tmp = scratch[:, :cols.stop - cols.start]
         # with R the reversal of B, R1 = R[:h, cols] is the bottom half of
         # the mirrors reversed, and R2 that of the columns

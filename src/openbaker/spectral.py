@@ -125,12 +125,9 @@ def _deflate_zero_indices(M: np.ndarray) -> np.ndarray:
     (zero column) or a restriction (zero row) of M, so (M_core)^j is the
     matching block of M^j and no norm grows.
 
-    The rounds run on the boolean support of M, and M is copied once, to
-    the core.  The core is C-ordered, so the matrix products on it sum in
-    the same order whatever M's layout: M itself is returned when nothing
-    is deleted and M is C-ordered, and an undeflated column-major M
-    (quantize_open's closed map) is copied.  A column-major parity fold
-    has the zero columns it skipped, so it is always deflated.
+    The rounds run on the boolean support of M.  M itself is returned,
+    in its own layout, when nothing is deleted; otherwise the core is
+    one fresh C-ordered copy.  Callers only read the core.
     """
     support = M != 0
     idx = np.arange(M.shape[0])
@@ -139,7 +136,7 @@ def _deflate_zero_indices(M: np.ndarray) -> np.ndarray:
         idx, support = idx[keep], support[np.ix_(keep, keep)]
         keep = support.any(axis=0) & support.any(axis=1)
     if len(idx) == M.shape[0]:
-        return np.ascontiguousarray(M)
+        return M
     return M[np.ix_(idx, idx)]
 
 
@@ -160,8 +157,9 @@ def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "") -> Spec
     indices contribute exactly n - m eigenvalues 0.0.  So a kernel made
     of exact zero rows or columns (the escaping strips of the open maps,
     the whole kernel of the Walsh toy) is returned as exact zeros, free
-    of eigensolver scatter.  The dimension cap applies to the input
-    dimension n.
+    of eigensolver scatter.  An input with nothing to deflate (a closed
+    map) is eigensolved as given, in its own layout.  The dimension cap
+    applies to the input dimension n.
 
     The accuracy contract ||M v - lambda v|| <= RESIDUAL_TOL * ||M|| is
     verified on a sample of the core's eigenpairs (deleting zero rows and

@@ -191,9 +191,13 @@ class TransportResult:
     T: np.ndarray = field(repr=False)  # transmission eigenvalues, descending
     g: float
     P: float
-    F: float | None
     # how t was computed and decomposed; not an artifact field
     diagnostics: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def F(self) -> float | None:
+        """The Fano factor P / g, None when nothing is transmitted."""
+        return self.P / self.g if self.g > 0 else None
 
     def as_dict(self) -> dict:
         return {
@@ -215,8 +219,7 @@ def transport_quantities(t: np.ndarray) -> TransportResult:
     T = np.sort(sv**2)[::-1]
     g = float(T.sum())
     P = float((T * (1.0 - T)).sum())
-    F = P / g if g > 0 else None
-    return TransportResult(0, 0.0, T, g, P, F)
+    return TransportResult(0, 0.0, T, g, P)
 
 
 def transport_result(k: int, theta: float = 0.0,
@@ -236,9 +239,8 @@ def transport_result(k: int, theta: float = 0.0,
     opened, closed = int((end == 3).sum()), int((end == 0).sum())
     # a trapped channel may transmit fully too: T = 1 + 4e-16 at k = 4, theta = 0
     T = np.sort(np.concatenate([np.ones(opened), core.T, np.zeros(closed)]))[::-1]
-    g = opened + core.g
     return TransportResult(
-        k, theta, T, g, core.P, core.P / g if g > 0 else None,
+        k, theta, T, opened + core.g, core.P,
         diagnostics={**diagnostics, "closed_form_channels": [opened, closed],
                      "svd_shape": list(trapped.shape)})
 

@@ -124,6 +124,16 @@ def test_distinct_rejects_an_empty_list_by_key():
         get_spec(parse_config("map.D = 3\nmap.kept =\n"))
 
 
+@pytest.mark.parametrize("value", ["20,,100", "20, ,100", "20,100,", ",20"])
+def test_list_getters_reject_an_empty_item_by_key(value):
+    # one mistyped comma would otherwise drop a value without a word
+    cfg = parse_config(f"spectrum.N = {value}\nprofile.radii = {value}\n")
+    with pytest.raises(ConfigError, match="^spectrum.N: empty list item$"):
+        get_int_list(cfg, "spectrum.N", minimum=1)
+    with pytest.raises(ConfigError, match="^profile.radii: empty list item$"):
+        get_float_list(cfg, "profile.radii")
+
+
 # ------------------------------------------------------------- serialize
 
 def test_fmt_is_shortest_roundtrip():
@@ -662,6 +672,22 @@ def test_cli_rejects_empty_job_lists(tmp_path, capsys, verb, text, key):
     out = tmp_path / "out"
     assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
     assert f"{key}: expected at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,text", [
+    ("spectrum", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
+                 "spectrum.N = 9,,27\n"),
+    ("spectrum", "map.family = walsh\nmap.D = 3\nmap.kept = 0,2\n"
+                 "spectrum.N = 9,27,\n"),
+    ("transport", "transport.k = 2\ntransport.theta = 0.0,,0.3\n"),
+    ("transport", "transport.k = 2\ntransport.theta = 0.0,0.3,\n"),
+], ids=["int-interior", "int-trailing", "float-interior", "float-trailing"])
+def test_cli_rejects_an_empty_list_item(tmp_path, capsys, verb, text):
+    out = tmp_path / "out"
+    assert main([verb, write_cfg(tmp_path, text), "-o", str(out)]) == 1
+    key = "spectrum.N" if verb == "spectrum" else "transport.theta"
+    assert capsys.readouterr().err == f"config error: {key}: empty list item\n"
     assert not out.exists()
 
 

@@ -263,7 +263,7 @@ def test_chunked_fold_is_the_one_expression_fold(N, order, sector):
     # either memory layout: every entry sees the same operations
     B = np.asarray(parity_commuting(N), order=order)
     out = parity_restrict(B, sector)
-    assert out.flags.c_contiguous  # no column pair is skipped
+    assert out.flags.f_contiguous
     assert np.array_equal(out, one_expression_fold(B, sector))
 
 
@@ -277,12 +277,14 @@ def test_chunked_fold_checks_the_last_chunk():
             parity_restrict(B, "even")
 
 
-def test_fold_is_column_major_only_when_it_skips_a_pair_block():
-    # the open 5-baker's pairs j < 64 fold its removed strips 0 and 4 and
-    # are skipped; the closed map's fold writes every column, C-ordered,
-    # as the eigensolver's core is
-    assert parity_restrict(quantize_open(B5, 500), "even").flags.f_contiguous
-    assert parity_restrict(quantize_closed(5, 500), "even").flags.c_contiguous
+@pytest.mark.parametrize("build", [lambda: quantize_open(B5, 500),
+                                   lambda: quantize_closed(5, 500),
+                                   lambda: build_map("walsh", OPEN_B4, 4**4, "W")],
+                         ids=["open-B5", "closed-B5", "walsh-OPEN_B4-W"])
+def test_every_fold_is_column_major(build):
+    # one layout whether the fold skips pair blocks (the open maps') or
+    # writes every column (the closed map's)
+    assert parity_restrict(build(), "even").flags.f_contiguous
 
 
 def bits(a):
