@@ -16,7 +16,7 @@ import mmap
 import numpy as np
 
 from .classical import B3, OpenBakerSpec
-from .transforms import (_centered_dft_adjoint, _seed, build_walsh, check_dense_dim,
+from .transforms import (_centered_dft_adjoint, build_walsh, check_dense_dim,
                          check_finite, dft_centered)
 
 # parity_restrict refuses a matrix whose parity commutator has a larger
@@ -175,7 +175,8 @@ def _walsh_factor(spec: OpenBakerSpec, variant: str) -> np.ndarray:
     for variant "W" and 0 for "V"; every other column is exact zeros.
     The single source of the entries of _walsh_diagonal,
     tensor_open_apply_block and the cavity's closed form; the
-    transform-built walsh_quantize reads the seed instead.  Column-major,
+    transform-built walsh_quantize reads build_walsh's one-digit
+    transform instead.  Column-major,
     so the block apply's column range is one contiguous block: a strided
     factor sends a one-column product through another BLAS kernel, which
     rounds differently."""
@@ -216,26 +217,30 @@ def build_toy_diagonal(N: int) -> np.ndarray:
 def walsh_quantize(spec: OpenBakerSpec, k: int, variant: str = "W") -> np.ndarray:
     """Walsh quantization of a (possibly open) D-baker at N = D^k:
     S_k^* . blockdiag with S_{k-1} in the kept slots.  Unitary when the
-    map is closed; equals _walsh_diagonal's tilted diagonals up to
-    rounding, and so build_toy_diagonal for the 3-baker with the
-    half-integer variant.
+    map is closed; its entries off the tilted diagonals are exact zeros,
+    and on them it equals _walsh_diagonal up to rounding, and so
+    build_toy_diagonal for the 3-baker with the half-integer variant.
 
-    Row block b of S_k is S_{k-1} (x) F[b, :] (build_walsh), so kept column
-    block b is (S_{k-1}^* S_{k-1}) (x) F[b, :]^*: one Gram product of n^3
-    flops for all blocks, n = N/D, then one broadcast write per kept
-    block.  S_k itself is never formed."""
+    Row block b of S_k is S_{k-1} (x) S_1[b, :] (build_walsh), so kept
+    column block b is (S_{k-1}^* S_{k-1}) (x) S_1[b, :]^*, and the Gram
+    product is I_n, n = N/D, since S_{k-1} is a tensor power of a unitary
+    seed.  So kept block b is written as I_n (x) S_1[b, :]^*, one write
+    on its n tilted diagonals, and neither S_k, S_{k-1} nor the Gram
+    product is formed.  The result is column-major zeros from
+    _lazy_zeros, as in _walsh_diagonal: a kept column's D entries lie in
+    D consecutive rows, so about one 4 KiB page per kept column becomes
+    resident."""
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
-    D, N = spec.D, spec.D**k
-    check_dense_dim(N)
-    M = np.zeros((N, N), dtype=complex)
-    inner = build_walsh(D, k - 1, variant)
-    gram = inner.conj().T @ inner
-    F = _seed(D, variant)
-    n = len(inner)
+    D, n = spec.D, spec.D ** (k - 1)
+    M = _open_zeros(D, D * n, _lazy_zeros)
+    S1 = build_walsh(D, 1, variant)
+    # M.T is C-ordered, so this is a view: [b, l, l', eps] is
+    # M[D l' + eps, b n + l]
+    blocks = M.T.reshape(D, n, n, D)
+    l = np.arange(n)
     for b in spec.kept:
-        np.multiply(gram[:, None, :], F[b, :, None].conj(),
-                    out=M.reshape(n, D, D, n)[:, :, b, :])
+        blocks[b, l, l, :] = S1[b, :].conj()
     return M
 
 

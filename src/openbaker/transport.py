@@ -10,7 +10,6 @@ P = tr(t t*(1 - t t*)), and the Fano factor F = P / g.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,10 +18,6 @@ import numpy as np
 from .classical import CLOSED_B4, OPEN_B4, _leading_run
 from .quantize import _walsh_factor, tensor_open_apply_block, walsh_quantize
 from .transforms import check_dense_dim
-
-# Dense resolvent solves are refused above 4^6 = 4096 (memory budget);
-# the truncated series with the tensor-structured apply remains available.
-MAX_RESOLVENT_K = 6
 
 # The bounce series stops once a term's Frobenius norm is below this.
 SERIES_TOL = 1e-12
@@ -34,16 +29,6 @@ RANDOM_MATRIX_FANO = 1.0 / 8.0
 def cavity_propagator(k: int) -> np.ndarray:
     """Dense closed-cavity unitary: the V-variant Walsh 4-baker at 4^k."""
     return walsh_quantize(CLOSED_B4, k, "V")
-
-
-@functools.lru_cache(maxsize=1)
-def _shared_propagator(k: int) -> np.ndarray:
-    """cavity_propagator(k), built once for all quasi-energies at one k and
-    returned read-only.  One entry: the CLI runs its jobs in order, each
-    k's quasi-energies back to back, and no 4^k matrix outlives the next k."""
-    U = cavity_propagator(k)
-    U.flags.writeable = False
-    return U
 
 
 def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
@@ -64,7 +49,7 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     Only the 2^k words of the core {1, 2}^k can bounce forever: they alone
     are solved for, then each level outward, and lead 2 last, is one
     product with the level inside it.  U's entries off this structure are
-    walsh_quantize rounding and are not read.
+    exact zeros of walsh_quantize and are not read.
     series: the sum over bounce numbers n of
     e^{i n theta} Pi_L2 U (Pi_I U)^(n-1) Pi_L1, truncated when the
     Frobenius norm of the next term drops below SERIES_TOL.  U sends
@@ -74,8 +59,9 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     U Pi_I is the matrix-free OPEN_B4 tensor apply; each later term is
     one such apply to the block of the term before it.  A
     trapped channel's first k - 1 terms are exactly zero, so the stop test
-    starts at term k.  t itself is N/4 x N/4, so
-    k <= 7 (MAX_DENSE_DIM): at k = 8, t alone is 4 GiB.
+    starts at term k.
+    Both methods share one cap: t itself is N/4 x N/4, so k <= 7
+    (MAX_DENSE_DIM); at k = 8, t alone is 4 GiB.
 
     With return_diagnostics, returns (t, diagnostics): the series records
     series_terms, the number of terms summed, and series_tail_norm, the
@@ -87,21 +73,16 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     if not math.isfinite(theta):
         raise ValueError(f"quasi-energy must be finite, got {theta}")
     if method == "resolvent":
-        if k > MAX_RESOLVENT_K:
-            raise ValueError(
-                f"dense resolvent capped at k = {MAX_RESOLVENT_K}; "
-                "use method='series'"
-            )
         trapped_columns = _trapped_resolvent
     elif method == "series":
-        check_dense_dim(4**k)
         trapped_columns = _bounce_series
     else:
         raise ValueError(f"method must be 'resolvent' or 'series', got {method!r}")
+    check_dense_dim(4**k)
     phase = np.exp(1j * theta)
     trapped = np.flatnonzero(_leading_runs(k - 1)[1] < 0)
     block, diagnostics = trapped_columns(k, phase, trapped)
-    # t after the block: at k = 6 it would otherwise be held through U's build
+    # t after the block, so it is not held through the method's work
     t = _closed_form(k, phase)
     t[:, trapped] = block
     return (t, diagnostics) if return_diagnostics else t
@@ -142,7 +123,7 @@ def _closed_form(k: int, phase: complex) -> np.ndarray:
 def _trapped_resolvent(k: int, phase: complex,
                        cols: np.ndarray) -> tuple[np.ndarray, dict]:
     """The resolvent's trapped columns `cols` of t, and its diagnostics."""
-    U = _shared_propagator(k)
+    U = cavity_propagator(k)
     run, end = _leading_runs(k)
     rows = run == k
     A = -phase * U[np.ix_(rows, rows)]

@@ -1,7 +1,8 @@
 """Reference constructions that only the tests use: the float open-baker
 step and escape time, digit codecs, the digit-reversal permutation,
 product states, the parity-sector isometry and the one-expression parity
-fold, the toy matrix written entry by entry, the lead projectors of the Walsh cavity, the resolvent solved on
+fold, the dense block-stack quantization T^* . blockstack(inner), the toy
+matrix written entry by entry, the lead projectors of the Walsh cavity, the resolvent solved on
 the whole interior block, the bounce series started from the full lead-1
 basis, and a reader for the spectrum CSV.  The package computes with
 faster index folds, slices and integer digit sweeps; these spell out
@@ -17,7 +18,7 @@ import numpy as np
 
 from openbaker.classical import CLOSED_B4, OPEN_B4, OpenBakerSpec
 from openbaker.quantize import _sector_sign, tensor_open_apply_block
-from openbaker.transport import SERIES_TOL, _shared_propagator
+from openbaker.transport import SERIES_TOL, cavity_propagator
 
 
 def _check_direction(direction: str):
@@ -130,6 +131,16 @@ def one_expression_fold(B: np.ndarray, sector: str) -> np.ndarray:
     return 0.5 * (B[:h, :h] + R[:h, :h] + sign * mirrored)
 
 
+def dense_quantization(T: np.ndarray, D: int, kept, inner: np.ndarray) -> np.ndarray:
+    """Reference T^* . blockstack(inner): the full N x N block stack with
+    `inner` in the kept slots, multiplied densely."""
+    N, n = T.shape[0], inner.shape[0]
+    stack = np.zeros((N, N), dtype=complex)
+    for b in kept:
+        stack[b * n:(b + 1) * n, b * n:(b + 1) * n] = inner
+    return T.conj().T @ stack
+
+
 def toy_diagonal_by_entry(N: int) -> np.ndarray:
     """build_toy_diagonal(N) written one entry at a time."""
     B = np.zeros((N, N), dtype=complex)
@@ -172,7 +183,7 @@ def interior_block_resolvent(k: int, theta: float) -> np.ndarray:
     N = 4**k
     n4 = N // 4
     phase = np.exp(1j * theta)
-    U = _shared_propagator(k)
+    U = cavity_propagator(k)
     lead1, interior, lead2 = slice(0, n4), slice(n4, 3 * n4), slice(3 * n4, N)
     A = -phase * U[interior, interior]
     A[np.diag_indices(2 * n4)] += 1.0

@@ -240,39 +240,39 @@ def test_cli_transport(tmp_path):
 
 
 def test_cli_transport_post_step_over_failed_job_is_partial(tmp_path, capsys):
-    # k = 7 exceeds the dense-resolvent cap: its job fails, and the
+    # k = 8 exceeds the dense cap: its job fails, and the
     # asymptotics report built from k = 1 alone must name the missing job
-    cfg = write_cfg(tmp_path, "transport.k = 1,7\ntransport.theta = 0.0\n")
+    cfg = write_cfg(tmp_path, "transport.k = 1,8\ntransport.theta = 0.0\n")
     out = tmp_path / "out"
     assert main(["transport", cfg, "-o", str(out)]) == 2
     jobs = {j["name"]: j for j in
             json.loads((out / "manifest.json").read_text())["jobs"]}
-    assert jobs["transport-k7-theta0"]["status"] == "failed"
+    assert jobs["transport-k8-theta0"]["status"] == "failed"
     step = jobs["transport-asymptotics"]
     assert step["status"] == "partial"
-    assert step["missing_jobs"] == ["transport-k7-theta0"]
+    assert step["missing_jobs"] == ["transport-k8-theta0"]
     assert set(step) == {"name", "status", "outputs", "seconds", "missing_jobs"}
     rep = json.loads((out / "transport_asymptotics.json").read_text())
     assert [row["k"] for row in rep["rows"]] == [1]
     capsys.readouterr()
     assert main(["manifest", str(out)]) == 2
     printed = capsys.readouterr()
-    assert "missing jobs: ['transport-k7-theta0']" in printed.out
+    assert "missing jobs: ['transport-k8-theta0']" in printed.out
     assert "'transport-asymptotics'" in printed.err
 
 
 def test_cli_transport_step_over_only_failed_jobs_is_partial(tmp_path, capsys):
-    # every job fails the dense-resolvent cap; the asymptotics step still
+    # every job fails the dense cap; the asymptotics step still
     # runs, writes an empty report and names both jobs as missing
-    cfg = write_cfg(tmp_path, "transport.k = 7\ntransport.theta = 0.0,0.3\n")
+    cfg = write_cfg(tmp_path, "transport.k = 8\ntransport.theta = 0.0,0.3\n")
     out = tmp_path / "out"
     assert main(["transport", cfg, "-o", str(out)]) == 2
     jobs = {j["name"]: j for j in
             json.loads((out / "manifest.json").read_text())["jobs"]}
-    assert {jobs[f"transport-k7-theta{i}"]["status"] for i in (0, 1)} == {"failed"}
+    assert {jobs[f"transport-k8-theta{i}"]["status"] for i in (0, 1)} == {"failed"}
     step = jobs["transport-asymptotics"]
     assert step["status"] == "partial"
-    assert step["missing_jobs"] == ["transport-k7-theta0", "transport-k7-theta1"]
+    assert step["missing_jobs"] == ["transport-k8-theta0", "transport-k8-theta1"]
     assert step["outputs"] == ["transport_asymptotics.json"]
     rep = json.loads((out / "transport_asymptotics.json").read_text())
     assert rep["rows"] == rep["theta_spread"] == []

@@ -57,14 +57,15 @@ def test_every_private_definition_has_a_caller():
 
 def test_only_the_transform_built_walsh_map_reads_the_seed():
     # two independent constructions of the Walsh map: the transform-built
-    # one (build_walsh, walsh_quantize) reads the seed, and the writer, the
-    # block apply and the cavity's closed form read _walsh_factor.  The
-    # acceptance suite compares the two, which shows something only while
-    # no writer-side code reads the seed
+    # one reads the seed through build_walsh (walsh_quantize takes its
+    # one-digit transform from it), and the writer, the block apply and
+    # the cavity's closed form read _walsh_factor.  The acceptance suite
+    # compares the two, which shows something only while no writer-side
+    # code reads the seed
     readers = set()
     for path in sorted((ROOT / "src" / "openbaker").glob("*.py")):
         for top in parse(path).body:
             if "_seed" in loaded_names(top):
                 readers.add(getattr(top, "name", f"{path.name} module level"))
-    assert readers == {"build_walsh", "walsh_quantize"}
+    assert readers == {"build_walsh"}
 
