@@ -206,6 +206,8 @@ class SectorQuery:
     def __post_init__(self):
         if not 0.0 <= self.r < 1.0:
             raise ValueError(f"inner radius must be in [0, 1), got {self.r}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"angle must be finite, got {self.theta}")
         if not 0.0 < self.rho <= math.pi:
             raise ValueError(f"half-width must be in (0, pi], got {self.rho}")
 
@@ -249,6 +251,10 @@ def weyl_fit(series) -> WeylFit:
     sequence the fractal law predicts doubling for mu = log 2 / log D).
     """
     pts = [(int(N), int(c)) for N, c in series]
+    Ns = [N for N, _ in pts]
+    for N in Ns:
+        if N < 1 or Ns.count(N) > 1:
+            raise ValueError(f"dimensions must be positive and distinct, got N = {N}")
     pos = [(N, c) for N, c in pts if c > 0]
     if len(pos) < 2:
         raise ValueError("need at least 2 points with positive count")

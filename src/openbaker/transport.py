@@ -32,7 +32,7 @@ def cavity_propagator(k: int) -> np.ndarray:
 
 
 def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
-                        *, return_diagnostics: bool = False):
+                        *, trapped_only: bool = False):
     """Transmission matrix t(theta) from lead 1 to lead 2, as the
     (N/4) x (N/4) block indexed by the remaining k-1 digits.
 
@@ -60,13 +60,15 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     one such apply to the block of the term before it.  A
     trapped channel's first k - 1 terms are exactly zero, so the stop test
     starts at term k.
-    Both methods share one cap: t itself is N/4 x N/4, so k <= 7
-    (MAX_DENSE_DIM); at k = 8, t alone is 4 GiB.
+    Both methods share one cap, k <= 7 (MAX_DENSE_DIM): the resolvent
+    reads the N x N propagator U, and the full t is N/4 x N/4, 4 GiB at
+    k = 8.
 
-    With return_diagnostics, returns (t, diagnostics): the series records
-    series_terms, the number of terms summed, and series_tail_norm, the
-    Frobenius norm of the last one; the resolvent records solve_dim, the
-    dimension 2^k of its one dense solve.
+    With trapped_only, returns (block, diagnostics) before t is
+    allocated: block is t's 2^(k-1) trapped columns, in word order.  The
+    series records series_terms, the number of terms summed, and
+    series_tail_norm, the Frobenius norm of the last one; the resolvent
+    records solve_dim, the dimension 2^k of its one dense solve.
     """
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
@@ -82,10 +84,12 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     phase = np.exp(1j * theta)
     trapped = np.flatnonzero(_leading_runs(k - 1)[1] < 0)
     block, diagnostics = trapped_columns(k, phase, trapped)
+    if trapped_only:
+        return block, diagnostics
     # t after the block, so it is not held through the method's work
     t = _closed_form(k, phase)
     t[:, trapped] = block
-    return (t, diagnostics) if return_diagnostics else t
+    return t
 
 
 def _leading_runs(length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,25 +209,26 @@ def transport_quantities(t: np.ndarray) -> TransportResult:
 
 def transport_result(k: int, theta: float = 0.0,
                      method: str = "resolvent") -> TransportResult:
-    """transport_quantities of transmission_matrix(k, theta, method), with
-    only t's 2^(k-1) trapped columns decomposed.  Every other channel
-    leaves whole (_leading_runs), so ||t_j|| is exactly 1 or 0; S = [r; t]
-    is unitary, so r_j = 0 where ||t_j|| = 1, and t_j is orthogonal to the
-    other columns.  Its T is exactly 1.0 or 0.0 and adds exactly 0 to P.
-    `diagnostics` holds the method's (solve_dim, or the series_* keys),
-    then closed_form_channels, [transmitted, reflected], and svd_shape,
-    the [rows, cols] of the trapped columns decomposed."""
-    t, diagnostics = transmission_matrix(k, theta, method, return_diagnostics=True)
-    end = _leading_runs(k - 1)[1]
-    trapped = t[:, end < 0]
-    core = transport_quantities(trapped)
-    opened, closed = int((end == 3).sum()), int((end == 0).sum())
+    """The transport quantities of transmission_matrix(k, theta, method),
+    from its 2^(k-1) trapped columns alone: the full t is never built.
+    Every other channel leaves whole (_leading_runs), so ||t_j|| is
+    exactly 1 or 0; S = [r; t] is unitary, so r_j = 0 where ||t_j|| = 1,
+    and t_j is orthogonal to the other columns.  Its T is exactly 1.0 or
+    0.0 and adds exactly 0 to P.  The digit swap 0 <-> 3 pairs the
+    channels that leave through lead 2 with those that leave through
+    lead 1, so n = (4^(k-1) - 2^(k-1)) / 2 of each.  `diagnostics` holds
+    the method's (solve_dim, or the series_* keys), then
+    closed_form_channels, [transmitted, reflected], and svd_shape, the
+    [rows, cols] of the trapped columns decomposed."""
+    block, diagnostics = transmission_matrix(k, theta, method, trapped_only=True)
+    core = transport_quantities(block)
+    n = (4 ** (k - 1) - block.shape[1]) // 2
     # a trapped channel may transmit fully too: T = 1 + 4e-16 at k = 4, theta = 0
-    T = np.sort(np.concatenate([np.ones(opened), core.T, np.zeros(closed)]))[::-1]
+    T = np.sort(np.concatenate([np.ones(n), core.T, np.zeros(n)]))[::-1]
     return TransportResult(
-        k, theta, T, opened + core.g, core.P,
-        diagnostics={**diagnostics, "closed_form_channels": [opened, closed],
-                     "svd_shape": list(trapped.shape)})
+        k, theta, T, n + core.g, core.P,
+        diagnostics={**diagnostics, "closed_form_channels": [n, n],
+                     "svd_shape": list(block.shape)})
 
 
 def transport_asymptotics(results) -> dict:

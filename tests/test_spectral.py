@@ -151,6 +151,10 @@ def test_sector_query_validation():
         SectorQuery(1.0)
     with pytest.raises(ValueError):
         SectorQuery(0.5, rho=0.0)
+    # a non-finite angle would count nothing in any sector
+    for theta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"angle must be finite, got {theta}"):
+            SectorQuery(0.5, theta, 1.0)
 
 
 # ------------------------------------------------------------- Weyl fits
@@ -168,6 +172,17 @@ def test_weyl_fit_recovers_power_law():
 def test_weyl_fit_needs_two_positive_points():
     with pytest.raises(ValueError):
         weyl_fit([(10, 5), (20, 0)])
+
+
+@pytest.mark.parametrize("series, N", [([(100, 5), (100, 6)], 100),
+                                       ([(0, 5), (100, 6)], 0),
+                                       ([(100, 5), (-4, 6)], -4),
+                                       ([(20, 0), (100, 5), (20, 0), (500, 9)], 20)])
+def test_weyl_fit_refuses_repeated_or_nonpositive_dimensions(series, N):
+    # one dimension fitted as two gave a slope with only a RankWarning,
+    # and N <= 0 an unconverged SVD
+    with pytest.raises(ValueError, match=f"got N = {N}$"):
+        weyl_fit(series)
 
 
 def test_profile_curve_collapses_self_similar_data():

@@ -1,6 +1,11 @@
 """Transport through the Walsh 4-baker cavity: lead projectors,
 transmission matrices, and Landauer quantities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -145,7 +150,10 @@ def test_series_ends_on_the_interior_input_words(k, monkeypatch):
     assert shapes == [(4**k, 2 ** (k - 1))] * (diag["series_terms"] - 1)
 
 
-@pytest.mark.parametrize("k, terms", enumerate([104, 105, 106, 107, 109, 110], 1))
+SERIES_TERMS = dict(enumerate([104, 105, 106, 107, 109, 110], 1))
+
+
+@pytest.mark.parametrize("k, terms", SERIES_TERMS.items())
 def test_series_terms_are_pinned(k, terms):
     # a trapped channel's first k - 1 terms are exactly zero, so a stop
     # test that read them would end the series after one term
@@ -207,8 +215,8 @@ def test_trapped_resolvent_matches_interior_block_solve(k, theta):
     # the elimination solves only the 2^k core {1, 2}^k; at k = 1 that is
     # the whole interior, and the one lead-1 column reaches it
     t_ref = interior_block_resolvent(k, theta)
-    t, diagnostics = transmission_matrix(k, theta, return_diagnostics=True)
-    assert diagnostics == {"solve_dim": 2**k}
+    t = transmission_matrix(k, theta)
+    assert transmission_matrix(k, theta, trapped_only=True)[1] == {"solve_dim": 2**k}
     assert t.shape == t_ref.shape
     assert np.max(np.abs(t - t_ref)) <= 1e-12
     res, ref = transport_quantities(t), transport_quantities(t_ref)
@@ -333,6 +341,67 @@ def test_closed_form_columns_match_both_references(k, theta):
     assert np.max(np.abs(t - t_ref)[:, leaving], initial=0.0) <= 1e-15
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("method", ["resolvent", "series"])
+def test_trapped_only_is_the_trapped_columns_of_t(k, method):
+    # the block transport_result decomposes is t's trapped columns bit for
+    # bit, with the same diagnostics; |phase| = 1, so the series' term
+    # norms and its number of terms do not depend on theta
+    trapped = transport._leading_runs(k - 1)[1] < 0
+    for theta in (0.0, 0.3, 2.1):
+        block, diagnostics = transmission_matrix(k, theta, method, trapped_only=True)
+        assert np.array_equal(block, transmission_matrix(k, theta, method)[:, trapped])
+        if method == "resolvent":
+            assert diagnostics == {"solve_dim": 2**k}
+        else:
+            assert diagnostics["series_terms"] == SERIES_TERMS[k]
+            assert 0.0 < diagnostics["series_tail_norm"] < SERIES_TOL
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+def test_closed_form_channel_counts_match_the_exit_digits(k):
+    # transport_result counts the leaving channels from the block's width
+    # alone: n = (4^(k-1) - 2^(k-1)) / 2 leave through each lead
+    exits = transport._leading_runs(k - 1)[1]
+    res = transport_result(k, 0.3, "series")
+    n = int((exits == 3).sum())
+    assert res.diagnostics["closed_form_channels"] == [n, int((exits == 0).sum())]
+    assert np.sum(res.T == 0.0) >= n and np.sum(res.T == 1.0) >= n
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("method", ["resolvent", "series"])
+def test_transport_result_never_builds_t(k, method, monkeypatch):
+    monkeypatch.setattr(transport, "_closed_form", sentinel("_closed_form"))
+    transport_result(k, 0.3, method)
+
+
+RSS_GROWTH = """
+from openbaker.transport import transport_result
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+base = peak_kib()
+transport_result(7, 0.3, "series")
+print((peak_kib() - base) * 1024 / (4**6 * 4**6 * 16))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs /proc/self/status")
+def test_transport_result_holds_no_full_t():
+    # growth of a fresh interpreter's peak resident set over the size of
+    # the 4^6 x 4^6 complex t at k = 7 (256 MiB).  Measured 0.145: the
+    # series' two N x 2^6 blocks.  Building t and slicing its trapped
+    # columns back out read 1.04
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", RSS_GROWTH], env=env,
+                         capture_output=True, text=True, check=True)
+    assert float(run.stdout) <= 0.25
+
+
 def assert_split_matches_full_svd(k, theta, method):
     # only the trapped columns are decomposed; T, g, P and F match the SVD
     # of the whole t, and T is descending with exact 1.0 and 0.0 for the
@@ -383,19 +452,31 @@ def sentinel(name):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_methods_keep_the_benchmark_call_pattern(k, monkeypatch):
-    # the cavity benchmarks require this call pattern: the resolvent never
-    # applies the tensor propagator, and the series never builds U or
-    # solves a dense system
+    # the cavity benchmarks require this call pattern: each transport_result
+    # calls transmission_matrix and transport_quantities once, the
+    # resolvent never applies the tensor propagator, and the series never
+    # builds U or solves a dense system
+    calls = []
+
+    def counted(name):
+        real = getattr(transport, name)
+        return lambda *a, **kw: calls.append(name) or real(*a, **kw)
+
+    for name in ("transmission_matrix", "transport_quantities"):
+        monkeypatch.setattr(transport, name, counted(name))
     with monkeypatch.context() as patch:
         for module in (quantize, transport):
             patch.setattr(module, "tensor_open_apply_block",
                           sentinel("tensor_open_apply_block"))
         transport_result(k, 0.3, "resolvent")
+    assert sorted(calls) == ["transmission_matrix", "transport_quantities"]
+    calls.clear()
     for name in ("cavity_propagator", "walsh_quantize"):
         monkeypatch.setattr(transport, name, sentinel(name))
     monkeypatch.setattr(quantize, "walsh_quantize", sentinel("walsh_quantize"))
     monkeypatch.setattr(np.linalg, "solve", sentinel("np.linalg.solve"))
     transport_result(k, 0.3, "series")
+    assert sorted(calls) == ["transmission_matrix", "transport_quantities"]
 
 
 def test_transmission_matrix_validation():
