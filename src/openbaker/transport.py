@@ -158,7 +158,12 @@ def _bounce_series(k: int, phase: complex,
         term = C[3 * n4:]
         term *= phase**n
         t += term
-        tail = np.linalg.norm(term)
+        # Frobenius norm by einsum, not BLAS: from k = 6 a BLAS dot wakes
+        # the OpenBLAS worker threads on every term for ~20 us of work,
+        # and they spin on after it, so the run's CPU time follows the load
+        # on the other cores
+        flat = term.view(float).ravel()
+        tail = math.sqrt(np.einsum("i,i->", flat, flat))
         if n >= k and tail < SERIES_TOL:
             return t, {"series_terms": n, "series_tail_norm": float(tail)}
         C = tensor_open_apply_block(C, OPEN_B4, "V")

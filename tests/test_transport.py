@@ -162,6 +162,17 @@ def test_series_terms_are_pinned(k, terms):
     assert 0.0 < diag["series_tail_norm"] < SERIES_TOL
 
 
+def test_series_stop_test_calls_no_blas_norm(monkeypatch):
+    # np.linalg.norm is a BLAS dot, which from k = 6 wakes the OpenBLAS
+    # worker threads on every term
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series called np.linalg.norm")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    diag = transport_result(6, 0.3, "series").diagnostics
+    assert diag["series_terms"] == SERIES_TERMS[6]
+
+
 def test_series_calls_do_not_share_state():
     # the series reuses two block buffers within a call; nothing carries
     # over to the next call
