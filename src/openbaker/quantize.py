@@ -173,13 +173,13 @@ def _walsh_factor(spec: OpenBakerSpec, variant: str) -> np.ndarray:
     removed columns zeroed.  Column ell, ell kept, holds
     exp((2 pi i/D)(eps+c)(ell+c))/sqrt(D) over eps = 0..D-1, with c = 1/2
     for variant "W" and 0 for "V"; every other column is exact zeros.
-    The single source of the entries of _walsh_diagonal,
-    tensor_open_apply_block and the cavity's closed form; the
-    transform-built walsh_quantize reads build_walsh's one-digit
-    transform instead.  Column-major,
-    so the block apply's column range is one contiguous block: a strided
-    factor sends a one-column product through another BLAS kernel, which
-    rounds differently."""
+    The single source of the entries of _walsh_diagonal, the block apply
+    _digit_step (tensor_open_apply_block, and the cavity resolvent's
+    outward sweep) and the cavity's closed form; the transform-built
+    walsh_quantize reads build_walsh's one-digit transform instead.
+    Column-major, so the block apply's column range is one contiguous
+    block: a strided factor sends a one-column product through another
+    BLAS kernel, which rounds differently."""
     D, c, ell = spec.D, {"W": 0.5, "V": 0.0}.get(variant), np.array(spec.kept)
     if c is None:
         raise ValueError(f"variant must be 'V' or 'W', got {variant!r}")
@@ -244,6 +244,17 @@ def walsh_quantize(spec: OpenBakerSpec, k: int, variant: str = "W") -> np.ndarra
     return M
 
 
+def _digit_step(f: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """One digit of a Walsh map on the rows of a block: the rows (a, r)
+    of X, with the first digit a over f's columns, go to the rows (r, b)
+    of Y = sum_a f[b, a] X[(a, r)], in one batched product.  The one
+    implementation of a Walsh map applied to a block: f is a slice of
+    _walsh_factor, so a sweep over a subset of the digits is the map
+    restricted to those words."""
+    m = X.shape[1]
+    return np.matmul(f, X.reshape(f.shape[1], -1, m).transpose(1, 0, 2)).reshape(-1, m)
+
+
 def tensor_open_apply_block(X: np.ndarray, spec: OpenBakerSpec,
                             variant: str = "W") -> np.ndarray:
     """Matrix-free application of the Walsh-quantized baker to each column
@@ -253,14 +264,13 @@ def tensor_open_apply_block(X: np.ndarray, spec: OpenBakerSpec,
     _walsh_diagonal writes: on an identity the apply is that map bit for
     bit.
 
-    One batched product Y[r, b, :] = sum_a f[b, a] X[a, r, :] over the
-    first digits a from the smallest to the largest kept one, which is
-    the new (N, m) array in natural order.  Only those digit blocks of X
-    are read; removed digits inside that range enter through the
-    factor's zero columns."""
+    A wrapper of _digit_step on the first digits from the smallest to the
+    largest kept one, kept public because the benchmark traces it.  Only
+    those digit blocks of X are read; removed digits inside that range
+    enter through the factor's zero columns."""
     N, m = X.shape
     if N % spec.D != 0:
         raise ValueError(f"state length {N} is not divisible by {spec.D}")
     lo, hi = spec.kept[0], spec.kept[-1] + 1
-    return np.matmul(_walsh_factor(spec, variant)[:, lo:hi],
-                     X.reshape(spec.D, -1, m)[lo:hi].transpose(1, 0, 2)).reshape(N, m)
+    return _digit_step(_walsh_factor(spec, variant)[:, lo:hi],
+                       X[lo * N // spec.D:hi * N // spec.D])

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import CLOSED_B4, OPEN_B4, _leading_run
-from .quantize import _walsh_factor, tensor_open_apply_block, walsh_quantize
+from .quantize import (_digit_step, _walsh_factor, tensor_open_apply_block,
+                       walsh_quantize)
 from .transforms import check_dense_dim
 
 # The bounce series stops once a term's Frobenius norm is below this.
@@ -47,9 +48,12 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     d_2 ... d_k b: P_{j+1} into P_j, and the rest of P_j into
     P_{j-1} - P_j (into the leads for j = 0), so the system is triangular.
     Only the 2^k words of the core {1, 2}^k can bounce forever: they alone
-    are solved for, then each level outward, and lead 2 last, is one
-    product with the level inside it.  U's entries off this structure are
-    exact zeros of walsh_quantize and are not read.
+    are solved for, densely, from U's core rows.  The sweep outward is
+    the one-digit kernel _digit_step with the factor
+    _walsh_factor(CLOSED_B4, "V"): one step sends lead 1 and the core to
+    P_{k-2} - P_{k-1}, and each of k - 1 more steps sends the first
+    digits {1, 2} of a level to the next level outward, the last one to
+    the leads.  No entry of U off the core rows is read.
     series: the sum over bounce numbers n of
     e^{i n theta} Pi_L2 U (Pi_I U)^(n-1) Pi_L1, truncated when the
     Frobenius norm of the next term drops below SERIES_TOL.  U sends
@@ -61,8 +65,8 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     trapped channel's first k - 1 terms are exactly zero, so the stop test
     starts at term k.
     Both methods share one cap, k <= 7 (MAX_DENSE_DIM): the resolvent
-    reads the N x N propagator U, and the full t is N/4 x N/4, 4 GiB at
-    k = 8.
+    builds the N x N propagator U for its core block, and the full t is
+    N/4 x N/4, 4 GiB at k = 8.
 
     With trapped_only, returns (block, diagnostics) before t is
     allocated: block is t's 2^(k-1) trapped columns, in word order.  The
@@ -128,17 +132,19 @@ def _trapped_resolvent(k: int, phase: complex,
                        cols: np.ndarray) -> tuple[np.ndarray, dict]:
     """The resolvent's trapped columns `cols` of t, and its diagnostics."""
     U = cavity_propagator(k)
-    run, end = _leading_runs(k)
-    rows = run == k
-    A = -phase * U[np.ix_(rows, rows)]
+    core = _leading_runs(k)[0] == k
+    A = -phase * U[np.ix_(core, core)]
     A[np.diag_indices(len(A))] += 1.0
-    X = np.linalg.solve(A, phase * U[np.ix_(rows, cols)])
-    # rows: P_{j-1} - P_j, fed by the level inside it; lead 2 last
-    for j in range(k - 1, -1, -1):
-        prev = rows
-        rows = run == j if j else (run == 0) & (end == 3)
-        X = phase * (U[np.ix_(rows, cols)] + U[np.ix_(rows, prev)] @ X)
-    return X, {"solve_dim": len(A)}
+    X = np.linalg.solve(A, phase * U[np.ix_(core, cols)])
+    # lead 1 (digit 0, the identity on cols) under the core (digits 1, 2)
+    # goes to the words c b; those with b in {0, 3} are P_{k-2} - P_{k-1}
+    f = _walsh_factor(CLOSED_B4, "V")
+    X = phase * _digit_step(f[::3, :3], np.vstack([np.eye(len(cols)), X]))
+    # each step moves one level outward, from the first digits {1, 2};
+    # the last one lands on the leads 0, 3
+    for _ in range(k - 1):
+        X = phase * _digit_step(f[:, 1:3], X)
+    return X[len(X) // 2:], {"solve_dim": len(A)}
 
 
 def _bounce_series(k: int, phase: complex,

@@ -237,17 +237,20 @@ def test_trapped_resolvent_matches_interior_block_solve(k, theta):
 
 
 def test_series_matches_resolvent_at_k6():
-    # the series sums bounces, the resolvent eliminates along the digits:
-    # both use the digit structure, but independently
+    # the series sums bounces, the resolvent solves the core densely and
+    # sweeps outward: both apply the one-digit kernel, but only the
+    # resolvent reads U, and only at its core rows
     t_res = transmission_matrix(6, 0.3, "resolvent")
     t_ser = transmission_matrix(6, 0.3, "series")
     assert np.max(np.abs(t_res - t_ser)) <= 1e-12
 
 
 def test_series_matches_resolvent_at_k7():
-    # both methods reach MAX_DENSE_DIM: at k = 7 the resolvent reads a
-    # 4 GiB propagator of which about one 4 KiB page per column is
-    # resident.  Measured: T within 8.1e-13 of the series at theta = 0.3
+    # both methods reach MAX_DENSE_DIM: at k = 7 the resolvent builds a
+    # 4 GiB propagator, of which about one 4 KiB page per column is
+    # resident, and reads only its core rows; its outward sweep is the
+    # one-digit kernel.  Measured: T within 8.1e-13 of the series at
+    # theta = 0.3
     res = transport_result(7, 0.3, "resolvent")
     ser = transport_result(7, 0.3, "series")
     assert res.diagnostics["solve_dim"] == 2**7
@@ -296,9 +299,11 @@ def test_trapped_resolvent_reads_only_the_digit_structure(k):
     # P_j and the rest of P_j out of it.  It skips every lead-1 word but
     # {1, 2}^(k-1): one whose leading run of interior digits c_1 ... c_j
     # ends at j < k - 1 never enters P_j, so never reaches the core.
-    # They are exact zeros of the tensor apply and of the propagator the
-    # resolvent reads (cavity_propagator(k)), so a changed propagator
-    # fails here rather than giving a wrong t.
+    # The outward sweep is the one-digit kernel on the first digits
+    # {1, 2}, which holds these zeros by construction; the core solve
+    # reads U (cavity_propagator(k)).  Both must be exact zeros here, so
+    # a propagator that disagrees with the kernel fails here rather than
+    # giving a wrong t.
     N = 4**k
     levels = trapped_levels(k)
     run = np.zeros(N, dtype=int)
@@ -315,6 +320,23 @@ def test_trapped_resolvent_reads_only_the_digit_structure(k):
     U = cavity_propagator(k)
     for rows, cols in blocks:
         assert not U[np.ix_(rows, cols)].any()
+
+
+@pytest.mark.parametrize("k", [6, 5, 4, 3, 2])
+def test_resolvent_reads_only_the_core_rows_of_U(k, monkeypatch):
+    # the one dense step is the solve on the core {1, 2}^k; every step
+    # outward is the one-digit kernel, so NaN in U's other rows (256 MiB
+    # written at k = 6) leaves t as it was
+    clean = transmission_matrix(k, 0.3, "resolvent")
+    core = trapped_levels(k)[-1]
+
+    def poisoned(k):
+        U = cavity_propagator(k)
+        U[~core] = np.nan
+        return U
+
+    monkeypatch.setattr(transport, "cavity_propagator", poisoned)
+    assert np.array_equal(transmission_matrix(k, 0.3, "resolvent"), clean)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -388,6 +410,7 @@ def test_transport_result_never_builds_t(k, method, monkeypatch):
 
 
 RSS_GROWTH = """
+import sys
 from openbaker.transport import transport_result
 
 def peak_kib():
@@ -395,22 +418,36 @@ def peak_kib():
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
 base = peak_kib()
-transport_result(7, 0.3, "series")
+transport_result(7, 0.3, sys.argv[1])
 print((peak_kib() - base) * 1024 / (4**6 * 4**6 * 16))
 """
+
+
+def rss_growth(method):
+    """Growth of a fresh interpreter's peak resident set over
+    transport_result(7, 0.3, method), over the size of the 4^6 x 4^6
+    complex t at k = 7 (256 MiB)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", RSS_GROWTH, method], env=env,
+                         capture_output=True, text=True, check=True)
+    return float(run.stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="needs /proc/self/status")
 def test_transport_result_holds_no_full_t():
-    # growth of a fresh interpreter's peak resident set over the size of
-    # the 4^6 x 4^6 complex t at k = 7 (256 MiB).  Measured 0.145: the
-    # series' two N x 2^6 blocks.  Building t and slicing its trapped
-    # columns back out read 1.04
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    run = subprocess.run([sys.executable, "-c", RSS_GROWTH], env=env,
-                         capture_output=True, text=True, check=True)
-    assert float(run.stdout) <= 0.25
+    # Measured 0.145: the series' two N x 2^6 blocks.  Building t and
+    # slicing its trapped columns back out read 1.04
+    assert rss_growth("series") <= 0.25
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs /proc/self/status")
+def test_resolvent_holds_no_dense_slice_of_U():
+    # Measured 0.345: U's written pages, about one 4 KiB page per column
+    # (64 MiB), and the outward levels.  Reading the last level as a
+    # dense 4^6 x 4^6 slice of U, lead 2 against level 1, read 1.35
+    assert rss_growth("resolvent") <= 0.45
 
 
 def assert_split_matches_full_svd(k, theta, method):
@@ -465,8 +502,9 @@ def sentinel(name):
 def test_methods_keep_the_benchmark_call_pattern(k, monkeypatch):
     # the cavity benchmarks require this call pattern: each transport_result
     # calls transmission_matrix and transport_quantities once, the
-    # resolvent never applies the tensor propagator, and the series never
-    # builds U or solves a dense system
+    # resolvent never calls the traced tensor_open_apply_block (its sweep
+    # calls the kernel _digit_step), and the series never builds U or
+    # solves a dense system
     calls = []
 
     def counted(name):
