@@ -23,6 +23,16 @@ from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
+# One OpenBLAS thread unless the caller chose a count: the jobs are small
+# dense solves that a second thread does not speed up, and one thread
+# makes the last digits independent of the core count.  OpenBLAS reads
+# the variable when numpy loads it, so a process that already imported
+# numpy keeps its environment and its thread pools.
+if "numpy" not in sys.modules and not any(
+        key in os.environ
+        for key in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 import scipy
 
@@ -119,9 +129,10 @@ def _run_environment() -> dict:
 
 class JobRunner:
     """One verb's run after its config is parsed: makes the output
-    directory, runs independent jobs in order (BLAS parallelizes within
-    each), isolating per-job failures, and rewrites the run manifest
-    after the jobs and after the step, listing the entries by name.
+    directory, runs independent jobs one at a time, in order (each on
+    one BLAS thread unless the caller set a thread count), isolating
+    per-job failures, and rewrites the run manifest after the jobs and
+    after the step, listing the entries by name.
 
     The runner is the only code that writes an artifact.  A job or step
     returns its artifacts as a dict {file name: writer}, where

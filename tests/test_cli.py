@@ -976,7 +976,8 @@ def test_cli_runs_are_deterministic(tmp_path):
 
 
 def test_cli_has_no_workers_option(tmp_path, capsys):
-    # jobs run one at a time; the parallelism is BLAS's
+    # jobs run one at a time, each on one BLAS thread unless the caller
+    # set a thread count
     cfg = write_cfg(tmp_path, "toy.k = 2\n")
     with pytest.raises(SystemExit) as exc:
         main(["toy-check", cfg, "-o", str(tmp_path / "out"), "--workers", "2"])
