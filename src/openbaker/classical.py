@@ -56,12 +56,13 @@ CLOSED_B4 = OpenBakerSpec(4, (0, 1, 2, 3))
 OPEN_B4 = OpenBakerSpec(4, (1, 2))
 
 
-def _leading_run(digits: np.ndarray, kept) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of base-D digits, the length of its leading run of
-    digits in `kept` and the digit that ends it (-1 if none)."""
-    run = np.logical_and.accumulate(np.isin(digits, kept), axis=1).sum(axis=1)
-    ends = np.append(digits, np.full((len(digits), 1), -1), axis=1)
-    return run, ends[np.arange(len(digits)), run]
+def _kept_words(spec: OpenBakerSpec, length: int) -> np.ndarray:
+    """Ascending indices of the base-D words of `length` digits whose
+    digits all lie in spec.kept, built one digit at a time."""
+    words = np.zeros(1, dtype=int)
+    for _ in range(length):
+        words = (spec.D * words[:, None] + spec.kept).ravel()
+    return words
 
 
 def escape_grid(spec: OpenBakerSpec, M: int, t_max: int = 100) -> np.ndarray:
@@ -83,7 +84,7 @@ def escape_grid(spec: OpenBakerSpec, M: int, t_max: int = 100) -> np.ndarray:
     digits = np.empty((M, t_max), dtype=int)
     for n in range(t_max):
         digits[:, n], r = np.divmod(spec.D * r, 2 * M)
-    run = _leading_run(digits, spec.kept)[0]
+    run = np.logical_and.accumulate(np.isin(digits, spec.kept), axis=1).sum(axis=1)
     return np.repeat(np.where(run < t_max, run, -1)[:, None], M, axis=1)
 
 

@@ -239,7 +239,7 @@ def _spectrum_jobs(cfg: dict):
     def job(N):
         s = spectra[N] = map_spectrum(family, spec, N, parity, variant)
         return ({f"spectrum_N{N}_{parity}.csv": partial(write_spectrum_csv, spectrum=s)},
-                {"eig_dim": s.eig_dim, "max_residual_rel": s.max_residual_rel})
+                s.diagnostics)
 
     return [(f"spectrum-N{N}", partial(job, N)) for N in dims], spec, spectra
 

@@ -54,10 +54,9 @@ class Spectrum:
     values: np.ndarray = field(repr=False)
     N: int
     label: str = ""
-    # set by eigen_spectrum: the dimension it eigensolved and the worst
-    # sampled residual relative to ||M|| (None for other spectra)
-    eig_dim: int | None = None
-    max_residual_rel: float | None = None
+    # how the values were computed, set by eigen_spectrum (empty for
+    # other spectra); not an artifact field
+    diagnostics: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.values = canonical_order(self.values)
@@ -163,9 +162,9 @@ def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "") -> Spec
 
     The accuracy contract ||M v - lambda v|| <= RESIDUAL_TOL * ||M|| is
     verified on a sample of the core's eigenpairs (deleting zero rows and
-    columns leaves ||M|| unchanged).  The spectrum records the core
-    dimension as `eig_dim` and the worst sampled residual relative to
-    ||M|| as `max_residual_rel`.
+    columns leaves ||M|| unchanged).  The spectrum's diagnostics record
+    the core dimension as `eig_dim` and the worst sampled residual
+    relative to ||M|| as `max_residual_rel`.
     """
     import scipy.linalg  # here, not at module level: ~0.3 s that transport never needs
 
@@ -190,8 +189,8 @@ def eigen_spectrum(M: np.ndarray, N: int | None = None, label: str = "") -> Spec
                 )
             worst = max(worst, res / norm)
     return Spectrum(np.concatenate([vals, np.zeros(dim - m, dtype=complex)]),
-                    N=dim if N is None else N, label=label, eig_dim=m,
-                    max_residual_rel=worst)
+                    N=dim if N is None else N, label=label,
+                    diagnostics={"eig_dim": m, "max_residual_rel": worst})
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import CLOSED_B4, OPEN_B4, _leading_run
+from .classical import CLOSED_B4, OPEN_B4, _kept_words
 from .quantize import (_digit_step, _walsh_factor, tensor_open_apply_block,
                        walsh_quantize)
 from .transforms import check_dense_dim
@@ -38,10 +38,10 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     (N/4) x (N/4) block indexed by the remaining k-1 digits.
 
     Lead-1 column c is the word 0 c_1 ... c_{k-1}, and U shifts the digits
-    left, so the channel leaves whole at its first c_i in {0, 3}
-    (_leading_runs): its column is written in closed form (_closed_form).
-    Only the 2^(k-1) trapped columns, the words {1, 2}^(k-1), are
-    computed, by one of two methods.
+    left, so the channel leaves whole at its first c_i in {0, 3}: its
+    column is written in closed form (_closed_form).  Only the 2^(k-1)
+    trapped columns, the words {1, 2}^(k-1) (_kept_words), are computed,
+    by one of two methods.
     resolvent: e^{i theta} Pi_L2 U (I - e^{i theta} Pi_I U)^{-1} Pi_L1,
     eliminated along the digits.  Let P_j be the words whose digits
     1..j+1 lie in {1, 2}, so P_0 is the interior.  U sends d_1 ... d_k to
@@ -86,7 +86,7 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
         raise ValueError(f"method must be 'resolvent' or 'series', got {method!r}")
     check_dense_dim(4**k)
     phase = np.exp(1j * theta)
-    trapped = np.flatnonzero(_leading_runs(k - 1)[1] < 0)
+    trapped = _kept_words(OPEN_B4, k - 1)
     block, diagnostics = trapped_columns(k, phase, trapped)
     if trapped_only:
         return block, diagnostics
@@ -94,14 +94,6 @@ def transmission_matrix(k: int, theta: float = 0.0, method: str = "resolvent",
     t = _closed_form(k, phase)
     t[:, trapped] = block
     return t
-
-
-def _leading_runs(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each base-4 word of `length` digits, the length of its leading
-    run of interior digits OPEN_B4.kept = {1, 2} and the digit that ends
-    it (-1 if none)."""
-    words = np.arange(4**length)[:, None] // 4 ** np.arange(length - 1, -1, -1) % 4
-    return _leading_run(words, OPEN_B4.kept)
 
 
 def _closed_form(k: int, phase: complex) -> np.ndarray:
@@ -114,7 +106,6 @@ def _closed_form(k: int, phase: complex) -> np.ndarray:
     if c_{j+1} = 0."""
     n4 = 4 ** (k - 1)
     s = _walsh_factor(CLOSED_B4, "V").T  # row a: s_a
-    run, end = _leading_runs(k - 1)
     t = np.zeros((n4, n4), dtype=complex)
     V = s[None, 0]  # s_0 (x) s_{c_1} (x) ... (x) s_{c_j}, one row per c_1 ... c_j
     for j in range(k - 1):
@@ -122,8 +113,9 @@ def _closed_form(k: int, phase: complex) -> np.ndarray:
             V = (V[:, None, :, None] * s[None, 1:3, None, :]).reshape(2**j, -1)
         # columns c_1 ... c_j 3 q in (c_1 ... c_j, q) order; rows q, then
         # the j + 1 digits of V
-        cols = np.flatnonzero((run == j) & (end == 3)).reshape(2**j, -1)
-        t[np.arange(n4).reshape(cols.shape[1], -1), cols[:, :, None]] = (
+        tail = 4 ** (k - 2 - j)
+        cols = (4 * _kept_words(OPEN_B4, j)[:, None] + 3) * tail + np.arange(tail)
+        t[np.arange(n4).reshape(tail, -1), cols[:, :, None]] = (
             phase ** (j + 1) * V[:, None, :])
     return t
 
@@ -132,7 +124,7 @@ def _trapped_resolvent(k: int, phase: complex,
                        cols: np.ndarray) -> tuple[np.ndarray, dict]:
     """The resolvent's trapped columns `cols` of t, and its diagnostics."""
     U = cavity_propagator(k)
-    core = _leading_runs(k)[0] == k
+    core = _kept_words(OPEN_B4, k)
     A = -phase * U[np.ix_(core, core)]
     A[np.diag_indices(len(A))] += 1.0
     X = np.linalg.solve(A, phase * U[np.ix_(core, cols)])
@@ -222,7 +214,7 @@ def transport_result(k: int, theta: float = 0.0,
                      method: str = "resolvent") -> TransportResult:
     """The transport quantities of transmission_matrix(k, theta, method),
     from its 2^(k-1) trapped columns alone: the full t is never built.
-    Every other channel leaves whole (_leading_runs), so ||t_j|| is
+    Every other channel leaves whole (_closed_form), so ||t_j|| is
     exactly 1 or 0; S = [r; t] is unitary, so r_j = 0 where ||t_j|| = 1,
     and t_j is orthogonal to the other columns.  Its T is exactly 1.0 or
     0.0 and adds exactly 0 to P.  The digit swap 0 <-> 3 pairs the

@@ -2,9 +2,11 @@
 step and escape time, digit codecs, the digit-reversal permutation,
 product states, the parity-sector isometry and the one-expression parity
 fold, the dense block-stack quantization T^* . blockstack(inner), the toy
-matrix written entry by entry, the lead projectors of the Walsh cavity, the resolvent solved on
-the whole interior block, the bounce series started from the full lead-1
-basis, and a reader for the spectrum CSV.  The package computes with
+matrix written entry by entry, the Walsh word sets searched from their
+digit strings, the lead projectors of the Walsh cavity, the resolvent
+solved on the whole interior block, the bounce series started from the
+full lead-1 basis, a reader for the spectrum CSV, and a fresh
+interpreter's peak resident-set growth.  The package computes with
 faster index folds, slices and integer digit sweeps; these spell out
 what those compute."""
 
@@ -12,6 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +24,15 @@ import numpy as np
 from openbaker.classical import CLOSED_B4, OPEN_B4, OpenBakerSpec
 from openbaker.quantize import _sector_sign, tensor_open_apply_block
 from openbaker.transport import SERIES_TOL, cavity_propagator
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+PEAK_KIB = """
+def peak_kib():
+    # VmHWM, not ru_maxrss: a child's ru_maxrss starts at the forking
+    # parent's peak resident set
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
 
 
 def _check_direction(direction: str):
@@ -172,6 +186,41 @@ def lead_projectors(k: int):
     )
 
 
+def kept_words_reference(spec: OpenBakerSpec, length: int) -> np.ndarray:
+    """The words of `length` base-D digits all in spec.kept, found by
+    searching every word's digits."""
+    return np.array([j for j in range(spec.D**length)
+                     if set(digit_encode(j, spec.D, length)) <= set(spec.kept)],
+                    dtype=int)
+
+
+def lead1_words(k: int) -> list[str]:
+    """The base-4 strings d_2 ... d_k of the lead-1 words 0 d_2 ... d_k."""
+    return [np.base_repr(j, 4).zfill(k - 1) if k > 1 else ""
+            for j in range(4 ** (k - 1))]
+
+
+def exit_digit_reference(k: int) -> np.ndarray:
+    """For each lead-1 word 0 d_2 ... d_k, the first of d_2 ... d_k in
+    {0, 3}, or -1 when they all lie in {1, 2}, read from base-4 strings."""
+    return np.array([int(next((d for d in w if d in "03"), -1))
+                     for w in lead1_words(k)])
+
+
+def interior_run_reference(k: int) -> np.ndarray:
+    """For each lead-1 word 0 d_2 ... d_k, the length of its leading run
+    of interior digits {1, 2} among d_2 ... d_k, read from base-4 strings."""
+    return np.array([len(w) - len(w.lstrip("12")) for w in lead1_words(k)])
+
+
+def trapped_levels(k: int) -> list[np.ndarray]:
+    """Masks of P_0 ... P_{k-1} over the 4^k words: P_j holds the words
+    whose first j + 1 base-4 digits all lie in {1, 2}."""
+    words = [np.base_repr(w, 4).zfill(k) for w in range(4**k)]
+    return [np.array([set(w[:j + 1]) <= {"1", "2"} for w in words])
+            for j in range(k)]
+
+
 @functools.lru_cache(maxsize=None)
 def interior_block_resolvent(k: int, theta: float) -> np.ndarray:
     """The resolvent's t from the whole interior block: the lead rows of
@@ -224,3 +273,20 @@ def read_spectrum_csv(path) -> np.ndarray:
     rows = Path(path).read_text().strip().splitlines()[1:]
     vals = [complex(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows]
     return np.array(vals, dtype=complex)
+
+
+def peak_growth(setup: str, build: str, size: str, *args: str) -> float:
+    """Growth of a fresh interpreter's peak resident set (VmHWM, from
+    Linux's /proc/self/status) over the statements `build`, run after
+    `setup`, divided by `size`, an expression read after the build.
+    `args` are the child's sys.argv[1:].  The child runs ./src with one
+    OpenBLAS thread unless the caller set a thread count, as the CLI
+    does, so the reading does not depend on the host's cores."""
+    script = "\n".join([setup, PEAK_KIB, "base = peak_kib()", build,
+                        f"print((peak_kib() - base) * 1024 / ({size}))"])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    if not any(key in env for key in THREAD_VARS):
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return float(run.stdout)

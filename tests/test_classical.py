@@ -11,10 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from openbaker.classical import (B3, B5, CLOSED_B4, OPEN_B4, OpenBakerSpec,
-                                 escape_grid, fractal_dimensions,
+                                 _kept_words, escape_grid, fractal_dimensions,
                                  markov_weight, transfer_matrix)
 from openbaker.quantize import build_toy_diagonal
-from reference import escape_time, map_step
+from reference import escape_time, kept_words_reference, map_step
 
 
 # ------------------------------------------------------------------ spec
@@ -39,6 +39,15 @@ def test_builtin_specs():
     assert B3.mu == math.log(2) / math.log(3)
     assert CLOSED_B4.mu == 1.0
 
+
+
+@pytest.mark.parametrize("length", range(7))
+@pytest.mark.parametrize("spec", [B3, B5, OPEN_B4, CLOSED_B4, OpenBakerSpec(7, (1, 3, 5))],
+                         ids=["B3", "B5", "OPEN_B4", "CLOSED_B4", "D7"])
+def test_kept_words_are_the_words_of_kept_digits(spec, length):
+    # built one digit at a time, in ascending order: the words that a
+    # search of every word's digits finds
+    assert np.array_equal(_kept_words(spec, length), kept_words_reference(spec, length))
 
 # ----------------------------------------------------------------- steps
 

@@ -1,25 +1,23 @@
 """Quantum propagators: DFT quantizations, parity reduction, the toy
 diagonal matrix, and the Walsh quantizations with their tensor applies."""
 
-import os
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from openbaker import quantize
-from openbaker.classical import B3, B5, CLOSED_B4, OPEN_B4, OpenBakerSpec
+from openbaker.classical import B3, B5, CLOSED_B4, OPEN_B4, OpenBakerSpec, _kept_words
 from openbaker.cli import build_map
 from openbaker.quantize import (_CHUNK, _walsh_factor, build_toy_diagonal,
                                 parity_operator, parity_restrict,
                                 quantize_closed, quantize_open,
                                 tensor_open_apply_block, walsh_quantize)
+from openbaker.spectral import _deflate_zero_indices
 from openbaker.transforms import MAX_DENSE_DIM, _seed, build_walsh, dft_centered
 from reference import (dense_quantization, one_expression_fold, parity_isometry,
-                       tensor_state, toy_diagonal_by_entry)
+                       peak_growth, tensor_state, toy_diagonal_by_entry)
 
 
 def unitarity_defect(M):
@@ -395,20 +393,14 @@ def test_lazy_zeros_are_writable_complex_zeros_in_the_requested_layout(
     assert b.flags.c_contiguous if order == "C" else b.flags.f_contiguous
 
 
-RSS_GROWTH = """
+RSS_SETUP = """
 import sys
 from openbaker.classical import B5, CLOSED_B4, OPEN_B4
 from openbaker.cli import build_map
 from openbaker.quantize import (build_toy_diagonal, parity_restrict, quantize_open,
                                 walsh_quantize)
-
-def peak_kib():
-    # VmHWM, not ru_maxrss: a child's ru_maxrss starts at the forking
-    # parent's peak resident set
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-
-base = peak_kib()
+"""
+RSS_BUILD = """
 if sys.argv[1] == "open":
     B = quantize_open(B5, 2500)
     parity_restrict(B, "even")
@@ -421,7 +413,6 @@ elif sys.argv[1] == "cavity":
 else:
     B = build_map("walsh", OPEN_B4, 4**6, "W")
     parity_restrict(B, "even")
-print((peak_kib() - base) * 1024 / B.nbytes)
 """
 
 
@@ -448,10 +439,7 @@ def test_removed_strips_take_no_resident_memory(build, bound):
     # output column written).  walsh_quantize writes the same four
     # entries per column for the closed cavity propagator at 4^6:
     # measured 0.065 (1.14 when it wrote the Gram product densely)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    run = subprocess.run([sys.executable, "-c", RSS_GROWTH, build], env=env,
-                         capture_output=True, text=True, check=True)
-    assert float(run.stdout) <= bound
+    assert peak_growth(RSS_SETUP, RSS_BUILD, "B.nbytes", build) <= bound
 
 
 def test_parity_restrict_rejects_odd_dimension_and_bad_sector():
@@ -550,6 +538,23 @@ def test_walsh_family_map_is_the_kernel_on_the_identity(spec, variant):
 
 
 WALSH_SPECS = [B3, B5, OPEN_B4, OpenBakerSpec(7, (1, 3, 5))]
+
+
+@pytest.mark.parametrize("variant", ["V", "W"])
+@pytest.mark.parametrize("spec,k", [
+    pytest.param(spec, k, id=f"{name}-k{k}")
+    for spec, name, top in zip(WALSH_SPECS, ["B3", "B5", "OPEN_B4", "D7"], [7, 5, 6, 3])
+    for k in range(1, top + 1)])
+def test_walsh_core_is_the_kept_words(spec, k, variant):
+    # [DERIVED] deleting exact zero rows and columns round by round leaves
+    # exactly the words whose k digits all lie in spec.kept, in ascending
+    # order: the Walsh map's deflated core is its kept-word block, bit
+    # for bit, so that core can be written without the D^k x D^k map
+    M = quantize._walsh_diagonal(spec, spec.D**k, variant)
+    words = _kept_words(spec, k)
+    core = _deflate_zero_indices(M)
+    assert core.shape == (len(words), len(words))
+    assert M[np.ix_(words, words)].tobytes() == core.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["V", "W"])

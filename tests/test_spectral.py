@@ -3,11 +3,8 @@ Weyl fits, profile curves, and the closed-form toy spectrum."""
 
 import dataclasses
 import math
-import os
-import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +23,7 @@ from openbaker.spectral import (RESIDUAL_TOL, SectorQuery, Spectrum,
                                 profile_curve, toy_closed_spectrum, weyl_fit)
 from openbaker.spectral import _deflate_zero_indices
 from openbaker.transforms import build_walsh
-from reference import dense_quantization
+from reference import dense_quantization, peak_growth
 
 
 # -------------------------------------------------------------- ordering
@@ -74,7 +71,7 @@ def test_eigen_spectrum_handles_defective_kernels():
     M = dense_quantization(build_walsh(3, 4, "W"), 3, B3.kept, build_walsh(3, 3, "W"))
     s = eigen_spectrum(M)
     assert len(s.values) == 81
-    assert s.eig_dim > 2**4
+    assert s.diagnostics["eig_dim"] > 2**4
 
 
 @pytest.mark.parametrize("parity,N_cap,N_over", [
@@ -405,7 +402,7 @@ def test_deflated_eigen_spectrum_matches_dense_reference(N, parity):
     big = s.values[s.moduli() > 0.01]
     assert max_matched_distance(big, ref[np.abs(ref) > 0.01]) < 1e-9
     # the kept strips are the core: s of D columns, halved by parity
-    assert s.eig_dim == (2 * N // 5 if parity == "full" else N // 5)
+    assert s.diagnostics["eig_dim"] == (2 * N // 5 if parity == "full" else N // 5)
 
 
 def test_eigen_spectrum_of_an_undeflated_column_major_map_is_layout_free():
@@ -419,24 +416,20 @@ def test_eigen_spectrum_of_an_undeflated_column_major_map_is_layout_free():
     C = np.ascontiguousarray(M)
     assert _deflate_zero_indices(M) is M and _deflate_zero_indices(C) is C
     s, ref = eigen_spectrum(M), eigen_spectrum(C)
-    assert s.eig_dim == 100
+    assert s.diagnostics["eig_dim"] == 100
     assert np.array_equal(s.values, ref.values)
-    assert s.max_residual_rel < RESIDUAL_TOL and ref.max_residual_rel < RESIDUAL_TOL
+    assert s.diagnostics["max_residual_rel"] < RESIDUAL_TOL
+    assert ref.diagnostics["max_residual_rel"] < RESIDUAL_TOL
 
 
-EIG_RSS_GROWTH = """
+EIG_RSS_SETUP = """
 import scipy.linalg
 from openbaker.quantize import quantize_closed
 from openbaker.spectral import eigen_spectrum
-
-def peak_kib():
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-
-base = peak_kib()
+"""
+EIG_RSS_BUILD = """
 M = quantize_closed(5, 600)
 eigen_spectrum(M)
-print((peak_kib() - base) * 1024 / M.nbytes)
 """
 
 
@@ -449,10 +442,7 @@ def test_eigen_spectrum_of_an_undeflated_map_copies_it_once():
     # memory.  Measured 4.03-4.05 on 2 BLAS threads and 3.88 on one;
     # 5.03-5.05 (4.88) when the undeflated core was a C-ordered copy of
     # the map
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    run = subprocess.run([sys.executable, "-c", EIG_RSS_GROWTH], env=env,
-                         capture_output=True, text=True, check=True)
-    assert float(run.stdout) <= 4.5
+    assert peak_growth(EIG_RSS_SETUP, EIG_RSS_BUILD, "M.nbytes") <= 4.5
 
 
 def test_table_counts_at_N100_hold_at_30_digits():
@@ -486,10 +476,10 @@ def test_deflated_eigen_spectrum_of_embedded_core(zeros, tail):
         M, core = M.T, core.T
     s = eigen_spectrum(M)
     assert len(s.values) == s.N == m + r
-    assert s.eig_dim == m
+    assert s.diagnostics["eig_dim"] == m
     assert np.count_nonzero(s.values == 0) == r
     assert max_matched_distance(s.values[:m], scipy.linalg.eigvals(core)) < 1e-10
-    assert 0.0 < s.max_residual_rel < 1e-8
+    assert 0.0 < s.diagnostics["max_residual_rel"] < 1e-8
 
 
 def test_eigen_spectrum_of_zero_matrix_skips_the_eigensolve(monkeypatch):
@@ -500,7 +490,7 @@ def test_eigen_spectrum_of_zero_matrix_skips_the_eigensolve(monkeypatch):
     s = eigen_spectrum(np.zeros((7, 7)))
     assert len(s.values) == s.N == 7
     assert np.all(s.values == 0)
-    assert s.eig_dim == 0
+    assert s.diagnostics["eig_dim"] == 0
     assert eigen_spectrum(np.zeros((7, 7)), N=14).N == 14
 
 
@@ -511,7 +501,7 @@ def test_toy_spectrum_through_the_dense_verb_path(k):
     # the walsh family's B3 "W" map is the toy, whose 3^k - 2^k kernel
     # eigenvalues are exact zeros, not eigensolver scatter
     s = map_spectrum("walsh", B3, 3**k, "full")
-    assert s.eig_dim == 2**k
+    assert s.diagnostics["eig_dim"] == 2**k
     assert np.count_nonzero(s.values == 0) == 3**k - 2**k
     report = compare_spectra(s, toy_closed_spectrum(k), tol=1e-8)
     assert report.unmatched == 0

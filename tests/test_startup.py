@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from reference import THREAD_VARS
+
 ROOT = Path(__file__).resolve().parents[1]
 DEFERRED = ("scipy.linalg", "scipy.sparse")
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # the package's public names before its submodules loaded lazily
 PUBLIC = {
     "classical": "B3 B5 CLOSED_B4 OPEN_B4 OpenBakerSpec escape_grid "

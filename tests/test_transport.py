@@ -1,24 +1,22 @@
 """Transport through the Walsh 4-baker cavity: lead projectors,
 transmission matrices, and Landauer quantities."""
 
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from openbaker import quantize, transport
-from openbaker.classical import CLOSED_B4, OPEN_B4
+from openbaker.classical import CLOSED_B4, OPEN_B4, _kept_words
 from openbaker.quantize import tensor_open_apply_block
 from openbaker.transforms import MAX_DENSE_DIM
 from openbaker.transport import (RANDOM_MATRIX_FANO, SERIES_TOL,
                                  SHOT_NOISE_CONSTANT, cavity_propagator,
                                  transmission_matrix, transport_asymptotics,
                                  transport_quantities, transport_result)
-from reference import (eye_start_series, interior_block_resolvent,
-                       lead_projectors)
+from reference import (exit_digit_reference, eye_start_series,
+                       interior_block_resolvent, interior_run_reference,
+                       lead_projectors, peak_growth, trapped_levels)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -259,15 +257,6 @@ def test_series_matches_resolvent_at_k7():
     assert abs(res.P - ser.P) <= 1e-12 * ser.P
 
 
-def exit_digit_reference(k):
-    """For each lead-1 word 0 d_2 ... d_k, the first of d_2 ... d_k in
-    {0, 3}, or -1 when they all lie in {1, 2}, read from base-4 strings."""
-    words = [np.base_repr(j, 4).zfill(k - 1) if k > 1 else ""
-             for j in range(4 ** (k - 1))]
-    return np.array([int(next((d for d in w if d in "03"), -1))
-                     for w in words])
-
-
 def closed_form_count(k):
     """2^(k-2)(2^(k-1)-1): the lead-1 channels transmitted whole, and as
     many reflected whole."""
@@ -276,21 +265,18 @@ def closed_form_count(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_exit_digits_read_the_first_lead_digit(k):
-    run, exits = transport._leading_runs(k - 1)
-    assert np.array_equal(exits, exit_digit_reference(k))
+    # transport builds its word sets from their digits: the trapped
+    # columns {1, 2}^(k-1), and _closed_form's lead-2 exits after a run
+    # of length j, (c_1 ... c_j 3 q) in (c_1 ... c_j, q) order.  A search
+    # of the base-4 strings finds the same sets
+    run, exits = interior_run_reference(k), exit_digit_reference(k)
+    assert np.array_equal(_kept_words(OPEN_B4, k - 1), np.flatnonzero(exits < 0))
     assert (exits == 3).sum() == (exits == 0).sum() == closed_form_count(k)
     assert (exits == -1).sum() == 2 ** (k - 1)
-    words = [np.base_repr(j, 4).zfill(k - 1) if k > 1 else ""
-             for j in range(4 ** (k - 1))]
-    assert np.array_equal(run, [len(w) - len(w.lstrip("12")) for w in words])
-
-
-def trapped_levels(k):
-    """Masks of P_0 ... P_{k-1} over the 4^k words: P_j holds the words
-    whose first j + 1 base-4 digits all lie in {1, 2}."""
-    words = [np.base_repr(w, 4).zfill(k) for w in range(4**k)]
-    return [np.array([set(w[:j + 1]) <= {"1", "2"} for w in words])
-            for j in range(k)]
+    for j in range(k - 1):
+        tail = 4 ** (k - 2 - j)
+        cols = (4 * _kept_words(OPEN_B4, j)[:, None] + 3) * tail + np.arange(tail)
+        assert np.array_equal(cols.ravel(), np.flatnonzero((run == j) & (exits == 3)))
 
 
 @pytest.mark.parametrize("k", [6, 5, 4, 3, 2])
@@ -307,7 +293,7 @@ def test_trapped_resolvent_reads_only_the_digit_structure(k):
     N = 4**k
     levels = trapped_levels(k)
     run = np.zeros(N, dtype=int)
-    run[:N // 4] = transport._leading_runs(k - 1)[0]
+    run[:N // 4] = interior_run_reference(k)
     lead1 = np.arange(N) < N // 4
     blocks = [(levels[j], lead1 & (run == j)) for j in range(k - 1)]
     for outer, inner in zip(levels, levels[1:]):
@@ -346,7 +332,7 @@ def test_closed_form_channels_are_whole_and_orthogonal(k):
     # through lead 2 has ||t_j|| = 1, one that leaves through lead 1 has
     # t_j = 0, and either is orthogonal to every other column of t, so
     # t*t is block diagonal
-    exits = transport._leading_runs(k - 1)[1]
+    exits = exit_digit_reference(k)
     trivial = np.flatnonzero(exits >= 0)
     assert len(trivial) == 2 * closed_form_count(k)
     for theta in [theta for kk, theta in REFERENCE_CASES if kk == k]:
@@ -380,7 +366,7 @@ def test_trapped_only_is_the_trapped_columns_of_t(k, method):
     # the block transport_result decomposes is t's trapped columns bit for
     # bit, with the same diagnostics; |phase| = 1, so the series' term
     # norms and its number of terms do not depend on theta
-    trapped = transport._leading_runs(k - 1)[1] < 0
+    trapped = exit_digit_reference(k) < 0
     for theta in (0.0, 0.3, 2.1):
         block, diagnostics = transmission_matrix(k, theta, method, trapped_only=True)
         assert np.array_equal(block, transmission_matrix(k, theta, method)[:, trapped])
@@ -395,7 +381,7 @@ def test_trapped_only_is_the_trapped_columns_of_t(k, method):
 def test_closed_form_channel_counts_match_the_exit_digits(k):
     # transport_result counts the leaving channels from the block's width
     # alone: n = (4^(k-1) - 2^(k-1)) / 2 leave through each lead
-    exits = transport._leading_runs(k - 1)[1]
+    exits = exit_digit_reference(k)
     res = transport_result(k, 0.3, "series")
     n = int((exits == 3).sum())
     assert res.diagnostics["closed_form_channels"] == [n, int((exits == 0).sum())]
@@ -409,28 +395,12 @@ def test_transport_result_never_builds_t(k, method, monkeypatch):
     transport_result(k, 0.3, method)
 
 
-RSS_GROWTH = """
-import sys
-from openbaker.transport import transport_result
-
-def peak_kib():
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-
-base = peak_kib()
-transport_result(7, 0.3, sys.argv[1])
-print((peak_kib() - base) * 1024 / (4**6 * 4**6 * 16))
-"""
-
-
 def rss_growth(method):
     """Growth of a fresh interpreter's peak resident set over
     transport_result(7, 0.3, method), over the size of the 4^6 x 4^6
     complex t at k = 7 (256 MiB)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    run = subprocess.run([sys.executable, "-c", RSS_GROWTH, method], env=env,
-                         capture_output=True, text=True, check=True)
-    return float(run.stdout)
+    return peak_growth("import sys\nfrom openbaker.transport import transport_result",
+                       "transport_result(7, 0.3, sys.argv[1])", "4**6 * 4**6 * 16", method)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
